@@ -140,14 +140,10 @@ def cmd_simulate(args) -> None:
     rows = _parallel_map(one_row, range(args.positions * args.samples),
                          args.threads)
     m = len(scene.anchors)
-    columns: Dict[str, list] = {f"RSSI{i + 1}": [] for i in range(m)}
-    columns["X_Actual"] = []
-    columns["Y_Actual"] = []
-    for rssi, target in rows:
-        for i in range(m):
-            columns[f"RSSI{i + 1}"].append(rssi[i])
-        columns["X_Actual"].append(target.x)
-        columns["Y_Actual"].append(target.y)
+    columns: Dict[str, list] = {f"RSSI{i + 1}": [rssi[i] for rssi, _ in rows]
+                                for i in range(m)}
+    columns["X_Actual"] = [target.x for _, target in rows]
+    columns["Y_Actual"] = [target.y for _, target in rows]
     ingest.write_csv(columns, args.output)
     _emit_report(args, [("command", "simulate"), ("seed", args.seed),
                         ("threads", args.threads), ("anchors", m),
@@ -235,7 +231,6 @@ def cmd_locate(args) -> None:
 
 
 def _fit_regressor(args, ds: learners.RegressionDataset):
-    x, y = ds.features, ds.targets
     if args.model == "linear":
         return lambda xt, yt: learners.fit_linear(xt, yt)
     if args.model == "poly":
@@ -294,8 +289,7 @@ def _regression_fit_flow(args, header: List[tuple]) -> None:
     if args.output:
         ingest.write_csv(out, args.output)
     if args.save_model:
-        _write_text(args.save_model,
-                    _model_json(model))
+        _write_text(args.save_model, _model_json(model))
     table_rows: Dict[str, metrics.RegressionMetrics] = {}
     for name, idx in (("train", train_idx), ("test", test_idx)):
         if len(idx) == 0:

@@ -86,9 +86,10 @@ def gaussian_filter(signal: Sequence[float], sigma: float) -> np.ndarray:
     """
     arr = _as_signal(signal)
     kernel = gaussian_kernel(sigma)
-    smoothed = np.convolve(arr, kernel, mode="same")
-    coverage = np.convolve(np.ones_like(arr), kernel, mode="same")
-    return smoothed / coverage
+    # Full convolution cut to the signal's span: mode="same" returns
+    # max(len(arr), len(kernel)) samples when the kernel is the longer one.
+    span = slice(len(kernel) // 2, len(kernel) // 2 + arr.size)
+    return np.convolve(arr, kernel)[span] / np.convolve(np.ones_like(arr), kernel)[span]
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,10 @@ labels for the classification format come from a user-supplied sidecar
 mapping file of ``label=zone`` lines, or from the built-in grid quadrant
 rule.
 
-Loaders never drop rows silently: any cell that fails to parse raises
-MalformedNumber naming the row and column. Writers are atomic (temp file
-plus rename) and format floats with 17 significant digits so a write/load
-round trip is bit exact.
+Loaders never drop rows silently: a cell that fails to parse, or a row
+shorter than the header, raises MalformedNumber naming where. Writers are
+atomic (temp file plus rename) and format floats with 17 significant
+digits so a write/load round trip is bit exact.
 """
 
 from __future__ import annotations
@@ -54,7 +54,12 @@ def _read_rows(path) -> Tuple[list, list]:
                 header = next(reader)
             except StopIteration:
                 raise MissingColumn(f"{path}: file has no header row") from None
-            rows = [row for row in reader if row]
+            rows = []
+            for row in filter(None, reader):
+                if len(row) < len(header):
+                    raise MalformedNumber(f"{path}: line {reader.line_num} has {len(row)}"
+                                          f" of the header's {len(header)} cells")
+                rows.append(row)
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
     return [h.strip() for h in header], rows

@@ -7,13 +7,21 @@ are handled by fitting one independent model per output column.
 
 All fitted models are immutable value objects with a ``predict`` method
 and a portable JSON representation (see :func:`model_to_dict`).
+
+A regression tree is six parallel node arrays, numbered depth-first (left
+subtree first, root 0): ``feature`` (-1 at a leaf), ``threshold``, ``left``
+and ``right`` child indices (-1 at a leaf), ``value`` (mean training
+target) and ``n`` (training rows). Fitting grows trees straight into them;
+predict walks all rows through all trees of a model at once, one numpy
+step per level. Saved files keep the version-1 nested record per node.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -92,11 +100,10 @@ def train_test_split_indices(n: int, test_fraction: float,
 
 # --- linear and polynomial regression -------------------------------------------
 
-def _as_2d_targets(y) -> Tuple[np.ndarray, bool]:
-    y = np.asarray(y, dtype=float)
-    if y.ndim == 1:
-        return y[:, None], True
-    return y, False
+def _as_rows(features) -> Tuple[np.ndarray, bool]:
+    """Features as an (N, F) float matrix, and whether one row was given."""
+    x = np.asarray(features, dtype=float)
+    return (x[None, :], True) if x.ndim == 1 else (x, False)
 
 
 @dataclass(frozen=True)
@@ -110,10 +117,7 @@ class LinearModel:
     squeeze: bool = False
 
     def predict(self, features) -> np.ndarray:
-        x = np.asarray(features, dtype=float)
-        single = x.ndim == 1
-        if single:
-            x = x[None, :]
+        x, single = _as_rows(features)
         out = np.hstack([np.ones((len(x), 1)), x]) @ self.theta
         if self.squeeze:
             out = out[:, 0]
@@ -133,9 +137,10 @@ def fit_linear(features, targets) -> LinearModel:
     x = np.asarray(features, dtype=float)
     if x.size == 0:
         raise EmptyDataset("no training samples")
-    y, squeeze = _as_2d_targets(targets)
+    y = np.asarray(targets, dtype=float)
+    squeeze = y.ndim == 1
     design = np.hstack([np.ones((len(x), 1)), x])
-    theta, *_ = np.linalg.lstsq(design, y, rcond=None)
+    theta, *_ = np.linalg.lstsq(design, y[:, None] if squeeze else y, rcond=None)
     return LinearModel(theta=theta, squeeze=squeeze)
 
 
@@ -168,14 +173,9 @@ class PolynomialModel:
     squeeze: bool = False
 
     def predict(self, features) -> np.ndarray:
-        x = np.asarray(features, dtype=float)
-        single = x.ndim == 1
-        if single:
-            x = x[None, :]
-        expanded = polynomial_features(x, self.degree, self.cross_terms)
-        out = np.hstack([np.ones((len(expanded), 1)), expanded]) @ self.theta
-        if self.squeeze:
-            out = out[:, 0]
+        x, single = _as_rows(features)
+        out = LinearModel(self.theta, self.squeeze).predict(
+            polynomial_features(x, self.degree, self.cross_terms))
         return out[0] if single else out
 
     def to_dict(self) -> dict:
@@ -190,204 +190,236 @@ def fit_polynomial(features, targets, degree: int,
     x = np.asarray(features, dtype=float)
     if x.size == 0:
         raise EmptyDataset("no training samples")
-    y, squeeze = _as_2d_targets(targets)
-    expanded = polynomial_features(x, degree, cross_terms)
-    design = np.hstack([np.ones((len(expanded), 1)), expanded])
-    theta, *_ = np.linalg.lstsq(design, y, rcond=None)
-    return PolynomialModel(theta=theta, degree=degree,
-                           cross_terms=cross_terms, squeeze=squeeze)
+    linear = fit_linear(polynomial_features(x, degree, cross_terms), targets)
+    return PolynomialModel(theta=linear.theta, degree=degree,
+                           cross_terms=cross_terms, squeeze=linear.squeeze)
 
 
-# --- CART regression trees ----------------------------------------------------------
+# --- CART trees and forests (node arrays: see the module docstring) -------------------
 
-@dataclass(frozen=True)
-class TreeNode:
-    """Binary regression tree node; a leaf has feature None and carries the
-    mean of its training targets."""
-
-    feature: Optional[int] = None
-    threshold: float = 0.0
-    left: Optional["TreeNode"] = None
-    right: Optional["TreeNode"] = None
-    value: float = 0.0
-    n_samples: int = 0
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
+_NODE_ARRAYS = ("feature", "threshold", "left", "right", "value", "n")
 
 
-def _split_sse(x_col: np.ndarray, y: np.ndarray, min_leaf: int):
-    """Best exhaustive split of one feature: (sse, threshold) or None.
+class TreeNode(NamedTuple):
+    """Read-only view of one node of a :class:`RegressionTree`; a leaf has
+    feature, left and right None and the mean of its targets as value."""
 
-    Candidate thresholds are midpoints between consecutive distinct sorted
-    values; the loss is the summed squared error of the two sides.
-    """
-    order = np.argsort(x_col, kind="stable")
-    xs = x_col[order]
+    tree: "RegressionTree"
+    index: int = 0
+
+    def _at(self, name: str):
+        return getattr(self.tree, name)[self.index].item()
+
+    is_leaf = property(lambda self: self._at("feature") < 0)
+    feature = property(lambda self: None if self.is_leaf else self._at("feature"))
+    threshold = property(lambda self: self._at("threshold"))
+    left = property(lambda self: None if self.is_leaf else TreeNode(self.tree, self._at("left")))
+    right = property(lambda self: None if self.is_leaf else TreeNode(self.tree, self._at("right")))
+    value = property(lambda self: self._at("value"))
+    n_samples = property(lambda self: self._at("n"))
+
+
+def _build_tree(root, expand, **hyperparameters) -> "RegressionTree":
+    """Tree whose nodes are expanded depth-first, left before right, with an
+    explicit stack (no recursion limit). expand(item, depth) gives a node's
+    (feature, threshold, value, n, children), children () at a leaf."""
+    cols = {name: [] for name in _NODE_ARRAYS}
+    stack = [(root, 0, [None], 0)]  # the root links into a throwaway list
+    while stack:
+        item, depth, links, parent = stack.pop()
+        index = links[parent] = len(cols["feature"])
+        feature, threshold, value, n, children = expand(item, depth)
+        for name, v in zip(_NODE_ARRAYS, (feature, threshold, -1, -1, value, n)):
+            cols[name].append(v)
+        if children:
+            stack.append((children[1], depth + 1, cols["right"], index))
+            stack.append((children[0], depth + 1, cols["left"], index))
+    return RegressionTree(**hyperparameters, **{
+        name: np.array(v, dtype=float if name in ("threshold", "value") else np.int64)
+        for name, v in cols.items()})
+
+
+def _split_exhaustive(x: np.ndarray, y: np.ndarray, min_leaf: int):
+    """Least-SSE split, all features scored at once: (feature, threshold) or
+    None. Candidates are midpoints between consecutive distinct sorted values
+    of a column; the first minimum wins in a column, the first least across."""
+    n = len(y)
+    order = np.argsort(x, axis=0, kind="stable")
+    xs = np.take_along_axis(x, order, axis=0)
     ys = y[order]
-    n = len(ys)
-    csum = np.cumsum(ys)
-    csum2 = np.cumsum(ys ** 2)
-    n_left = np.arange(1, n)
-    boundary = xs[:-1] < xs[1:]
-    valid = boundary & (n_left >= min_leaf) & (n - n_left >= min_leaf)
-    if not valid.any():
+    csum = np.cumsum(ys, axis=0)
+    csum2 = np.cumsum(ys ** 2, axis=0)
+    n_left = np.arange(1, n)[:, None]
+    valid = (xs[:-1] < xs[1:]) & (n_left >= min_leaf) & (n - n_left >= min_leaf)
+    features = np.flatnonzero(valid.any(axis=0))
+    if not len(features):
         return None
     sse_left = csum2[:-1] - csum[:-1] ** 2 / n_left
     sse_right = (csum2[-1] - csum2[:-1]) - (csum[-1] - csum[:-1]) ** 2 / (n - n_left)
     sse = np.where(valid, sse_left + sse_right, np.inf)
-    best = int(np.argmin(sse))
-    return float(sse[best]), float((xs[best] + xs[best + 1]) / 2.0)
+    best = np.argmin(sse, axis=0)
+    feature = features[np.argmin(sse[best[features], features])]
+    row = best[feature]
+    return int(feature), float((xs[row, feature] + xs[row + 1, feature]) / 2.0)
 
 
-def _split_random(x_col: np.ndarray, y: np.ndarray, min_leaf: int,
+def _split_random(x: np.ndarray, y: np.ndarray, min_leaf: int,
                   rng: np.random.Generator):
-    """One uniform threshold between min and max of the feature."""
-    lo, hi = float(x_col.min()), float(x_col.max())
-    if lo == hi:
+    """Extra-trees split: one uniform threshold per non-constant feature,
+    drawn in feature order; the first feature with the least SSE wins."""
+    lo, hi = x.min(axis=0), x.max(axis=0)
+    features = np.flatnonzero(lo != hi)
+    if not len(features):
         return None
-    threshold = rng.uniform(lo, hi)
-    mask = x_col <= threshold
-    n_left = int(mask.sum())
-    if n_left < min_leaf or len(y) - n_left < min_leaf:
-        return None
-    sse = 0.0
-    for side in (y[mask], y[~mask]):
-        sse += float(((side - side.mean()) ** 2).sum())
-    return sse, threshold
-
-
-def _grow_tree(x: np.ndarray, y: np.ndarray, depth: int,
-               max_depth: Optional[int], min_leaf: int, split_mode: str,
-               rng: np.random.Generator) -> TreeNode:
-    def leaf() -> TreeNode:
-        return TreeNode(value=float(y.mean()), n_samples=len(y))
-
-    if (len(y) < 2 * min_leaf
-            or (max_depth is not None and depth >= max_depth)
-            or np.all(y == y[0])):
-        return leaf()
-
+    thresholds = rng.uniform(lo[features], hi[features])
+    masks = x[:, features] <= thresholds
+    n_left = masks.sum(axis=0)
     best = None
-    for feature in range(x.shape[1]):
-        if split_mode == "exhaustive":
-            cand = _split_sse(x[:, feature], y, min_leaf)
-        else:
-            cand = _split_random(x[:, feature], y, min_leaf, rng)
-        if cand is not None and (best is None or cand[0] < best[0]):
-            best = (cand[0], feature, cand[1])
-    if best is None:
-        return leaf()
-
-    _, feature, threshold = best
-    mask = x[:, feature] <= threshold
-    return TreeNode(
-        feature=feature,
-        threshold=threshold,
-        left=_grow_tree(x[mask], y[mask], depth + 1, max_depth, min_leaf,
-                        split_mode, rng),
-        right=_grow_tree(x[~mask], y[~mask], depth + 1, max_depth, min_leaf,
-                         split_mode, rng),
-        value=float(y.mean()),
-        n_samples=len(y),
-    )
+    for j in np.flatnonzero((n_left >= min_leaf) & (len(y) - n_left >= min_leaf)):
+        # side.sum() / len(side) is side.mean() without numpy's wrapper cost
+        sse = sum(float(((side - side.sum() / len(side)) ** 2).sum())
+                  for side in (y[masks[:, j]], y[~masks[:, j]]))
+        if best is None or sse < best[0]:
+            best = (sse, int(features[j]), float(thresholds[j]))
+    return None if best is None else best[1:]
 
 
-def _tree_predict(node: TreeNode, x: np.ndarray) -> np.ndarray:
-    out = np.empty(len(x))
-    idx = np.arange(len(x))
-    stack = [(node, idx)]
-    while stack:
-        current, rows = stack.pop()
-        if current.is_leaf:
-            out[rows] = current.value
-            continue
-        mask = x[rows, current.feature] <= current.threshold
-        stack.append((current.left, rows[mask]))
-        stack.append((current.right, rows[~mask]))
-    return out
+def _grow(x: np.ndarray, y: np.ndarray, max_depth: Optional[int],
+          min_leaf: int, split_mode: str,
+          rng: np.random.Generator) -> "RegressionTree":
+    def expand(node, depth):
+        x, y = node
+        split = None
+        if not (len(y) < 2 * min_leaf
+                or (max_depth is not None and depth >= max_depth)
+                or (y == y[0]).all()):
+            split = (_split_exhaustive(x, y, min_leaf)
+                     if split_mode == "exhaustive"
+                     else _split_random(x, y, min_leaf, rng))
+        value = float(y.sum() / len(y))
+        if split is None:
+            return -1, 0.0, value, len(y), ()
+        mask = x[:, split[0]] <= split[1]
+        return (*split, value, len(y),
+                ((x[mask], y[mask]), (x[~mask], y[~mask])))
+    return _build_tree((x, y), expand, max_depth=max_depth,
+                       min_leaf=min_leaf, split_mode=split_mode)
 
 
-@dataclass(frozen=True)
+def _stack_trees(trees) -> tuple:
+    """(feature, threshold, left, right, value, roots, depth) of one block
+    holding every tree, indices offset; leaves become feature-0 self-loops
+    so that `depth` (the deepest tree's) steps bring every row to its leaf."""
+    roots = np.cumsum([0] + [len(t.feature) for t in trees[:-1]])
+    feature = np.concatenate([t.feature for t in trees])
+    left, right = (np.where(feature < 0, np.arange(len(feature)), np.concatenate(
+        [getattr(t, side) + root for t, root in zip(trees, roots)]))
+        for side in ("left", "right"))
+    return (np.maximum(feature, 0), np.concatenate([t.threshold for t in trees]),
+            left, right, np.concatenate([t.value for t in trees]), roots,
+            max(t.depth() for t in trees))
+
+
+def _leaf_values(block: tuple, x: np.ndarray) -> np.ndarray:
+    """Leaf value of every row in every tree of a block, shape (T, N)."""
+    feature, threshold, left, right, value, roots, depth = block
+    rows = np.arange(len(x))
+    node = np.repeat(roots[:, None], len(x), axis=1)
+    for _ in range(depth):
+        go_left = x[rows, feature[node]] <= threshold[node]
+        node = np.where(go_left, left[node], right[node])
+    return value[node]
+
+
+@dataclass(frozen=True, eq=False)
 class RegressionTree:
-    """Single CART regression tree for a scalar target."""
+    """Single CART regression tree for a scalar target: the six node arrays
+    of the module docstring plus its hyperparameters. ``root`` is a
+    read-only :class:`TreeNode` view of node 0; predict walks all rows
+    down together, one vectorized step per level; to_dict writes the
+    version-1 record, a nested dict per node, converted without recursion."""
 
-    root: TreeNode
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    n: np.ndarray
     max_depth: Optional[int] = None
     min_leaf: int = 1
     split_mode: str = "exhaustive"
 
+    root = property(TreeNode)  # read-only view of node 0
+    _block = cached_property(lambda self: _stack_trees((self,)))
+
     def predict(self, features) -> np.ndarray:
-        x = np.asarray(features, dtype=float)
-        single = x.ndim == 1
-        if single:
-            x = x[None, :]
-        out = _tree_predict(self.root, x)
+        x, single = _as_rows(features)
+        out = _leaf_values(self._block, x)[0]
         return float(out[0]) if single else out
 
     def depth(self) -> int:
-        def walk(node: TreeNode) -> int:
-            if node.is_leaf:
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
-        return walk(self.root)
+        """Edges on the longest root-to-leaf path, counted level by level."""
+        level, depth = np.zeros(1, dtype=np.int64), -1
+        while len(level):
+            level = level[self.feature[level] >= 0]
+            level, depth = np.concatenate([self.left[level], self.right[level]]), depth + 1
+        return depth
 
     def to_dict(self) -> dict:
         return _wrap("tree",
                      {"max_depth": self.max_depth, "min_leaf": self.min_leaf,
                       "split_mode": self.split_mode},
-                     {"root": _node_to_dict(self.root)})
+                     {"root": _tree_to_record(self)})
 
 
-def fit_tree(features, targets, max_depth: Optional[int] = None,
-             min_leaf: int = 1, split_mode: str = "exhaustive",
-             rng_seed: int = 0):
-    """Grow a CART regression tree.
-
-    Exhaustive mode scans midpoints of sorted unique feature values for
-    the split minimizing the summed squared error of the two children;
-    random mode (the extra-trees rule) draws one uniform threshold per
-    feature and keeps the best. Nodes become leaves at the depth limit, at
-    min_leaf, or at zero target variance.
-
-    A 2-D target matrix yields a :class:`PairedRegressor` with one
-    independently grown tree per column.
-    """
+def _tree_inputs(features, targets) -> Tuple[np.ndarray, np.ndarray]:
     x = np.asarray(features, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
     if x.size == 0:
         raise EmptyDataset("no training samples")
+    return x, np.asarray(targets, dtype=float)
+
+
+def fit_tree(features, targets, max_depth: Optional[int] = None,
+             min_leaf: int = 1, split_mode: str = "exhaustive",
+             rng_seed: int = 0):
+    """Grow a CART regression tree, depth-first into its node arrays.
+
+    Exhaustive mode scans midpoints of sorted unique feature values for
+    the split minimizing the summed squared error of the two children;
+    random mode (the extra-trees rule) draws one uniform threshold per
+    feature and keeps the best. Nodes become leaves at the depth limit, at
+    min_leaf, or at zero target variance. A 2-D target matrix yields a
+    :class:`PairedRegressor` with one independently grown tree per column.
+    """
+    x, y = _tree_inputs(features, targets)
     if split_mode not in ("exhaustive", "random"):
         raise ValueError(f"unknown split_mode {split_mode!r}")
-    y = np.asarray(targets, dtype=float)
     if y.ndim == 2:
         models = [fit_tree(x, y[:, j], max_depth, min_leaf, split_mode,
                            rng_seed + j) for j in range(y.shape[1])]
         return PairedRegressor(models=tuple(models))
-    rng = np.random.default_rng(rng_seed)
-    root = _grow_tree(x, y, 0, max_depth, min_leaf, split_mode, rng)
-    return RegressionTree(root=root, max_depth=max_depth, min_leaf=min_leaf,
-                          split_mode=split_mode)
+    return _grow(x, y, max_depth, min_leaf, split_mode, np.random.default_rng(rng_seed))
 
-
-# --- forests -----------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Forest:
-    """Average of independently grown trees (bagging when bootstrap=True)."""
+    """Average of independently grown trees (bagging when bootstrap=True).
+    predict walks the rows down all trees in one concatenated node block,
+    then averages the tree-major (T, N) leaf values over axis 0, in tree
+    order, exactly as averaging the member trees' predictions does. The
+    version-1 record keeps one nested node record per tree."""
 
     trees: Tuple[RegressionTree, ...]
     bootstrap: bool = True
     rng_seed: int = 0
 
+    _block = cached_property(lambda self: _stack_trees(self.trees))
+
     def predict(self, features) -> np.ndarray:
-        x = np.asarray(features, dtype=float)
-        single = x.ndim == 1
-        if single:
-            x = x[None, :]
-        preds = np.mean([t.predict(x) for t in self.trees], axis=0)
+        x, single = _as_rows(features)
+        preds = np.mean(_leaf_values(self._block, x), axis=0)
         return float(preds[0]) if single else preds
 
     def to_dict(self) -> dict:
@@ -396,7 +428,7 @@ class Forest:
                      {"n_trees": len(self.trees), "bootstrap": self.bootstrap,
                       "max_depth": first.max_depth, "min_leaf": first.min_leaf,
                       "split_mode": first.split_mode, "rng_seed": self.rng_seed},
-                     {"trees": [_node_to_dict(t.root) for t in self.trees]})
+                     {"trees": [_tree_to_record(t) for t in self.trees]})
 
 
 def fit_forest(features, targets, n_trees: int = 100, bootstrap: bool = True,
@@ -409,14 +441,9 @@ def fit_forest(features, targets, n_trees: int = 100, bootstrap: bool = True,
     with split_mode="random" is the extra-trees scheme. Per-tree RNG
     substreams make the fit reproducible under a fixed seed.
     """
-    x = np.asarray(features, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    if x.size == 0:
-        raise EmptyDataset("no training samples")
+    x, y = _tree_inputs(features, targets)
     if n_trees < 1:
         raise ValueError("n_trees must be >= 1")
-    y = np.asarray(targets, dtype=float)
     if y.ndim == 2:
         models = [fit_forest(x, y[:, j], n_trees, bootstrap, max_depth,
                              min_leaf, split_mode, rng_seed + j)
@@ -427,14 +454,8 @@ def fit_forest(features, targets, n_trees: int = 100, bootstrap: bool = True,
     for i in range(n_trees):
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=rng_seed, spawn_key=(i,)))
-        if bootstrap:
-            rows = rng.integers(0, len(x), size=len(x))
-            xi, yi = x[rows], y[rows]
-        else:
-            xi, yi = x, y
-        root = _grow_tree(xi, yi, 0, max_depth, min_leaf, split_mode, rng)
-        trees.append(RegressionTree(root=root, max_depth=max_depth,
-                                    min_leaf=min_leaf, split_mode=split_mode))
+        rows = rng.integers(0, len(x), size=len(x)) if bootstrap else slice(None)
+        trees.append(_grow(x[rows], y[rows], max_depth, min_leaf, split_mode, rng))
     return Forest(trees=tuple(trees), bootstrap=bootstrap, rng_seed=rng_seed)
 
 
@@ -454,10 +475,7 @@ class PairedRegressor:
     models: Tuple[object, ...]
 
     def predict(self, features) -> np.ndarray:
-        x = np.asarray(features, dtype=float)
-        single = x.ndim == 1
-        if single:
-            x = x[None, :]
+        x, single = _as_rows(features)
         out = np.column_stack([m.predict(x) for m in self.models])
         return out[0] if single else out
 
@@ -504,10 +522,7 @@ class KnnModel:
     n_classes: int
 
     def predict_proba(self, queries) -> np.ndarray:
-        q = np.asarray(queries, dtype=float)
-        single = q.ndim == 1
-        if single:
-            q = q[None, :]
+        q, single = _as_rows(queries)
         probs = np.array([knn_classify(self.features, self.labels, row,
                                        self.k, self.n_classes)[1]
                           for row in q])
@@ -515,9 +530,7 @@ class KnnModel:
 
     def predict(self, queries):
         probs = self.predict_proba(queries)
-        if probs.ndim == 1:
-            return int(probs.argmax())
-        return probs.argmax(axis=1)
+        return int(probs.argmax()) if probs.ndim == 1 else probs.argmax(axis=1)
 
     def to_dict(self) -> dict:
         return _wrap("knn", {"k": self.k, "n_classes": self.n_classes},
@@ -550,8 +563,7 @@ def relu(z):
 
 def softmax(z) -> np.ndarray:
     z = np.asarray(z, dtype=float)
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 
 
@@ -575,9 +587,8 @@ class MlpModel:
                rng_seed: int = 0) -> "MlpModel":
         """He-initialized network; biases start at zero."""
         rng = np.random.default_rng(rng_seed)
-        weights = []
-        for n_in, n_out in zip(sizes[:-1], sizes[1:]):
-            weights.append(rng.normal(0.0, np.sqrt(2.0 / n_in), (n_out, n_in)))
+        weights = [rng.normal(0.0, np.sqrt(2.0 / n_in), (n_out, n_in))
+                   for n_in, n_out in zip(sizes[:-1], sizes[1:])]
         biases = [np.zeros(n) for n in sizes[1:]]
         return cls(weights=tuple(weights), biases=tuple(biases))
 
@@ -602,10 +613,7 @@ def _mlp_layers(model: MlpModel, x: np.ndarray):
 
 def mlp_forward(model: MlpModel, x) -> np.ndarray:
     """Class probabilities for one input vector or a batch."""
-    arr = np.asarray(x, dtype=float)
-    single = arr.ndim == 1
-    if single:
-        arr = arr[None, :]
+    arr, single = _as_rows(x)
     if arr.shape[1] != model.sizes[0]:
         raise ShapeMismatch(
             f"expected {model.sizes[0]} inputs, got {arr.shape[1]}")
@@ -631,8 +639,7 @@ def mlp_backprop(model: MlpModel, x, y_onehot):
     logp = logp - np.log(np.exp(logp).sum(axis=1, keepdims=True))
     loss = float(-(y * logp).sum() / n)
 
-    grad_w = [np.zeros_like(w) for w in model.weights]
-    grad_b = [np.zeros_like(b) for b in model.biases]
+    grad_w, grad_b = [None] * len(model.weights), [None] * len(model.biases)
     delta = (probs - y) / n
     for layer in range(len(model.weights) - 1, -1, -1):
         grad_w[layer] = delta.T @ acts[layer]
@@ -694,8 +701,7 @@ def mlp_train(model: MlpModel, features, labels_onehot, lr: float = 0.01,
         train_acc.append(_accuracy(current, x_train, y_train))
         if len(test_idx):
             test_acc.append(_accuracy(current, x[test_idx], y[test_idx]))
-    final = MlpModel(weights=tuple(np.asarray(w) for w in weights),
-                     biases=tuple(np.asarray(b) for b in biases))
+    final = MlpModel(weights=tuple(weights), biases=tuple(biases))
     return final, MlpHistory(train_accuracy=tuple(train_acc),
                              test_accuracy=tuple(test_acc))
 
@@ -707,21 +713,28 @@ def _wrap(kind: str, hyperparameters: dict, parameters: dict) -> dict:
             "hyperparameters": hyperparameters, "parameters": parameters}
 
 
-def _node_to_dict(node: TreeNode) -> dict:
-    if node.is_leaf:
-        return {"leaf": node.value, "n": node.n_samples}
-    return {"feature": node.feature, "threshold": node.threshold,
-            "n": node.n_samples, "value": node.value,
-            "left": _node_to_dict(node.left), "right": _node_to_dict(node.right)}
+def _tree_to_record(tree: RegressionTree) -> dict:
+    """Nested v1 node records of a tree, made flat and then linked."""
+    feature, threshold, left, right, value, n = (
+        getattr(tree, name).tolist() for name in _NODE_ARRAYS)
+    records = [{"leaf": v, "n": c} if f < 0 else
+               {"feature": f, "threshold": t, "n": c, "value": v}
+               for f, t, v, c in zip(feature, threshold, value, n)]
+    for record, f, l, r in zip(records, feature, left, right):
+        if f >= 0:
+            record["left"], record["right"] = records[l], records[r]
+    return records[0]
 
 
-def _node_from_dict(data: dict) -> TreeNode:
-    if "leaf" in data:
-        return TreeNode(value=data["leaf"], n_samples=data.get("n", 0))
-    return TreeNode(feature=data["feature"], threshold=data["threshold"],
-                    left=_node_from_dict(data["left"]),
-                    right=_node_from_dict(data["right"]),
-                    value=data.get("value", 0.0), n_samples=data.get("n", 0))
+def _tree_from_record(root: dict, h: dict) -> RegressionTree:
+    """Tree with hyperparameters h from a nested v1 node record."""
+    def expand(node, depth):
+        if "leaf" in node:
+            return -1, 0.0, node["leaf"], node.get("n", 0), ()
+        return (node["feature"], node["threshold"], node.get("value", 0.0),
+                node.get("n", 0), (node["left"], node["right"]))
+    return _build_tree(root, expand, max_depth=h["max_depth"],
+                       min_leaf=h["min_leaf"], split_mode=h["split_mode"])
 
 
 def _linear_from_dict(d: dict) -> LinearModel:
@@ -735,27 +748,11 @@ def _polynomial_from_dict(d: dict) -> PolynomialModel:
                            cross_terms=h["cross_terms"], squeeze=p["squeeze"])
 
 
-def _tree_from_dict(d: dict) -> RegressionTree:
-    h = d["hyperparameters"]
-    return RegressionTree(root=_node_from_dict(d["parameters"]["root"]),
-                          max_depth=h["max_depth"], min_leaf=h["min_leaf"],
-                          split_mode=h["split_mode"])
-
-
 def _forest_from_dict(d: dict) -> Forest:
     h = d["hyperparameters"]
-    trees = tuple(RegressionTree(root=_node_from_dict(t),
-                                 max_depth=h["max_depth"],
-                                 min_leaf=h["min_leaf"],
-                                 split_mode=h["split_mode"])
-                  for t in d["parameters"]["trees"])
+    trees = tuple(_tree_from_record(t, h) for t in d["parameters"]["trees"])
     return Forest(trees=trees, bootstrap=h["bootstrap"],
                   rng_seed=h.get("rng_seed", 0))
-
-
-def _paired_from_dict(d: dict) -> PairedRegressor:
-    comps = tuple(model_from_dict(c) for c in d["parameters"]["components"])
-    return PairedRegressor(models=comps)
 
 
 def _knn_from_dict(d: dict) -> KnnModel:
@@ -774,9 +771,11 @@ def _mlp_from_dict(d: dict) -> MlpModel:
 _MODEL_KINDS: Dict[str, Callable[[dict], object]] = {
     "linear": _linear_from_dict,
     "polynomial": _polynomial_from_dict,
-    "tree": _tree_from_dict,
+    "tree": lambda d: _tree_from_record(d["parameters"]["root"],
+                                        d["hyperparameters"]),
     "forest": _forest_from_dict,
-    "paired": _paired_from_dict,
+    "paired": lambda d: PairedRegressor(models=tuple(
+        model_from_dict(c) for c in d["parameters"]["components"])),
     "knn": _knn_from_dict,
     "mlp": _mlp_from_dict,
 }
