@@ -8,7 +8,8 @@ runs the stacking ensemble, and ``evaluate`` scores prediction files.
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
 failure. Output files are written to a temp file and renamed on success,
 so failures never leave partial outputs. Every command is deterministic
-under a fixed --seed at any --threads setting.
+under a fixed --seed. --threads is accepted for compatibility, echoed in
+reports, and has no effect.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import argparse
 import re
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -43,18 +43,6 @@ class CliError(RssilocError):
         self.code = code
 
 
-def _parallel_map(fn, items, threads: int) -> list:
-    """Order-preserving map, optionally on a thread pool.
-
-    Work items must be independent (each derives its own RNG substream),
-    which keeps results identical at any thread count.
-    """
-    if threads <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _write_text(path, text: str) -> None:
     import os
     tmp = f"{path}.tmp"
@@ -64,10 +52,11 @@ def _write_text(path, text: str) -> None:
 
 
 def _emit_report(args, lines: List[tuple], table: str = "") -> None:
-    body = "\n".join(f"{key}\t{value}" for key, value in lines)
+    lines = [("command", args.command), ("seed", args.seed),
+             ("threads", args.threads), *lines]
+    body = "".join(f"{key}\t{value}\n" for key, value in lines)
     if table:
-        body = body + "\n\n" + table
-    body += "\n"
+        body += "\n" + table + "\n"
     print(body, end="")
     if getattr(args, "report", None):
         _write_text(args.report, body)
@@ -131,24 +120,18 @@ def cmd_simulate(args) -> None:
     xmin, ymin, xmax, ymax = scene.bounds
     targets = [Position(pos_rng.uniform(xmin, xmax), pos_rng.uniform(ymin, ymax))
                for _ in range(args.positions)]
-
-    def one_row(trial: int):
-        target = targets[trial // args.samples]
-        _, measurement = measure_once(scene, target, params, noise, trial)
-        return measurement.values(), target
-
-    rows = _parallel_map(one_row, range(args.positions * args.samples),
-                         args.threads)
+    # Trial t draws from its own seed substream, whatever runs before it.
+    rows = [(measure_once(scene, target, params, noise, t)[1].values(), target)
+            for t, target in enumerate(p for p in targets for _ in range(args.samples))]
     m = len(scene.anchors)
     columns: Dict[str, list] = {f"RSSI{i + 1}": [rssi[i] for rssi, _ in rows]
                                 for i in range(m)}
     columns["X_Actual"] = [target.x for _, target in rows]
     columns["Y_Actual"] = [target.y for _, target in rows]
     ingest.write_csv(columns, args.output)
-    _emit_report(args, [("command", "simulate"), ("seed", args.seed),
-                        ("threads", args.threads), ("anchors", m),
-                        ("positions", args.positions), ("samples", args.samples),
-                        ("rows", len(rows)), ("output", args.output)])
+    _emit_report(args, [("anchors", m), ("positions", args.positions),
+                        ("samples", args.samples), ("rows", len(rows)),
+                        ("output", args.output)])
 
 
 def _apply_filter(args, values: np.ndarray) -> np.ndarray:
@@ -162,23 +145,17 @@ def _apply_filter(args, values: np.ndarray) -> np.ndarray:
 
 
 def cmd_filter(args) -> None:
-    columns = ingest.load_all_columns(args.input)
-    out: Dict[str, list] = {}
-    filtered = 0
-    for name, raw in columns.items():
-        if _FILTERABLE.match(name):
-            values = np.array([ingest._parse_float(v, i + 2, name)
-                               for i, v in enumerate(raw)])
-            out[name] = _apply_filter(args, values)
-            filtered += 1
-        else:
-            out[name] = raw
-    if filtered == 0:
+    header, rows, lines = ingest._read_rows(args.input)
+    out = {name: [row[j] for row in rows] for j, name in enumerate(header)}
+    names = [name for name in out if _FILTERABLE.match(name)]
+    if not names:
         raise CliError(3, f"{args.input}: no RSSI columns to filter")
+    for name in names:
+        out[name] = _apply_filter(args, np.array(
+            [ingest._parse_float(v, line, name) for v, line in zip(out[name], lines)]))
     ingest.write_csv(out, args.output)
-    _emit_report(args, [("command", "filter"), ("seed", args.seed),
-                        ("threads", args.threads), ("filter", args.filter),
-                        ("columns_filtered", filtered), ("output", args.output)])
+    _emit_report(args, [("filter", args.filter), ("columns_filtered", len(names)),
+                        ("output", args.output)])
 
 
 def _regression_report_rows(actual: np.ndarray, predicted: np.ndarray
@@ -199,21 +176,22 @@ def cmd_locate(args) -> None:
         raise CliError(3, f"{args.input} has {ds.features.shape[1]} RSSI columns "
                           f"but the scene has {len(anchor_xy)} anchors")
 
-    def solve_row(r: int) -> np.ndarray:
-        rssi = ds.features[r]
-        mask = ingest.sentinel_mask(rssi)
-        if mask.sum() < 3:
-            raise NumericalError(f"row {r + 2}: fewer than 3 in-range anchors")
-        distances = distance_from_rssi(rssi[mask], params)
-        return solvers.estimate_position(
-            args.solver, anchor_xy[mask], distances, sigmas_a=args.sigma_a,
-            sigmas_p=args.sigma_p, eta=args.eta,
-            include_cross_term=args.include_cross_term)
-
+    in_range = ingest.sentinel_mask(ds.features)
+    short = np.flatnonzero(in_range.sum(axis=1) < 3)
+    if short.size:
+        raise NumericalError(f"row {short[0] + 2}: fewer than 3 in-range anchors")
+    # One solve per anchor mask, over all the rows that share it.
+    masks, group = np.unique(in_range, axis=0, return_inverse=True)
+    estimates = np.empty((len(ds), 2))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", DegenerateWeightsWarning)
-        estimates = np.array(_parallel_map(solve_row, range(len(ds)),
-                                           args.threads))
+        for g, mask in enumerate(masks):
+            idx = np.flatnonzero(group == g)
+            distances = distance_from_rssi(ds.features[np.ix_(idx, mask)], params)
+            estimates[idx] = solvers.estimate_position(
+                args.solver, anchor_xy[mask], distances, sigmas_a=args.sigma_a,
+                sigmas_p=args.sigma_p, eta=args.eta,
+                include_cross_term=args.include_cross_term)
         fallbacks = sum(issubclass(w.category, DegenerateWeightsWarning)
                         for w in caught)
 
@@ -221,11 +199,9 @@ def cmd_locate(args) -> None:
            "X_Actual": ds.targets[:, 0], "Y_Actual": ds.targets[:, 1]}
     ingest.write_csv(out, args.output)
     rows = _regression_report_rows(ds.targets, estimates)
-    _emit_report(args, [("command", "locate"), ("seed", args.seed),
-                        ("threads", args.threads), ("solver", args.solver),
-                        ("eta", args.eta), ("sigma_p", args.sigma_p),
-                        ("sigma_a", args.sigma_a), ("rows", len(ds)),
-                        ("weight_fallbacks", fallbacks),
+    _emit_report(args, [("solver", args.solver), ("eta", args.eta),
+                        ("sigma_p", args.sigma_p), ("sigma_a", args.sigma_a),
+                        ("rows", len(ds)), ("weight_fallbacks", fallbacks),
                         ("output", args.output)],
                  metrics.format_regression_table(rows))
 
@@ -359,9 +335,7 @@ def _model_json(model) -> str:
 
 
 def cmd_fit(args) -> None:
-    header = [("command", "fit"), ("seed", args.seed),
-              ("threads", args.threads), ("model", args.model),
-              ("test_size", args.test_size)]
+    header = [("model", args.model), ("test_size", args.test_size)]
     if args.model in ("knn", "mlp"):
         _classification_fit_flow(args, header)
     else:
@@ -370,10 +344,7 @@ def cmd_fit(args) -> None:
 
 def cmd_treeloc(args) -> None:
     args.model = "treeloc"
-    header = [("command", "treeloc"), ("seed", args.seed),
-              ("threads", args.threads), ("model", "treeloc"),
-              ("test_size", args.test_size)]
-    _regression_fit_flow(args, header)
+    cmd_fit(args)
 
 
 def cmd_predict(args) -> None:
@@ -393,9 +364,7 @@ def cmd_predict(args) -> None:
         out = {"location": list(ds.locations),
                "Zone_Pred": [ds.zone_names[i] for i in predicted]}
         ingest.write_csv(out, args.output)
-        _emit_report(args, [("command", "predict"), ("seed", args.seed),
-                            ("threads", args.threads), ("rows", len(ds)),
-                            ("output", args.output)])
+        _emit_report(args, [("rows", len(ds)), ("output", args.output)])
         return
 
     ds = ingest.load_regression_csv(args.input)
@@ -404,9 +373,7 @@ def cmd_predict(args) -> None:
            "X_Actual": ds.targets[:, 0], "Y_Actual": ds.targets[:, 1]}
     ingest.write_csv(out, args.output)
     rows = _regression_report_rows(ds.targets, predicted)
-    _emit_report(args, [("command", "predict"), ("seed", args.seed),
-                        ("threads", args.threads), ("rows", len(ds)),
-                        ("output", args.output)],
+    _emit_report(args, [("rows", len(ds)), ("output", args.output)],
                  metrics.format_regression_table(rows))
 
 
@@ -428,8 +395,7 @@ def cmd_evaluate(args) -> None:
     else:
         raise CliError(2, "evaluate needs -i FILE or --actual and --predicted")
     rows = _regression_report_rows(actual, predicted)
-    _emit_report(args, [("command", "evaluate"), ("seed", args.seed),
-                        ("threads", args.threads), ("rows", len(actual))],
+    _emit_report(args, [("rows", len(actual))],
                  metrics.format_regression_table(rows))
 
 
@@ -439,7 +405,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=DEFAULT_SEED,
                      help="RNG seed (default %(default)s)")
     sub.add_argument("--threads", type=int, default=1,
-                     help="worker threads; results are identical at any count")
+                     help="accepted for compatibility; has no effect")
     sub.add_argument("--config", default=None,
                      help="key=value file merged under explicit flags")
 

@@ -64,7 +64,12 @@ class RankDeficient(NumericalError):
 
 
 class NotPositiveDefinite(NumericalError):
-    """Bias correction exceeds available information; fall back to WLS."""
+    """Bias correction exceeds available information; fall back to WLS on
+    the rows marked in rows. estimate holds the others' solutions."""
+
+    def __init__(self, message: str, rows=None, estimate=None):
+        super().__init__(message)
+        self.rows, self.estimate = rows, estimate
 
 
 # --- learners -----------------------------------------------------------------
@@ -118,7 +123,7 @@ class MissingColumn(IngestError):
 
 
 class MalformedNumber(IngestError):
-    """A cell failed to parse; message carries row and column."""
+    """A cell is not a finite number, or a row is short; names the line."""
 
 
 class UnmappedLocation(IngestError):

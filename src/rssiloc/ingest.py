@@ -7,15 +7,16 @@ labels for the classification format come from a user-supplied sidecar
 mapping file of ``label=zone`` lines, or from the built-in grid quadrant
 rule.
 
-Loaders never drop rows silently: a cell that fails to parse, or a row
-shorter than the header, raises MalformedNumber naming where. Writers are
-atomic (temp file plus rename) and format floats with 17 significant
-digits so a write/load round trip is bit exact.
+Loaders never drop rows silently: a cell that is not a finite number, or
+a row shorter than the header, raises MalformedNumber naming its line in
+the file. Writers are atomic (temp file plus rename) and format floats
+with 17 significant digits so a write/load round trip is bit exact.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import os
 import re
 from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
@@ -40,13 +41,16 @@ def format_number(value: float) -> str:
 
 def _parse_float(text: str, row: int, column: str) -> float:
     try:
-        return float(text)
+        value = float(text)
+        if math.isfinite(value):
+            return value
     except ValueError:
-        raise MalformedNumber(
-            f"row {row}, column {column!r}: cannot parse {text!r}") from None
+        pass
+    raise MalformedNumber(f"row {row}, column {column!r}: not a finite number: {text!r}")
 
 
-def _read_rows(path) -> Tuple[list, list]:
+def _read_rows(path) -> Tuple[list, list, list]:
+    """Header, the non-blank rows, and each row's line number in the file."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -54,15 +58,16 @@ def _read_rows(path) -> Tuple[list, list]:
                 header = next(reader)
             except StopIteration:
                 raise MissingColumn(f"{path}: file has no header row") from None
-            rows = []
+            rows, lines = [], []
             for row in filter(None, reader):
                 if len(row) < len(header):
                     raise MalformedNumber(f"{path}: line {reader.line_num} has {len(row)}"
                                           f" of the header's {len(header)} cells")
                 rows.append(row)
+                lines.append(reader.line_num)
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
-    return [h.strip() for h in header], rows
+    return [h.strip() for h in header], rows, lines
 
 
 def load_regression_csv(path) -> RegressionDataset:
@@ -71,7 +76,7 @@ def load_regression_csv(path) -> RegressionDataset:
     At least three RSSI columns, numbered contiguously from 1, must be
     present. Other columns are ignored.
     """
-    header, rows = _read_rows(path)
+    header, rows, lines = _read_rows(path)
     index = {name: i for i, name in enumerate(header)}
 
     numbered = {}
@@ -95,8 +100,7 @@ def load_regression_csv(path) -> RegressionDataset:
 
     features = np.empty((len(rows), k))
     targets = np.empty((len(rows), 2))
-    for r, row in enumerate(rows):
-        line = r + 2  # header is line 1
+    for r, (row, line) in enumerate(zip(rows, lines)):
         for j, name in enumerate(feature_names):
             features[r, j] = _parse_float(row[index[name]], line, name)
         targets[r, 0] = _parse_float(row[index["X_Actual"]], line, "X_Actual")
@@ -149,7 +153,7 @@ def load_ibeacon_csv(path, zones: Union[Mapping[str, str], str, None] = "grid"
     directly). zones is a label-to-zone mapping, or "grid" to apply
     :func:`grid_zone`. Labels absent from a mapping raise UnmappedLocation.
     """
-    header, rows = _read_rows(path)
+    header, rows, lines = _read_rows(path)
     index = {name: i for i, name in enumerate(header)}
     if "location" not in index:
         raise MissingColumn(f"{path}: missing column 'location'")
@@ -162,8 +166,7 @@ def load_ibeacon_csv(path, zones: Union[Mapping[str, str], str, None] = "grid"
     features = np.empty((len(rows), len(BEACON_COLUMNS)))
     labels = np.empty(len(rows), dtype=int)
     locations = []
-    for r, row in enumerate(rows):
-        line = r + 2
+    for r, (row, line) in enumerate(zip(rows, lines)):
         location = row[index["location"]].strip()
         locations.append(location)
         if use_grid:
@@ -235,21 +238,21 @@ def write_csv(data, path) -> None:
 
 def load_series_csv(path, columns: Sequence[str]) -> Dict[str, np.ndarray]:
     """Load named numeric columns from any CSV (used by the CLI)."""
-    header, rows = _read_rows(path)
+    header, rows, lines = _read_rows(path)
     index = {name: i for i, name in enumerate(header)}
     for name in columns:
         if name not in index:
             raise MissingColumn(f"{path}: missing column {name!r}")
     out = {name: np.empty(len(rows)) for name in columns}
-    for r, row in enumerate(rows):
+    for r, (row, line) in enumerate(zip(rows, lines)):
         for name in columns:
-            out[name][r] = _parse_float(row[index[name]], r + 2, name)
+            out[name][r] = _parse_float(row[index[name]], line, name)
     return out
 
 
 def load_all_columns(path) -> Dict[str, list]:
     """Load every column of a CSV as raw strings, preserving order."""
-    header, rows = _read_rows(path)
+    header, rows, _ = _read_rows(path)
     return {name: [row[i] for row in rows] for i, name in enumerate(header)}
 
 

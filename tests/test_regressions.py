@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from rssiloc.cli import main
 from rssiloc.exceptions import MalformedNumber
 from rssiloc.filters import gaussian_filter
-from rssiloc.ingest import load_all_columns, load_regression_csv
+from rssiloc.ingest import (load_all_columns, load_ibeacon_csv,
+                            load_regression_csv, load_series_csv)
 
 
 class TestGaussianFilterLength:
@@ -58,3 +59,63 @@ class TestRaggedCsvRow:
         assert code == 3
         assert "line 3" in err and "Traceback" not in err
         assert not (tmp_path / "out.csv").exists()
+
+
+class TestNonFiniteCells:
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    @pytest.mark.parametrize("command", [
+        ["locate", "--solver", "lls", "--anchors", "0,0;400,0;200,300"],
+        ["filter", "--filter", "kalman"]])
+    def test_exit_3_naming_the_cell(self, tmp_path, capsys, cell, command):
+        path = tmp_path / "in.csv"
+        path.write_text("RSSI1,RSSI2,RSSI3,X_Actual,Y_Actual\n"
+                        "-60,-61,-62,10,20\n"
+                        f"-60,{cell},-62,10,20\n")
+        out = tmp_path / "out.csv"
+        code = main(command + ["-i", str(path), "-o", str(out)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "MalformedNumber" in err and "row 3" in err and "RSSI2" in err
+        assert not out.exists()
+
+    def test_loader_rejects_non_finite(self, tmp_path):
+        path = tmp_path / "in.csv"
+        path.write_text("RSSI1,RSSI2,RSSI3,X_Actual,Y_Actual\n"
+                        "-60,-61,-62,nan,20\n")
+        with pytest.raises(MalformedNumber, match="row 2.*X_Actual"):
+            load_regression_csv(path)
+
+
+class TestLineNumbersAfterBlankLines:
+    def write(self, tmp_path):
+        # the bad cell sits on line 5 of the file, after two blank lines
+        path = tmp_path / "blank.csv"
+        path.write_text("RSSI1,RSSI2,RSSI3,X_Actual,Y_Actual\n"
+                        "-60,-61,-62,10,20\n"
+                        "\n"
+                        "\n"
+                        "-60,oops,-62,10,20\n")
+        return path
+
+    def test_loaders_name_the_file_line(self, tmp_path):
+        path = self.write(tmp_path)
+        with pytest.raises(MalformedNumber, match="row 5, column 'RSSI2'"):
+            load_regression_csv(path)
+        with pytest.raises(MalformedNumber, match="row 5, column 'RSSI2'"):
+            load_series_csv(path, ["RSSI2"])
+
+    def test_filter_names_the_file_line(self, tmp_path, capsys):
+        path = self.write(tmp_path)
+        code = main(["filter", "--filter", "ma", "-i", str(path),
+                     "-o", str(tmp_path / "out.csv")])
+        assert code == 3
+        assert "row 5, column 'RSSI2'" in capsys.readouterr().err
+
+    def test_beacon_loader_names_the_file_line(self, tmp_path):
+        path = tmp_path / "beacons.csv"
+        header = "location," + ",".join(f"b{3000 + i}" for i in range(1, 14))
+        good = "A01," + ",".join(["-200"] * 13)
+        path.write_text(f"{header}\n{good}\n\n{good}\nA02,oops"
+                        + ",-200" * 12 + "\n")
+        with pytest.raises(MalformedNumber, match="row 5, column 'b3001'"):
+            load_ibeacon_csv(path)
