@@ -6,16 +6,17 @@ solvers, ``fit``/``predict`` train and apply the learners, ``treeloc``
 runs the stacking ensemble, and ``evaluate`` scores prediction files.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
-failure. Output files are written to a temp file and renamed on success,
-so failures never leave partial outputs. Every command is deterministic
-under a fixed --seed. --threads is accepted for compatibility, echoed in
-reports, and has no effect.
+failure. Data files, reports and saved models are all written through
+``ingest`` (a temp file renamed on success), so failures never leave
+partial outputs, and an unwritable output path exits 3. Every command is
+deterministic under a fixed --seed. --threads is accepted for
+compatibility, echoed in reports, and has no effect.
 """
 
 from __future__ import annotations
 
 import argparse
-import re
+import dataclasses
 import sys
 import warnings
 from typing import Dict, List, Optional, Sequence
@@ -24,9 +25,9 @@ import numpy as np
 
 from . import ensemble, filters, ingest, learners, metrics, solvers
 from .core import Anchor, PathLossParams, Position, Scene, validate_scene
-from .exceptions import (DegenerateWeightsWarning, EmptyMatrix, EmptySignal,
-                         IngestError, KTooLarge, LearnerError, LengthMismatch,
-                         NumericalError, RssilocError, SceneError, SignalError)
+from .exceptions import (DegenerateWeightsWarning, EmptySignal, IngestError,
+                         KTooLarge, LearnerError, MetricError, NumericalError,
+                         RssilocError, SceneError, SignalError)
 from .radio import NoiseSpec, distance_from_rssi, measure_once
 
 DEFAULT_SEED = 42
@@ -34,21 +35,12 @@ DEFAULT_SEED = 42
 FILTER_NAMES = ("ma", "median", "gaussian", "kalman")
 MODEL_NAMES = ("linear", "poly", "tree", "forest", "extratrees", "treeloc",
                "knn", "mlp")
-_FILTERABLE = re.compile(r"^(RSSI\d+|b\d+)$")
 
 
 class CliError(RssilocError):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
-
-
-def _write_text(path, text: str) -> None:
-    import os
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
 
 
 def _emit_report(args, lines: List[tuple], table: str = "") -> None:
@@ -59,7 +51,7 @@ def _emit_report(args, lines: List[tuple], table: str = "") -> None:
         body += "\n" + table + "\n"
     print(body, end="")
     if getattr(args, "report", None):
-        _write_text(args.report, body)
+        ingest.write_text(body, args.report)
 
 
 # --- scene and model-parameter helpers -------------------------------------------
@@ -145,14 +137,9 @@ def _apply_filter(args, values: np.ndarray) -> np.ndarray:
 
 
 def cmd_filter(args) -> None:
-    header, rows, lines = ingest._read_rows(args.input)
-    out = {name: [row[j] for row in rows] for j, name in enumerate(header)}
-    names = [name for name in out if _FILTERABLE.match(name)]
-    if not names:
-        raise CliError(3, f"{args.input}: no RSSI columns to filter")
+    out, names = ingest.load_rssi_columns(args.input)
     for name in names:
-        out[name] = _apply_filter(args, np.array(
-            [ingest._parse_float(v, line, name) for v, line in zip(out[name], lines)]))
+        out[name] = _apply_filter(args, out[name])
     ingest.write_csv(out, args.output)
     _emit_report(args, [("filter", args.filter), ("columns_filtered", len(names)),
                         ("output", args.output)])
@@ -227,30 +214,21 @@ def _fit_regressor(args, ds: learners.RegressionDataset):
     raise CliError(2, f"model {args.model!r} is not a coordinate regressor")
 
 
-def _fit_treeloc(args, ds: learners.RegressionDataset) -> ensemble.TreeLocModel:
-    model = ensemble.treeloc_fit(
-        ds.features, ds.targets, rng_seed=args.seed,
-        combiner_holdout=args.combiner_holdout, shuffle=args.shuffle,
-        tree_depth=args.max_depth, forest_trees=args.n_trees,
-        extra_trees=args.n_trees)
-    if args.fixed_coefficients:
-        model = ensemble.TreeLocModel(
-            components=model.components,
-            combiner_x=ensemble.REFERENCE_COMBINER_X,
-            combiner_y=ensemble.REFERENCE_COMBINER_Y,
-            mode="reference", rng_seed=args.seed)
-    return model
-
-
 def _regression_fit_flow(args, header: List[tuple]) -> None:
     ds = ingest.load_regression_csv(args.input)
     rng = np.random.default_rng(args.seed)
     train_idx, test_idx = learners.train_test_split_indices(
         len(ds), args.test_size, rng)
     if args.model == "treeloc":
-        sub = learners.RegressionDataset(ds.features[train_idx],
-                                         ds.targets[train_idx])
-        model = _fit_treeloc(args, sub)
+        model = ensemble.treeloc_fit(
+            ds.features[train_idx], ds.targets[train_idx], rng_seed=args.seed,
+            combiner_holdout=args.combiner_holdout, shuffle=args.shuffle,
+            tree_depth=args.max_depth, forest_trees=args.n_trees,
+            extra_trees=args.n_trees, min_leaf=args.min_leaf)
+        if args.fixed_coefficients:
+            model = dataclasses.replace(
+                model, combiner_x=ensemble.REFERENCE_COMBINER_X,
+                combiner_y=ensemble.REFERENCE_COMBINER_Y, mode="reference")
         header.append(("combiner_x", ",".join(ingest.format_number(c)
                                               for c in model.combiner_x)))
         header.append(("combiner_y", ",".join(ingest.format_number(c)
@@ -265,7 +243,7 @@ def _regression_fit_flow(args, header: List[tuple]) -> None:
     if args.output:
         ingest.write_csv(out, args.output)
     if args.save_model:
-        _write_text(args.save_model, _model_json(model))
+        ingest.write_text(_model_json(model), args.save_model)
     table_rows: Dict[str, metrics.RegressionMetrics] = {}
     for name, idx in (("train", train_idx), ("test", test_idx)):
         if len(idx) == 0:
@@ -280,14 +258,8 @@ def _regression_fit_flow(args, header: List[tuple]) -> None:
     _emit_report(args, header, metrics.format_regression_table(table_rows))
 
 
-def _load_zones(args):
-    if not getattr(args, "zones", None) or args.zones == "grid":
-        return "grid"
-    return ingest.load_zone_mapping(args.zones)
-
-
 def _classification_fit_flow(args, header: List[tuple]) -> None:
-    ds = ingest.load_ibeacon_csv(args.input, _load_zones(args))
+    ds = ingest.load_ibeacon_csv(args.input, args.zones)
     rng = np.random.default_rng(args.seed)
     train_idx, test_idx = learners.train_test_split_indices(
         len(ds), args.test_size, rng)
@@ -300,7 +272,6 @@ def _classification_fit_flow(args, header: List[tuple]) -> None:
                                      n_classes=len(ds.zone_names))
         except KTooLarge as exc:
             raise CliError(2, str(exc)) from exc
-        predicted = model.predict(ds.features)
     else:
         net = learners.MlpModel.create(
             sizes=(ds.features.shape[1], 20, 17, len(ds.zone_names)),
@@ -309,7 +280,7 @@ def _classification_fit_flow(args, header: List[tuple]) -> None:
             net, ds.features[train_idx], ds.one_hot[train_idx], lr=args.lr,
             batch_size=args.batch_size, epochs=args.epochs,
             rng_seed=args.seed, test_fraction=0.0)
-        predicted = learners.mlp_forward(model, ds.features).argmax(axis=1)
+    predicted = model.predict(ds.features)
 
     out = {"location": list(ds.locations),
            "Zone_Actual": [ds.zone_names[i] for i in ds.labels],
@@ -317,7 +288,7 @@ def _classification_fit_flow(args, header: List[tuple]) -> None:
     if args.output:
         ingest.write_csv(out, args.output)
     if args.save_model:
-        _write_text(args.save_model, _model_json(model))
+        ingest.write_text(_model_json(model), args.save_model)
 
     eval_idx = test_idx if len(test_idx) else train_idx
     cm = metrics.confusion_matrix(ds.labels[eval_idx], predicted[eval_idx],
@@ -355,20 +326,21 @@ def cmd_predict(args) -> None:
     except ValueError as exc:
         raise CliError(3, f"bad model file: {exc}") from exc
 
-    if isinstance(model, (learners.KnnModel, learners.MlpModel)):
-        ds = ingest.load_ibeacon_csv(args.input, _load_zones(args))
-        if isinstance(model, learners.MlpModel):
-            predicted = learners.mlp_forward(model, ds.features).argmax(axis=1)
-        else:
-            predicted = model.predict(ds.features)
-        out = {"location": list(ds.locations),
-               "Zone_Pred": [ds.zone_names[i] for i in predicted]}
-        ingest.write_csv(out, args.output)
+    classifier = isinstance(model, (learners.KnnModel, learners.MlpModel))
+    ds = (ingest.load_ibeacon_csv(args.input, args.zones) if classifier
+          else ingest.load_regression_csv(args.input))
+    try:  # the model is well formed but may not fit this file's columns or zones
+        predicted = model.predict(ds.features)
+        zone_pred = [ds.zone_names[i] for i in predicted] if classifier else None
+    except (IndexError, TypeError, ValueError) as exc:
+        raise CliError(3, f"model does not fit {args.input}: {exc}") from exc
+    if classifier:
+        ingest.write_csv({"location": list(ds.locations), "Zone_Pred": zone_pred},
+                         args.output)
         _emit_report(args, [("rows", len(ds)), ("output", args.output)])
         return
-
-    ds = ingest.load_regression_csv(args.input)
-    predicted = np.atleast_2d(model.predict(ds.features))
+    if np.shape(predicted) != (len(ds), 2):
+        raise CliError(3, f"model does not predict x and y for each row of {args.input}")
     out = {"X_Pred": predicted[:, 0], "Y_Pred": predicted[:, 1],
            "X_Actual": ds.targets[:, 0], "Y_Actual": ds.targets[:, 1]}
     ingest.write_csv(out, args.output)
@@ -592,10 +564,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except IngestError as exc:
-        print(f"data error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
-    except (EmptySignal, EmptyMatrix, LengthMismatch, LearnerError) as exc:
+    except (IngestError, EmptySignal, MetricError, LearnerError) as exc:
         print(f"data error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except (SignalError, SceneError, ValueError) as exc:

@@ -9,17 +9,24 @@ rule.
 
 Loaders never drop rows silently: a cell that is not a finite number, or
 a row shorter than the header, raises MalformedNumber naming its line in
-the file. Writers are atomic (temp file plus rename) and format floats
-with 17 significant digits so a write/load round trip is bit exact.
+the file. :func:`load_rssi_columns` reads a file for the filter step: its
+RSSI columns as floats, checked the same way, and every other column as
+raw strings. A file that cannot be read or decoded raises IoFailure.
+Every file is written by :func:`write_text`, atomically (temp file plus
+rename); it also writes reports and saved models. :func:`write_csv`
+formats floats with 17 significant digits so a write/load round trip is
+bit exact.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import math
 import os
 import re
-from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
+from typing import Dict, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -32,6 +39,7 @@ from .learners import (ClassificationDataset, RegressionDataset, ZONE_LABELS,
 BEACON_COLUMNS = tuple(f"b{3000 + i}" for i in range(1, 14))
 
 _GRID_LABEL = re.compile(r"^([A-Za-z]+)(\d+)$")
+_RSSI_COLUMN = re.compile(r"^(RSSI\d+|b\d+)$")
 
 
 def format_number(value: float) -> str:
@@ -65,9 +73,23 @@ def _read_rows(path) -> Tuple[list, list, list]:
                                           f" of the header's {len(header)} cells")
                 rows.append(row)
                 lines.append(reader.line_num)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
     return [h.strip() for h in header], rows, lines
+
+
+def _parse_block(path, header, rows, lines, names) -> np.ndarray:
+    """The named columns as an (N, len(names)) float block. A missing column
+    raises MissingColumn; a cell that is not a finite number raises
+    MalformedNumber naming its line."""
+    index = {name: i for i, name in enumerate(header)}
+    for name in names:
+        if name not in index:
+            raise MissingColumn(f"{path}: missing column {name!r}")
+    cells = [(index[name], name) for name in names]
+    return np.array([[_parse_float(row[i], line, name) for i, name in cells]
+                     for row, line in zip(rows, lines)],
+                    dtype=float).reshape(len(rows), len(names))
 
 
 def load_regression_csv(path) -> RegressionDataset:
@@ -77,8 +99,6 @@ def load_regression_csv(path) -> RegressionDataset:
     present. Other columns are ignored.
     """
     header, rows, lines = _read_rows(path)
-    index = {name: i for i, name in enumerate(header)}
-
     numbered = {}
     for name in header:
         m = re.fullmatch(r"RSSI(\d+)", name)
@@ -93,19 +113,10 @@ def load_regression_csv(path) -> RegressionDataset:
         raise MissingColumn(f"{path}: RSSI columns not contiguous; "
                             f"missing RSSI{missing[0]}")
     feature_names = tuple(numbered[i] for i in expected)
-
-    for required in ("X_Actual", "Y_Actual"):
-        if required not in index:
-            raise MissingColumn(f"{path}: missing column {required!r}")
-
-    features = np.empty((len(rows), k))
-    targets = np.empty((len(rows), 2))
-    for r, (row, line) in enumerate(zip(rows, lines)):
-        for j, name in enumerate(feature_names):
-            features[r, j] = _parse_float(row[index[name]], line, name)
-        targets[r, 0] = _parse_float(row[index["X_Actual"]], line, "X_Actual")
-        targets[r, 1] = _parse_float(row[index["Y_Actual"]], line, "Y_Actual")
-    return RegressionDataset(features=features, targets=targets,
+    block = _parse_block(path, header, rows, lines,
+                         feature_names + ("X_Actual", "Y_Actual"))
+    return RegressionDataset(features=block[:, :k].copy(),
+                             targets=block[:, k:].copy(),
                              feature_names=feature_names)
 
 
@@ -126,7 +137,7 @@ def load_zone_mapping(path) -> Dict[str, str]:
                     raise UnmappedLocation(
                         f"{path}:{lineno}: zone {zone!r} not one of {ZONE_LABELS}")
                 mapping[label] = zone
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
     return mapping
 
@@ -150,38 +161,29 @@ def load_ibeacon_csv(path, zones: Union[Mapping[str, str], str, None] = "grid"
     """Load a beacon CSV with location and b3001..b3013 columns.
 
     -200 entries are kept as feature values (classifiers train on them
-    directly). zones is a label-to-zone mapping, or "grid" to apply
-    :func:`grid_zone`. Labels absent from a mapping raise UnmappedLocation.
+    directly). zones is a label-to-zone mapping, "grid" or None to apply
+    :func:`grid_zone`, or any other string: the path of a ``label=zone``
+    file read by :func:`load_zone_mapping`. Labels absent from a mapping
+    raise UnmappedLocation.
     """
+    if isinstance(zones, str) and zones != "grid":
+        zones = load_zone_mapping(zones)
     header, rows, lines = _read_rows(path)
-    index = {name: i for i, name in enumerate(header)}
-    if "location" not in index:
+    column = {name: i for i, name in enumerate(header)}.get("location")
+    if column is None:
         raise MissingColumn(f"{path}: missing column 'location'")
-    for name in BEACON_COLUMNS:
-        if name not in index:
-            raise MissingColumn(f"{path}: missing column {name!r}")
-
-    use_grid = isinstance(zones, str) or zones is None
-
-    features = np.empty((len(rows), len(BEACON_COLUMNS)))
-    labels = np.empty(len(rows), dtype=int)
-    locations = []
-    for r, (row, line) in enumerate(zip(rows, lines)):
-        location = row[index["location"]].strip()
-        locations.append(location)
-        if use_grid:
-            zone = grid_zone(location)
-        else:
-            if location not in zones:
-                raise UnmappedLocation(
-                    f"row {line}: location {location!r} has no zone mapping")
-            zone = zones[location]
-        labels[r] = ZONE_LABELS.index(zone)
-        for j, name in enumerate(BEACON_COLUMNS):
-            features[r, j] = _parse_float(row[index[name]], line, name)
+    features = _parse_block(path, header, rows, lines, BEACON_COLUMNS)
+    locations = tuple(row[column].strip() for row in rows)
+    if not isinstance(zones, Mapping):
+        zones = {location: grid_zone(location) for location in locations}
+    for location, line in zip(locations, lines):
+        if location not in zones:
+            raise UnmappedLocation(
+                f"row {line}: location {location!r} has no zone mapping")
+    labels = np.array([ZONE_LABELS.index(zones[loc]) for loc in locations], dtype=int)
     return ClassificationDataset(features=features, labels=labels,
                                  one_hot=one_hot_encode(labels, len(ZONE_LABELS)),
-                                 locations=tuple(locations))
+                                 locations=locations)
 
 
 def _format_cell(value) -> str:
@@ -222,38 +224,54 @@ def write_csv(data, path) -> None:
     if len(lengths) > 1:
         raise ValueError(f"column lengths differ: {sorted(lengths)}")
 
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(columns.keys())
+    for r in range(lengths.pop() if lengths else 0):
+        writer.writerow(_format_cell(col[r]) for col in columns.values())
+    write_text(buffer.getvalue(), path)
+
+
+def write_text(text: str, path) -> None:
+    """Write text (a CSV file, a report or a saved model) to path,
+    atomically: through a temp file renamed on success. An OSError removes
+    the temp file and is raised as IoFailure."""
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(columns.keys())
-            for r in range(lengths.pop() if lengths else 0):
-                writer.writerow(_format_cell(col[r]) for col in columns.values())
+            fh.write(text)
         os.replace(tmp, path)
     except OSError as exc:
-        if os.path.exists(tmp):
+        with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
 def load_series_csv(path, columns: Sequence[str]) -> Dict[str, np.ndarray]:
     """Load named numeric columns from any CSV (used by the CLI)."""
-    header, rows, lines = _read_rows(path)
-    index = {name: i for i, name in enumerate(header)}
-    for name in columns:
-        if name not in index:
-            raise MissingColumn(f"{path}: missing column {name!r}")
-    out = {name: np.empty(len(rows)) for name in columns}
-    for r, (row, line) in enumerate(zip(rows, lines)):
-        for name in columns:
-            out[name][r] = _parse_float(row[index[name]], line, name)
-    return out
+    block = _parse_block(path, *_read_rows(path), columns)
+    return {name: block[:, j].copy() for j, name in enumerate(columns)}
 
 
 def load_all_columns(path) -> Dict[str, list]:
     """Load every column of a CSV as raw strings, preserving order."""
     header, rows, _ = _read_rows(path)
     return {name: [row[i] for row in rows] for i, name in enumerate(header)}
+
+
+def load_rssi_columns(path) -> Tuple[Dict[str, object], Tuple[str, ...]]:
+    """Every column of a CSV in file order, and the names of its RSSI
+    columns (``RSSI<k>`` or ``b<k>``). RSSI columns come back as float
+    arrays, parsed as strictly as by the other loaders; the others stay raw
+    strings. A file without RSSI columns raises MissingColumn."""
+    header, rows, lines = _read_rows(path)
+    columns = {name: [row[i] for row in rows] for i, name in enumerate(header)}
+    names = tuple(name for name in columns if _RSSI_COLUMN.match(name))
+    if not names:
+        raise MissingColumn(f"{path}: no RSSI columns to filter")
+    block = _parse_block(path, header, rows, lines, names)
+    columns.update((name, block[:, j].copy()) for j, name in enumerate(names))
+    return columns, names
 
 
 def sentinel_mask(values: np.ndarray) -> np.ndarray:

@@ -493,44 +493,49 @@ def knn_classify(train_features, train_labels, query, k: int,
     Distances are Euclidean; the vote yields a class-probability vector
     (counts / k) and the returned label is its argmax, with ties going to
     the smallest class index. The distance sort is stable, so equidistant
-    training rows keep their file order.
+    training rows keep their file order. A one-row view of
+    ``fit_knn(...).predict_proba``.
     """
-    x = np.asarray(train_features, dtype=float)
-    labels = np.asarray(train_labels, dtype=int)
-    if len(x) == 0:
-        raise EmptyTrainingSet("no training samples")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k > len(x):
-        raise KTooLarge(f"k={k} exceeds training size {len(x)}")
-    if n_classes is None:
-        n_classes = int(labels.max()) + 1
-    q = np.asarray(query, dtype=float)
-    dist = np.sqrt(((x - q) ** 2).sum(axis=1))
-    nearest = np.argsort(dist, kind="stable")[:k]
-    probs = np.bincount(labels[nearest], minlength=n_classes) / k
+    probs = fit_knn(train_features, train_labels, k, n_classes).predict_proba(query)
     return int(np.argmax(probs)), probs
+
+
+def _labels(probs: np.ndarray):
+    """Class per row of a probability matrix (ties to the smallest index);
+    an int for one probability vector."""
+    return int(probs.argmax()) if probs.ndim == 1 else probs.argmax(axis=1)
 
 
 @dataclass(frozen=True)
 class KnnModel:
-    """Stored training set plus k, packaged like the other models."""
+    """Stored training set plus k, packaged like the other models. The
+    training set must be non-empty and 1 <= k <= its rows, whether the
+    model is fitted, loaded or built directly."""
 
     features: np.ndarray
     labels: np.ndarray
     k: int
     n_classes: int
 
+    def __post_init__(self):
+        if len(self.features) == 0:
+            raise EmptyTrainingSet("no training samples")
+        if self.k < 1:
+            raise ValueError("k must be >= 1")
+        if self.k > len(self.features):
+            raise KTooLarge(f"k={self.k} exceeds training size {len(self.features)}")
+
     def predict_proba(self, queries) -> np.ndarray:
         q, single = _as_rows(queries)
-        probs = np.array([knn_classify(self.features, self.labels, row,
-                                       self.k, self.n_classes)[1]
-                          for row in q])
+        probs = np.empty((len(q), self.n_classes))
+        for i, row in enumerate(q):
+            dist = np.sqrt(((self.features - row) ** 2).sum(axis=1))
+            nearest = np.argsort(dist, kind="stable")[:self.k]
+            probs[i] = np.bincount(self.labels[nearest], minlength=self.n_classes) / self.k
         return probs[0] if single else probs
 
     def predict(self, queries):
-        probs = self.predict_proba(queries)
-        return int(probs.argmax()) if probs.ndim == 1 else probs.argmax(axis=1)
+        return _labels(self.predict_proba(queries))
 
     def to_dict(self) -> dict:
         return _wrap("knn", {"k": self.k, "n_classes": self.n_classes},
@@ -539,15 +544,11 @@ class KnnModel:
 
 
 def fit_knn(features, labels, k: int, n_classes: Optional[int] = None) -> KnnModel:
-    x = np.asarray(features, dtype=float)
     y = np.asarray(labels, dtype=int)
-    if len(x) == 0:
-        raise EmptyTrainingSet("no training samples")
-    if k > len(x):
-        raise KTooLarge(f"k={k} exceeds training size {len(x)}")
     if n_classes is None:
-        n_classes = int(y.max()) + 1
-    return KnnModel(features=x, labels=y, k=int(k), n_classes=int(n_classes))
+        n_classes = int(y.max(initial=-1)) + 1
+    return KnnModel(features=np.asarray(features, dtype=float), labels=y,
+                    k=int(k), n_classes=int(n_classes))
 
 
 # --- feed-forward network -------------------------------------------------------------
@@ -591,6 +592,11 @@ class MlpModel:
                    for n_in, n_out in zip(sizes[:-1], sizes[1:])]
         biases = [np.zeros(n) for n in sizes[1:]]
         return cls(weights=tuple(weights), biases=tuple(biases))
+
+    def predict(self, features):
+        """Zone index per row: the argmax of :func:`mlp_forward`, as
+        :meth:`KnnModel.predict` does with its vote."""
+        return _labels(mlp_forward(self, features))
 
     def to_dict(self) -> dict:
         return _wrap("mlp", {"sizes": list(self.sizes)},
@@ -657,8 +663,7 @@ class MlpHistory:
 
 
 def _accuracy(model: MlpModel, x: np.ndarray, y: np.ndarray) -> float:
-    probs = mlp_forward(model, x)
-    return float(np.mean(probs.argmax(axis=1) == y.argmax(axis=1)))
+    return float(np.mean(model.predict(x) == y.argmax(axis=1)))
 
 
 def mlp_train(model: MlpModel, features, labels_onehot, lr: float = 0.01,
@@ -792,14 +797,19 @@ def model_to_dict(model) -> dict:
 
 
 def model_from_dict(data: dict):
-    if data.get("format") != MODEL_FORMAT:
+    """Model from its portable record. A record that is not a model record,
+    or whose kind's fields are missing or mistyped, raises ValueError."""
+    if not isinstance(data, dict) or data.get("format") != MODEL_FORMAT:
         raise ValueError("not a model record")
     if data.get("version") != MODEL_VERSION:
         raise ValueError(f"unsupported model version {data.get('version')}")
     kind = data.get("kind")
-    if kind not in _MODEL_KINDS:
+    if not isinstance(kind, str) or kind not in _MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
-    return _MODEL_KINDS[kind](data)
+    try:
+        return _MODEL_KINDS[kind](data)
+    except (KeyError, TypeError, AttributeError, IndexError) as exc:
+        raise ValueError(f"bad {kind} record: {type(exc).__name__}: {exc}") from exc
 
 
 def save_model(model, path):
