@@ -6,17 +6,25 @@ solvers, ``fit``/``predict`` train and apply the learners, ``treeloc``
 runs the stacking ensemble, and ``evaluate`` scores prediction files.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
-failure. Data files, reports and saved models are all written through
-``ingest`` (a temp file renamed on success), so failures never leave
-partial outputs, and an unwritable output path exits 3. Every command is
-deterministic under a fixed --seed. --threads is accepted for
-compatibility, echoed in reports, and has no effect.
+failure. Every command is deterministic under a fixed --seed. --threads
+is accepted for compatibility, echoed in reports, and has no effect.
+
+Outputs are computed first, then written in one place in the order data
+CSV (-o), saved model (--save-model), report (--report), each atomically
+through ``ingest``. An unwritable path exits 3 and removes the files this
+run already wrote, so no output path holds a file from a failed run; a
+file that was at an output path before the run survives only if the run
+fails before writing that path. The report is printed to stdout only
+after every write has succeeded.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import json
+import os
 import sys
 import warnings
 from typing import Dict, List, Optional, Sequence
@@ -43,15 +51,49 @@ class CliError(RssilocError):
         self.code = code
 
 
-def _emit_report(args, lines: List[tuple], table: str = "") -> None:
+def _finish(args, lines: List[tuple], table="", data=None, model=None) -> None:
+    """Write the run's outputs (data, model, report), then print the report.
+
+    A failed write removes the files written before it and raises."""
     lines = [("command", args.command), ("seed", args.seed),
              ("threads", args.threads), *lines]
     body = "".join(f"{key}\t{value}\n" for key, value in lines)
     if table:
         body += "\n" + table + "\n"
+    written = []
+    try:
+        if data is not None and args.output:
+            ingest.write_csv(data, args.output)
+            written.append(args.output)
+        if model is not None and args.save_model:
+            ingest.write_text(_model_json(model), args.save_model)
+            written.append(args.save_model)
+        if getattr(args, "report", None):
+            ingest.write_text(body, args.report)
+    except BaseException:  # an interrupted run leaves no outputs either
+        for path in written:
+            with contextlib.suppress(OSError):
+                os.unlink(path)
+        raise
     print(body, end="")
-    if getattr(args, "report", None):
-        ingest.write_text(body, args.report)
+
+
+def _model_json(model) -> str:
+    return json.dumps(learners.model_to_dict(model))
+
+
+def _xy_columns(predicted: np.ndarray, actual: np.ndarray) -> Dict[str, np.ndarray]:
+    """The X/Y columns of a regression output file."""
+    return {"X_Pred": predicted[:, 0], "Y_Pred": predicted[:, 1],
+            "X_Actual": actual[:, 0], "Y_Actual": actual[:, 1]}
+
+
+def _regression_table(actual, predicted, parts=(("", slice(None)),)) -> str:
+    """x, y and pos2d metrics for each (name suffix, row index) part."""
+    return metrics.format_regression_table({
+        f"{name}{suffix}": metrics.regression_metrics(actual[i, c], predicted[i, c])
+        for suffix, i in parts
+        for name, c in (("x", 0), ("y", 1), ("pos2d", slice(None)))})
 
 
 # --- scene and model-parameter helpers -------------------------------------------
@@ -120,10 +162,9 @@ def cmd_simulate(args) -> None:
                                 for i in range(m)}
     columns["X_Actual"] = [target.x for _, target in rows]
     columns["Y_Actual"] = [target.y for _, target in rows]
-    ingest.write_csv(columns, args.output)
-    _emit_report(args, [("anchors", m), ("positions", args.positions),
-                        ("samples", args.samples), ("rows", len(rows)),
-                        ("output", args.output)])
+    _finish(args, [("anchors", m), ("positions", args.positions),
+                   ("samples", args.samples), ("rows", len(rows)),
+                   ("output", args.output)], data=columns)
 
 
 def _apply_filter(args, values: np.ndarray) -> np.ndarray:
@@ -140,18 +181,8 @@ def cmd_filter(args) -> None:
     out, names = ingest.load_rssi_columns(args.input)
     for name in names:
         out[name] = _apply_filter(args, out[name])
-    ingest.write_csv(out, args.output)
-    _emit_report(args, [("filter", args.filter), ("columns_filtered", len(names)),
-                        ("output", args.output)])
-
-
-def _regression_report_rows(actual: np.ndarray, predicted: np.ndarray
-                            ) -> Dict[str, metrics.RegressionMetrics]:
-    return {
-        "x": metrics.regression_metrics(actual[:, 0], predicted[:, 0]),
-        "y": metrics.regression_metrics(actual[:, 1], predicted[:, 1]),
-        "pos2d": metrics.regression_metrics(actual, predicted),
-    }
+    _finish(args, [("filter", args.filter), ("columns_filtered", len(names)),
+                   ("output", args.output)], data=out)
 
 
 def cmd_locate(args) -> None:
@@ -166,7 +197,8 @@ def cmd_locate(args) -> None:
     in_range = ingest.sentinel_mask(ds.features)
     short = np.flatnonzero(in_range.sum(axis=1) < 3)
     if short.size:
-        raise NumericalError(f"row {short[0] + 2}: fewer than 3 in-range anchors")
+        line = ingest._read_rows(args.input)[2][short[0]]
+        raise NumericalError(f"row {line}: fewer than 3 in-range anchors")
     # One solve per anchor mask, over all the rows that share it.
     masks, group = np.unique(in_range, axis=0, return_inverse=True)
     estimates = np.empty((len(ds), 2))
@@ -182,140 +214,86 @@ def cmd_locate(args) -> None:
         fallbacks = sum(issubclass(w.category, DegenerateWeightsWarning)
                         for w in caught)
 
-    out = {"X_Pred": estimates[:, 0], "Y_Pred": estimates[:, 1],
-           "X_Actual": ds.targets[:, 0], "Y_Actual": ds.targets[:, 1]}
-    ingest.write_csv(out, args.output)
-    rows = _regression_report_rows(ds.targets, estimates)
-    _emit_report(args, [("solver", args.solver), ("eta", args.eta),
-                        ("sigma_p", args.sigma_p), ("sigma_a", args.sigma_a),
-                        ("rows", len(ds)), ("weight_fallbacks", fallbacks),
-                        ("output", args.output)],
-                 metrics.format_regression_table(rows))
+    _finish(args, [("solver", args.solver), ("eta", args.eta),
+                   ("sigma_p", args.sigma_p), ("sigma_a", args.sigma_a),
+                   ("rows", len(ds)), ("weight_fallbacks", fallbacks),
+                   ("output", args.output)],
+            _regression_table(ds.targets, estimates),
+            data=_xy_columns(estimates, ds.targets))
 
 
-def _fit_regressor(args, ds: learners.RegressionDataset):
-    if args.model == "linear":
-        return lambda xt, yt: learners.fit_linear(xt, yt)
-    if args.model == "poly":
-        return lambda xt, yt: learners.fit_polynomial(
-            xt, yt, degree=args.degree, cross_terms=args.cross_terms)
-    if args.model == "tree":
-        return lambda xt, yt: learners.fit_tree(
-            xt, yt, max_depth=args.max_depth, min_leaf=args.min_leaf,
-            rng_seed=args.seed)
-    if args.model == "forest":
-        return lambda xt, yt: learners.fit_forest(
-            xt, yt, n_trees=args.n_trees, max_depth=args.max_depth,
-            min_leaf=args.min_leaf, rng_seed=args.seed)
-    if args.model == "extratrees":
-        return lambda xt, yt: learners.fit_extra_trees(
-            xt, yt, n_trees=args.n_trees, max_depth=args.max_depth,
-            min_leaf=args.min_leaf, rng_seed=args.seed)
-    raise CliError(2, f"model {args.model!r} is not a coordinate regressor")
-
-
-def _regression_fit_flow(args, header: List[tuple]) -> None:
-    ds = ingest.load_regression_csv(args.input)
-    rng = np.random.default_rng(args.seed)
-    train_idx, test_idx = learners.train_test_split_indices(
-        len(ds), args.test_size, rng)
+def _fit_model(args, ds, train_idx):
+    x = ds.features[train_idx]
+    if args.model == "knn":
+        try:
+            return learners.fit_knn(x, ds.labels[train_idx], k=args.k,
+                                    n_classes=len(ds.zone_names))
+        except KTooLarge as exc:
+            raise CliError(2, str(exc)) from exc
+    if args.model == "mlp":
+        net = learners.MlpModel.create(
+            sizes=(x.shape[1], 20, 17, len(ds.zone_names)), rng_seed=args.seed)
+        return learners.mlp_train(
+            net, x, ds.one_hot[train_idx], lr=args.lr, batch_size=args.batch_size,
+            epochs=args.epochs, rng_seed=args.seed, test_fraction=0.0)[0]
+    y = ds.targets[train_idx]
     if args.model == "treeloc":
         model = ensemble.treeloc_fit(
-            ds.features[train_idx], ds.targets[train_idx], rng_seed=args.seed,
-            combiner_holdout=args.combiner_holdout, shuffle=args.shuffle,
-            tree_depth=args.max_depth, forest_trees=args.n_trees,
-            extra_trees=args.n_trees, min_leaf=args.min_leaf)
+            x, y, rng_seed=args.seed, combiner_holdout=args.combiner_holdout,
+            shuffle=args.shuffle, tree_depth=args.max_depth,
+            forest_trees=args.n_trees, extra_trees=args.n_trees,
+            min_leaf=args.min_leaf)
         if args.fixed_coefficients:
             model = dataclasses.replace(
                 model, combiner_x=ensemble.REFERENCE_COMBINER_X,
                 combiner_y=ensemble.REFERENCE_COMBINER_Y, mode="reference")
-        header.append(("combiner_x", ",".join(ingest.format_number(c)
-                                              for c in model.combiner_x)))
-        header.append(("combiner_y", ",".join(ingest.format_number(c)
-                                              for c in model.combiner_y)))
-    else:
-        model = _fit_regressor(args, ds)(ds.features[train_idx],
-                                         ds.targets[train_idx])
-    predicted = np.atleast_2d(model.predict(ds.features))
-
-    out = {"X_Pred": predicted[:, 0], "Y_Pred": predicted[:, 1],
-           "X_Actual": ds.targets[:, 0], "Y_Actual": ds.targets[:, 1]}
-    if args.output:
-        ingest.write_csv(out, args.output)
-    if args.save_model:
-        ingest.write_text(_model_json(model), args.save_model)
-    table_rows: Dict[str, metrics.RegressionMetrics] = {}
-    for name, idx in (("train", train_idx), ("test", test_idx)):
-        if len(idx) == 0:
-            continue
-        for axis, col in (("x", 0), ("y", 1)):
-            table_rows[f"{axis}_{name}"] = metrics.regression_metrics(
-                ds.targets[idx, col], predicted[idx, col])
-        table_rows[f"pos2d_{name}"] = metrics.regression_metrics(
-            ds.targets[idx], predicted[idx])
-    header.extend([("rows", len(ds)), ("train_rows", len(train_idx)),
-                   ("test_rows", len(test_idx))])
-    _emit_report(args, header, metrics.format_regression_table(table_rows))
-
-
-def _classification_fit_flow(args, header: List[tuple]) -> None:
-    ds = ingest.load_ibeacon_csv(args.input, args.zones)
-    rng = np.random.default_rng(args.seed)
-    train_idx, test_idx = learners.train_test_split_indices(
-        len(ds), args.test_size, rng)
-    if len(train_idx) == 0:
-        raise CliError(2, "test size leaves no training rows")
-    if args.model == "knn":
-        try:
-            model = learners.fit_knn(ds.features[train_idx],
-                                     ds.labels[train_idx], k=args.k,
-                                     n_classes=len(ds.zone_names))
-        except KTooLarge as exc:
-            raise CliError(2, str(exc)) from exc
-    else:
-        net = learners.MlpModel.create(
-            sizes=(ds.features.shape[1], 20, 17, len(ds.zone_names)),
-            rng_seed=args.seed)
-        model, _ = learners.mlp_train(
-            net, ds.features[train_idx], ds.one_hot[train_idx], lr=args.lr,
-            batch_size=args.batch_size, epochs=args.epochs,
-            rng_seed=args.seed, test_fraction=0.0)
-    predicted = model.predict(ds.features)
-
-    out = {"location": list(ds.locations),
-           "Zone_Actual": [ds.zone_names[i] for i in ds.labels],
-           "Zone_Pred": [ds.zone_names[i] for i in predicted]}
-    if args.output:
-        ingest.write_csv(out, args.output)
-    if args.save_model:
-        ingest.write_text(_model_json(model), args.save_model)
-
-    eval_idx = test_idx if len(test_idx) else train_idx
-    cm = metrics.confusion_matrix(ds.labels[eval_idx], predicted[eval_idx],
-                                  ds.zone_names)
-    report = metrics.classification_metrics(cm)
-    header.extend([("rows", len(ds)), ("train_rows", len(train_idx)),
-                   ("test_rows", len(test_idx)),
-                   ("test_accuracy", f"{report.overall_accuracy:.6f}")])
-    _emit_report(args, header, metrics.format_classification_table(report))
-
-
-def _model_json(model) -> str:
-    import json
-    return json.dumps(learners.model_to_dict(model))
+        return model
+    if args.model == "linear":
+        return learners.fit_linear(x, y)
+    if args.model == "poly":
+        return learners.fit_polynomial(x, y, degree=args.degree,
+                                       cross_terms=args.cross_terms)
+    trees = dict(max_depth=args.max_depth, min_leaf=args.min_leaf, rng_seed=args.seed)
+    if args.model == "tree":
+        return learners.fit_tree(x, y, **trees)
+    fit = learners.fit_forest if args.model == "forest" else learners.fit_extra_trees
+    return fit(x, y, n_trees=args.n_trees, **trees)
 
 
 def cmd_fit(args) -> None:
+    classifier = args.model in ("knn", "mlp")
+    ds = (ingest.load_ibeacon_csv(args.input, args.zones) if classifier
+          else ingest.load_regression_csv(args.input))
+    train_idx, test_idx = learners.train_test_split_indices(
+        len(ds), args.test_size, np.random.default_rng(args.seed))
+    if classifier and len(train_idx) == 0:
+        raise CliError(2, "test size leaves no training rows")
+    model = _fit_model(args, ds, train_idx)
+    predicted = model.predict(ds.features)
+
     header = [("model", args.model), ("test_size", args.test_size)]
-    if args.model in ("knn", "mlp"):
-        _classification_fit_flow(args, header)
+    if args.model == "treeloc":
+        header += [(f"combiner_{axis}", ",".join(map(ingest.format_number, c)))
+                   for axis, c in (("x", model.combiner_x), ("y", model.combiner_y))]
+    header += [("rows", len(ds)), ("train_rows", len(train_idx)),
+               ("test_rows", len(test_idx))]
+    if classifier:
+        data = {"location": list(ds.locations),
+                "Zone_Actual": [ds.zone_names[i] for i in ds.labels],
+                "Zone_Pred": [ds.zone_names[i] for i in predicted]}
+        eval_idx = test_idx if len(test_idx) else train_idx
+        report = metrics.classification_metrics(metrics.confusion_matrix(
+            ds.labels[eval_idx], predicted[eval_idx], ds.zone_names))
+        header.append(("test_accuracy", f"{report.overall_accuracy:.6f}"))
+        table = metrics.format_classification_table(report)
     else:
-        _regression_fit_flow(args, header)
-
-
-def cmd_treeloc(args) -> None:
-    args.model = "treeloc"
-    cmd_fit(args)
+        predicted = np.atleast_2d(predicted)
+        data = _xy_columns(predicted, ds.targets)
+        table = _regression_table(ds.targets, predicted,
+                                  [(f"_{name}", idx) for name, idx in
+                                   (("train", train_idx), ("test", test_idx))
+                                   if len(idx)])
+    _finish(args, header, table, data=data, model=model)
 
 
 def cmd_predict(args) -> None:
@@ -335,40 +313,35 @@ def cmd_predict(args) -> None:
     except (IndexError, TypeError, ValueError) as exc:
         raise CliError(3, f"model does not fit {args.input}: {exc}") from exc
     if classifier:
-        ingest.write_csv({"location": list(ds.locations), "Zone_Pred": zone_pred},
-                         args.output)
-        _emit_report(args, [("rows", len(ds)), ("output", args.output)])
-        return
-    if np.shape(predicted) != (len(ds), 2):
+        data, table = {"location": list(ds.locations), "Zone_Pred": zone_pred}, ""
+    elif np.shape(predicted) != (len(ds), 2):
         raise CliError(3, f"model does not predict x and y for each row of {args.input}")
-    out = {"X_Pred": predicted[:, 0], "Y_Pred": predicted[:, 1],
-           "X_Actual": ds.targets[:, 0], "Y_Actual": ds.targets[:, 1]}
-    ingest.write_csv(out, args.output)
-    rows = _regression_report_rows(ds.targets, predicted)
-    _emit_report(args, [("rows", len(ds)), ("output", args.output)],
-                 metrics.format_regression_table(rows))
+    else:
+        data = _xy_columns(predicted, ds.targets)
+        table = _regression_table(ds.targets, predicted)
+    _finish(args, [("rows", len(ds)), ("output", args.output)], table, data=data)
+
+
+def _load_xy(path, *kinds) -> List[np.ndarray]:
+    """(N, 2) arrays of the X_<kind>, Y_<kind> columns of one CSV file."""
+    cols = ingest.load_series_csv(path, [f"{axis}_{kind}" for kind in kinds
+                                         for axis in "XY"])
+    return [np.column_stack([cols[f"X_{kind}"], cols[f"Y_{kind}"]])
+            for kind in kinds]
 
 
 def cmd_evaluate(args) -> None:
     if args.input:
-        cols = ingest.load_series_csv(
-            args.input, ["X_Actual", "Y_Actual", "X_Pred", "Y_Pred"])
-        actual = np.column_stack([cols["X_Actual"], cols["Y_Actual"]])
-        predicted = np.column_stack([cols["X_Pred"], cols["Y_Pred"]])
+        actual, predicted = _load_xy(args.input, "Actual", "Pred")
     elif args.actual and args.predicted:
-        a = ingest.load_series_csv(args.actual, ["X_Actual", "Y_Actual"])
+        actual, = _load_xy(args.actual, "Actual")
         try:
-            p = ingest.load_series_csv(args.predicted, ["X_Pred", "Y_Pred"])
-            predicted = np.column_stack([p["X_Pred"], p["Y_Pred"]])
+            predicted, = _load_xy(args.predicted, "Pred")
         except IngestError:
-            p = ingest.load_series_csv(args.predicted, ["X_Actual", "Y_Actual"])
-            predicted = np.column_stack([p["X_Actual"], p["Y_Actual"]])
-        actual = np.column_stack([a["X_Actual"], a["Y_Actual"]])
+            predicted, = _load_xy(args.predicted, "Actual")
     else:
         raise CliError(2, "evaluate needs -i FILE or --actual and --predicted")
-    rows = _regression_report_rows(actual, predicted)
-    _emit_report(args, [("rows", len(actual))],
-                 metrics.format_regression_table(rows))
+    _finish(args, [("rows", len(actual))], _regression_table(actual, predicted))
 
 
 # --- parser -----------------------------------------------------------------------------
@@ -478,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     tl = subs.add_parser("treeloc", help="train the stacking ensemble")
     add_fit_flags(tl)
-    tl.set_defaults(func=cmd_treeloc)
+    tl.set_defaults(func=cmd_fit, model="treeloc")
 
     prd = subs.add_parser("predict", help="apply a saved model to a CSV")
     prd.add_argument("--model-file", required=True)
@@ -518,14 +491,11 @@ def _merge_config(argv: List[str], parser: argparse.ArgumentParser) -> List[str]
         raise CliError(2, "--config needs a subcommand")
     command = rest[0]
 
-    sub_actions = None
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction) and command in action.choices:
-            sub_actions = action.choices[command]._actions
-            break
-    if sub_actions is None:
+    subs = next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction))
+    if command not in subs.choices:
         raise CliError(2, f"unknown subcommand {command!r}")
-    by_dest = {a.dest: a for a in sub_actions}
+    by_dest = {a.dest: a for a in subs.choices[command]._actions}
 
     tokens: List[str] = []
     try:

@@ -813,8 +813,10 @@ def model_from_dict(data: dict):
 
 
 def save_model(model, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh)
+    """Write the model's JSON record to path atomically; an unwritable path
+    raises IoFailure and leaves no file behind."""
+    from .ingest import write_text  # ingest imports this module
+    write_text(json.dumps(model_to_dict(model)), path)
 
 
 def load_model(path):

@@ -28,10 +28,6 @@ class RegressionMetrics:
     r2: Optional[float]
     n: int
 
-    def as_dict(self) -> Dict[str, object]:
-        return {"rmse": self.rmse, "mae": self.mae, "std": self.std_err,
-                "r2": self.r2, "n": self.n}
-
 
 def _as_samples(values) -> np.ndarray:
     arr = np.asarray(values, dtype=float)

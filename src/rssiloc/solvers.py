@@ -45,14 +45,13 @@ class LinearSystem:
     """Centered linear system A*s = b/2 built from circle differences.
 
     design rows are (x_i - x_c, y_i - y_c); rhs entries are
-    d_c - d_i^2 + k_i - k_c with k_i = x_i^2 + y_i^2. centroids stores
-    (x_c, y_c, d_c, k_c) where d_c and k_c are means of d_i^2 and k_i.
+    d_c - d_i^2 + k_i - k_c with k_i = x_i^2 + y_i^2, where (x_c, y_c) is
+    the anchor centroid and d_c and k_c are the means of d_i^2 and k_i.
     A (N, M) rhs shares the one design; its d_c is then (N,).
     """
 
     design: np.ndarray
     rhs: np.ndarray
-    centroids: Tuple[float, float, float, float]
 
     def __post_init__(self):
         col_sums = np.abs(self.design.sum(axis=0))
@@ -66,10 +65,9 @@ class LinearSystem:
 @dataclass(frozen=True)
 class WeightModel:
     """Symmetric PSD weight matrix (M, M), or a (N, M, M) stack checked
-    matrix by matrix, plus its pseudo-inverse cutoff."""
+    matrix by matrix; pseudo-inverted with the WEIGHT_PINV_CUTOFF cutoff."""
 
     w: np.ndarray
-    regularization: float = WEIGHT_PINV_CUTOFF
 
     def __post_init__(self):
         w, w_t = self.w, self.w.swapaxes(-1, -2)
@@ -84,7 +82,7 @@ class WeightModel:
     def _inverse(self) -> Tuple[np.ndarray, np.ndarray]:
         """Pseudo-inverse of each W (the identity where W is zero), and where."""
         degenerate = ~(self.w != 0.0).any(axis=(-2, -1))
-        w_inv = np.linalg.pinv(self.w, rcond=self.regularization, hermitian=True)
+        w_inv = np.linalg.pinv(self.w, rcond=WEIGHT_PINV_CUTOFF, hermitian=True)
         w_inv[degenerate] = np.eye(self.w.shape[-1])
         return w_inv, degenerate
 
@@ -177,8 +175,7 @@ def linearize(anchors, distances) -> LinearSystem:
     d_c = d2.mean(axis=-1)
     design = pts - centroid
     rhs = d_c[..., None] - d2 + k - k_c
-    return LinearSystem(design=design, rhs=rhs,
-                        centroids=(centroid[0], centroid[1], d_c, k_c))
+    return LinearSystem(design=design, rhs=rhs)
 
 
 def _require_full_rank(design: np.ndarray):
