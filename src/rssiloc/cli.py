@@ -260,13 +260,28 @@ def _fit_model(args, ds, train_idx):
     return fit(x, y, n_trees=args.n_trees, **trees)
 
 
+def _tree_shape(model) -> List[tuple]:
+    """Report lines on the trees inside a tree-based model; none for others."""
+    def trees(m):
+        parts = getattr(m, "trees", getattr(m, "models", getattr(m, "components", ())))
+        return [m] if isinstance(m, learners.RegressionTree) else [
+            t for part in parts for t in trees(part)]
+    found = trees(model)
+    depths = [t.depth() for t in found]
+    return [("trees", len(found)), ("tree_nodes", sum(len(t.feature) for t in found)),
+            ("tree_depth_max", max(depths)), ("tree_depth_mean", f"{np.mean(depths):.6f}")
+            ] if found else []
+
+
 def cmd_fit(args) -> None:
+    if not 0.0 <= args.test_size < 1.0:
+        raise CliError(2, f"--test-size must be in [0, 1), got {args.test_size}")
     classifier = args.model in ("knn", "mlp")
     ds = (ingest.load_ibeacon_csv(args.input, args.zones) if classifier
           else ingest.load_regression_csv(args.input))
     train_idx, test_idx = learners.train_test_split_indices(
         len(ds), args.test_size, np.random.default_rng(args.seed))
-    if classifier and len(train_idx) == 0:
+    if len(train_idx) == 0:
         raise CliError(2, "test size leaves no training rows")
     model = _fit_model(args, ds, train_idx)
     predicted = model.predict(ds.features)
@@ -276,7 +291,7 @@ def cmd_fit(args) -> None:
         header += [(f"combiner_{axis}", ",".join(map(ingest.format_number, c)))
                    for axis, c in (("x", model.combiner_x), ("y", model.combiner_y))]
     header += [("rows", len(ds)), ("train_rows", len(train_idx)),
-               ("test_rows", len(test_idx))]
+               ("test_rows", len(test_idx)), *_tree_shape(model)]
     if classifier:
         data = {"location": list(ds.locations),
                 "Zone_Actual": [ds.zone_names[i] for i in ds.labels],

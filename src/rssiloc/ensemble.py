@@ -55,15 +55,12 @@ class TreeLocModel:
         """Apply the combiner to raw component outputs.
 
         comp_x and comp_y are length-3 vectors (or (N, 3) matrices) of the
-        component predictions in COMPONENT_NAMES order.
+        component predictions in COMPONENT_NAMES order. The products are
+        elementwise, so a row gives the same bits alone as in a batch.
         """
-        cx = np.atleast_2d(np.asarray(comp_x, dtype=float))
-        cy = np.atleast_2d(np.asarray(comp_y, dtype=float))
-        bx = np.asarray(self.combiner_x)
-        by = np.asarray(self.combiner_y)
-        x = bx[0] + cx @ bx[1:]
-        y = by[0] + cy @ by[1:]
-        out = np.column_stack([x, y])
+        cx, cy = (np.atleast_2d(np.asarray(c, dtype=float)) for c in (comp_x, comp_y))
+        out = np.column_stack([b[0] + (c[:, 0] * b[1] + c[:, 1] * b[2] + c[:, 2] * b[3])
+                               for c, b in ((cx, self.combiner_x), (cy, self.combiner_y))])
         return out[0] if np.asarray(comp_x).ndim == 1 else out
 
     def component_predictions(self, features) -> np.ndarray:

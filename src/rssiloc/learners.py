@@ -11,9 +11,12 @@ and a portable JSON representation (see :func:`model_to_dict`).
 A regression tree is six parallel node arrays, numbered depth-first (left
 subtree first, root 0): ``feature`` (-1 at a leaf), ``threshold``, ``left``
 and ``right`` child indices (-1 at a leaf), ``value`` (mean training
-target) and ``n`` (training rows). Fitting grows trees straight into them;
-predict walks all rows through all trees of a model at once, one numpy
-step per level. Saved files keep the version-1 nested record per node.
+target) and ``n`` (training rows). A fit grows all its trees together,
+level by level, a few numpy calls per depth, and then renumbers the nodes
+depth-first; predict walks all rows through all trees at once, one numpy
+step per level. Saved files (version 2) hold each tree or forest as flat
+preorder arrays (see :func:`_trees_from_arrays`); version-1 files, with a
+nested dict per node, still load.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .exceptions import (EmptyDataset, EmptyTrainingSet, KTooLarge,
 ZONE_LABELS = ("A", "B", "C", "D")
 
 MODEL_FORMAT = "rssiloc-model"
-MODEL_VERSION = 1
+MODEL_VERSION = 2  # of tree and forest records; other kinds are unchanged at 1
 
 MLP_DEFAULT_SIZES = (13, 20, 17, 4)
 
@@ -197,9 +200,6 @@ def fit_polynomial(features, targets, degree: int,
 
 # --- CART trees and forests (node arrays: see the module docstring) -------------------
 
-_NODE_ARRAYS = ("feature", "threshold", "left", "right", "value", "n")
-
-
 class TreeNode(NamedTuple):
     """Read-only view of one node of a :class:`RegressionTree`; a leaf has
     feature, left and right None and the mean of its targets as value."""
@@ -219,91 +219,131 @@ class TreeNode(NamedTuple):
     n_samples = property(lambda self: self._at("n"))
 
 
-def _build_tree(root, expand, **hyperparameters) -> "RegressionTree":
-    """Tree whose nodes are expanded depth-first, left before right, with an
-    explicit stack (no recursion limit). expand(item, depth) gives a node's
-    (feature, threshold, value, n, children), children () at a leaf."""
-    cols = {name: [] for name in _NODE_ARRAYS}
-    stack = [(root, 0, [None], 0)]  # the root links into a throwaway list
-    while stack:
-        item, depth, links, parent = stack.pop()
-        index = links[parent] = len(cols["feature"])
-        feature, threshold, value, n, children = expand(item, depth)
-        for name, v in zip(_NODE_ARRAYS, (feature, threshold, -1, -1, value, n)):
-            cols[name].append(v)
-        if children:
-            stack.append((children[1], depth + 1, cols["right"], index))
-            stack.append((children[0], depth + 1, cols["left"], index))
-    return RegressionTree(**hyperparameters, **{
-        name: np.array(v, dtype=float if name in ("threshold", "value") else np.int64)
-        for name, v in cols.items()})
+def _segment_sums(y: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """y[s:s + n].sum() of every segment, bit for bit: the order of numpy's
+    pairwise summation depends on n only, so the segments of one length are
+    summed as the rows of one matrix."""
+    out = np.empty(len(sizes))
+    for n in np.unique(sizes):
+        at = sizes == n
+        out[at] = y[starts[at, None] + np.arange(n)].sum(axis=1)
+    return out
 
 
-def _split_exhaustive(x: np.ndarray, y: np.ndarray, min_leaf: int):
-    """Least-SSE split, all features scored at once: (feature, threshold) or
-    None. Candidates are midpoints between consecutive distinct sorted values
-    of a column; the first minimum wins in a column, the first least across."""
-    n = len(y)
-    order = np.argsort(x, axis=0, kind="stable")
-    xs = np.take_along_axis(x, order, axis=0)
-    ys = y[order]
-    csum = np.cumsum(ys, axis=0)
-    csum2 = np.cumsum(ys ** 2, axis=0)
-    n_left = np.arange(1, n)[:, None]
-    valid = (xs[:-1] < xs[1:]) & (n_left >= min_leaf) & (n - n_left >= min_leaf)
-    features = np.flatnonzero(valid.any(axis=0))
-    if not len(features):
-        return None
-    sse_left = csum2[:-1] - csum[:-1] ** 2 / n_left
-    sse_right = (csum2[-1] - csum2[:-1]) - (csum[-1] - csum[:-1]) ** 2 / (n - n_left)
-    sse = np.where(valid, sse_left + sse_right, np.inf)
-    best = np.argmin(sse, axis=0)
-    feature = features[np.argmin(sse[best[features], features])]
-    row = best[feature]
-    return int(feature), float((xs[row, feature] + xs[row + 1, feature]) / 2.0)
+def _first_least(values: np.ndarray, allowed: np.ndarray) -> np.ndarray:
+    """Per row, the first column of the least allowed value as np.argmin
+    ranks them (NaN first); the first allowed column when all are inf."""
+    masked = np.where(allowed, values, np.inf)
+    pick = masked.argmin(axis=1)
+    all_inf = masked[np.arange(len(pick)), pick] == np.inf
+    return np.where(all_inf, allowed.argmax(axis=1), pick)
 
 
-def _split_random(x: np.ndarray, y: np.ndarray, min_leaf: int,
-                  rng: np.random.Generator):
-    """Extra-trees split: one uniform threshold per non-constant feature,
-    drawn in feature order; the first feature with the least SSE wins."""
-    lo, hi = x.min(axis=0), x.max(axis=0)
-    features = np.flatnonzero(lo != hi)
-    if not len(features):
-        return None
-    thresholds = rng.uniform(lo[features], hi[features])
-    masks = x[:, features] <= thresholds
-    n_left = masks.sum(axis=0)
-    best = None
-    for j in np.flatnonzero((n_left >= min_leaf) & (len(y) - n_left >= min_leaf)):
-        # side.sum() / len(side) is side.mean() without numpy's wrapper cost
-        sse = sum(float(((side - side.sum() / len(side)) ** 2).sum())
-                  for side in (y[masks[:, j]], y[~masks[:, j]]))
-        if best is None or sse < best[0]:
-            best = (sse, int(features[j]), float(thresholds[j]))
-    return None if best is None else best[1:]
+def _exhaustive_splits(x, y, rows, sizes, least, tree, rngs):
+    """(feature or -1, threshold) of each node, a run of `rows`: the least-SSE
+    midpoint between consecutive distinct sorted values, the first minimum
+    in a column and the first least across. Nodes of one size class share a
+    block, padded after their rows with x = +inf and y = 0, so the stable
+    sort and the sequential cumsums equal a lone scan of each node."""
+    feature, threshold = np.full(len(sizes), -1), np.zeros(len(sizes))
+    starts, bucket = np.cumsum(sizes) - sizes, np.ceil(np.log2(sizes))
+    for b in np.unique(bucket):
+        k = np.flatnonzero(bucket == b)
+        n, width, nodes = sizes[k], sizes[k].max(), np.arange(len(k))
+        pad = np.arange(width) >= n[:, None]
+        at = rows[np.minimum(starts[k, None] + np.arange(width), len(rows) - 1)]
+        xs = np.where(pad[:, :, None], np.inf, x[at])
+        order = np.argsort(xs, axis=1, kind="stable")
+        xs = np.take_along_axis(xs, order, axis=1)
+        ys = np.where(pad, 0.0, y[at])[nodes[:, None, None], order]
+        csum, csum2 = np.cumsum(ys, axis=1), np.cumsum(ys ** 2, axis=1)
+        total, total2 = csum[nodes, n - 1][:, None], csum2[nodes, n - 1][:, None]
+        csum, csum2 = csum[:, :-1], csum2[:, :-1]
+        n_left = np.arange(1, width)[:, None]
+        n_right = n[:, None, None] - n_left
+        valid = (xs[:, :-1] < xs[:, 1:]) & (n_left >= least) & (n_right >= least)
+        sse = np.where(valid, (csum2 - csum ** 2 / n_left) + (
+            (total2 - csum2) - (total - csum) ** 2 / np.maximum(n_right, 1)), np.inf)
+        best, has = sse.argmin(axis=1), valid.any(axis=1)
+        f = _first_least(np.take_along_axis(sse, best[:, None], axis=1)[:, 0], has)
+        i = np.flatnonzero(has.any(axis=1))
+        row, f = best[i, f[i]], f[i]
+        feature[k[i]], threshold[k[i]] = f, (xs[i, row, f] + xs[i, row + 1, f]) / 2.0
+    return feature, threshold
 
 
-def _grow(x: np.ndarray, y: np.ndarray, max_depth: Optional[int],
-          min_leaf: int, split_mode: str,
-          rng: np.random.Generator) -> "RegressionTree":
-    def expand(node, depth):
-        x, y = node
-        split = None
-        if not (len(y) < 2 * min_leaf
-                or (max_depth is not None and depth >= max_depth)
-                or (y == y[0]).all()):
-            split = (_split_exhaustive(x, y, min_leaf)
-                     if split_mode == "exhaustive"
-                     else _split_random(x, y, min_leaf, rng))
-        value = float(y.sum() / len(y))
-        if split is None:
-            return -1, 0.0, value, len(y), ()
-        mask = x[:, split[0]] <= split[1]
-        return (*split, value, len(y),
-                ((x[mask], y[mask]), (x[~mask], y[~mask])))
-    return _build_tree((x, y), expand, max_depth=max_depth,
-                       min_leaf=min_leaf, split_mode=split_mode)
+def _random_splits(x, y, rows, sizes, least, tree, rngs):
+    """(feature or -1, threshold) of each node, a run of `rows`, by the
+    extra-trees rule: one uniform threshold per non-constant feature, drawn
+    by one call per tree (rngs[tree]) over its nodes in level order; the first
+    feature with the least SSE, summed about each side's mean, wins."""
+    starts, seg = np.cumsum(sizes) - sizes, np.repeat(np.arange(len(sizes)), sizes)
+    xr, ys = x[rows], np.repeat(y[rows], x.shape[1])
+    lo, hi = np.minimum.reduceat(xr, starts), np.maximum.reduceat(xr, starts)
+    node, feat = np.nonzero(lo != hi)
+    draws = np.full(lo.shape, np.inf)
+    bounds = np.searchsorted(tree[node], np.arange(len(rngs) + 1))
+    for t in np.flatnonzero(np.diff(bounds)):
+        at = node[bounds[t]:bounds[t + 1]], feat[bounds[t]:bounds[t + 1]]
+        draws[at] = rngs[t].uniform(lo[at], hi[at])
+    # a bin per node, feature and side: 2 * (node * features + feature) + right
+    side = (2 * np.arange(lo.size).reshape(lo.shape)[seg] + ~(xr <= draws[seg])).ravel()
+    counts = np.bincount(side, minlength=2 * lo.size)
+    dev = ys - (np.bincount(side, ys, 2 * lo.size) / np.maximum(counts, 1))[side]
+    sse = np.bincount(side, dev * dev, 2 * lo.size).reshape(*lo.shape, 2).sum(axis=2)
+    valid = (lo != hi) & (counts.reshape(*lo.shape, 2) >= least).all(axis=2)
+    f, ok = _first_least(sse, valid), valid.any(axis=1)
+    return np.where(ok, f, -1), np.where(ok, draws[np.arange(len(f)), f], 0.0)
+
+
+def _grow(x: np.ndarray, y: np.ndarray, samples, max_depth: Optional[int],
+          min_leaf: int, split_mode: str, rngs) -> Tuple["RegressionTree", ...]:
+    """One tree per row-index array of `samples` (rngs[t] draws tree t's
+    thresholds), grown together a level per step. A level's nodes are runs of
+    `rows`, in tree order, then level order; a node is a leaf at the depth
+    limit, below 2 * min_leaf rows, at zero target variance or without a
+    valid split. Nodes are then renumbered depth-first, left subtree first."""
+    if split_mode not in ("exhaustive", "random"):
+        raise ValueError(f"unknown split_mode {split_mode!r}")
+    find = _exhaustive_splits if split_mode == "exhaustive" else _random_splits
+    rows, sizes = np.concatenate(samples), np.array([len(s) for s in samples])
+    tree, levels = np.arange(len(samples)), []
+    limit = np.inf if max_depth is None else max_depth
+    while len(sizes):
+        starts, seg = np.cumsum(sizes) - sizes, np.repeat(np.arange(len(sizes)), sizes)
+        yv = y[rows]
+        varied = np.bincount(seg, yv != yv[starts][seg], len(sizes)) > 0
+        grow = varied & (sizes >= 2 * min_leaf) & (len(levels) < limit)
+        feature, threshold = np.full(len(sizes), -1), np.zeros(len(sizes))
+        if grow.any():
+            feature[grow], threshold[grow] = find(x, y, rows[grow[seg]], sizes[grow],
+                                                  max(min_leaf, 1), tree[grow], rngs)
+        split = feature >= 0
+        levels.append((tree, feature, threshold,
+                       _segment_sums(yv, starts, sizes) / sizes, sizes, split))
+        keep = split[seg]  # the children of the k-th split node: 2k and 2k + 1
+        child = 2 * (np.cumsum(split) - 1)[seg[keep]] + ~(
+            x[rows[keep], feature[seg[keep]]] <= threshold[seg[keep]])
+        rows, tree = rows[keep][np.argsort(child, kind="stable")], np.repeat(tree[split], 2)
+        sizes = np.bincount(child, minlength=2 * split.sum())
+    size = [np.ones(len(levels[-1][0]), dtype=np.int64)]  # subtree sizes
+    for *_, split in reversed(levels[:-1]):
+        size.insert(0, np.ones(len(split), dtype=np.int64))
+        size[0][split] += size[1][0::2] + size[1][1::2]
+    at = [np.zeros(len(size[0]), dtype=np.int64)]  # depth-first index in its tree
+    for (*_, split), below in zip(levels, size[1:]):
+        at.append(np.repeat(at[-1][split] + 1, 2))
+        at[-1][1::2] += below[0::2]
+    tree, feature, threshold, value, n, split = map(np.concatenate, zip(*levels))
+    children = np.concatenate(at[1:] + [np.zeros(0, dtype=np.int64)])
+    left, right = np.full(len(feature), -1), np.full(len(feature), -1)
+    left[split], right[split] = children[0::2], children[1::2]
+    offset = np.cumsum(size[0]) - size[0]
+    order = np.argsort(offset[tree] + np.concatenate(at))  # level order to depth-first
+    arrays = [a[order] for a in (feature, threshold, left, right, value, n)]
+    return tuple(RegressionTree(*(a[o:o + c] for a in arrays), max_depth=max_depth,
+                                min_leaf=min_leaf, split_mode=split_mode)
+                 for o, c in zip(offset, size[0]))
 
 
 def _stack_trees(trees) -> tuple:
@@ -337,7 +377,7 @@ class RegressionTree:
     of the module docstring plus its hyperparameters. ``root`` is a
     read-only :class:`TreeNode` view of node 0; predict walks all rows
     down together, one vectorized step per level; to_dict writes the
-    version-1 record, a nested dict per node, converted without recursion."""
+    version-2 arrays."""
 
     feature: np.ndarray
     threshold: np.ndarray
@@ -369,7 +409,7 @@ class RegressionTree:
         return _wrap("tree",
                      {"max_depth": self.max_depth, "min_leaf": self.min_leaf,
                       "split_mode": self.split_mode},
-                     {"root": _tree_to_record(self)})
+                     _trees_to_arrays((self,)), MODEL_VERSION)
 
 
 def _tree_inputs(features, targets) -> Tuple[np.ndarray, np.ndarray]:
@@ -384,7 +424,7 @@ def _tree_inputs(features, targets) -> Tuple[np.ndarray, np.ndarray]:
 def fit_tree(features, targets, max_depth: Optional[int] = None,
              min_leaf: int = 1, split_mode: str = "exhaustive",
              rng_seed: int = 0):
-    """Grow a CART regression tree, depth-first into its node arrays.
+    """Grow a CART regression tree into its node arrays.
 
     Exhaustive mode scans midpoints of sorted unique feature values for
     the split minimizing the summed squared error of the two children;
@@ -394,13 +434,12 @@ def fit_tree(features, targets, max_depth: Optional[int] = None,
     :class:`PairedRegressor` with one independently grown tree per column.
     """
     x, y = _tree_inputs(features, targets)
-    if split_mode not in ("exhaustive", "random"):
-        raise ValueError(f"unknown split_mode {split_mode!r}")
     if y.ndim == 2:
         models = [fit_tree(x, y[:, j], max_depth, min_leaf, split_mode,
                            rng_seed + j) for j in range(y.shape[1])]
         return PairedRegressor(models=tuple(models))
-    return _grow(x, y, max_depth, min_leaf, split_mode, np.random.default_rng(rng_seed))
+    return _grow(x, y, [np.arange(len(x))], max_depth, min_leaf, split_mode,
+                 [np.random.default_rng(rng_seed)])[0]
 
 
 @dataclass(frozen=True)
@@ -409,7 +448,7 @@ class Forest:
     predict walks the rows down all trees in one concatenated node block,
     then averages the tree-major (T, N) leaf values over axis 0, in tree
     order, exactly as averaging the member trees' predictions does. The
-    version-1 record keeps one nested node record per tree."""
+    version-2 record concatenates the trees' arrays."""
 
     trees: Tuple[RegressionTree, ...]
     bootstrap: bool = True
@@ -428,7 +467,7 @@ class Forest:
                      {"n_trees": len(self.trees), "bootstrap": self.bootstrap,
                       "max_depth": first.max_depth, "min_leaf": first.min_leaf,
                       "split_mode": first.split_mode, "rng_seed": self.rng_seed},
-                     {"trees": [_tree_to_record(t) for t in self.trees]})
+                     _trees_to_arrays(self.trees), MODEL_VERSION)
 
 
 def fit_forest(features, targets, n_trees: int = 100, bootstrap: bool = True,
@@ -450,13 +489,12 @@ def fit_forest(features, targets, n_trees: int = 100, bootstrap: bool = True,
                   for j in range(y.shape[1])]
         return PairedRegressor(models=tuple(models))
 
-    trees = []
-    for i in range(n_trees):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=rng_seed, spawn_key=(i,)))
-        rows = rng.integers(0, len(x), size=len(x)) if bootstrap else slice(None)
-        trees.append(_grow(x[rows], y[rows], max_depth, min_leaf, split_mode, rng))
-    return Forest(trees=tuple(trees), bootstrap=bootstrap, rng_seed=rng_seed)
+    rngs = [np.random.default_rng(np.random.SeedSequence(entropy=rng_seed, spawn_key=(i,)))
+            for i in range(n_trees)]
+    samples = [rng.integers(0, len(x), size=len(x)) if bootstrap else np.arange(len(x))
+               for rng in rngs]
+    return Forest(trees=_grow(x, y, samples, max_depth, min_leaf, split_mode, rngs),
+                  bootstrap=bootstrap, rng_seed=rng_seed)
 
 
 def fit_extra_trees(features, targets, n_trees: int = 100,
@@ -713,33 +751,83 @@ def mlp_train(model: MlpModel, features, labels_onehot, lr: float = 0.01,
 
 # --- portable model serialization ----------------------------------------------------
 
-def _wrap(kind: str, hyperparameters: dict, parameters: dict) -> dict:
-    return {"format": MODEL_FORMAT, "version": MODEL_VERSION, "kind": kind,
+def _wrap(kind: str, hyperparameters: dict, parameters: dict, version: int = 1) -> dict:
+    return {"format": MODEL_FORMAT, "version": version, "kind": kind,
             "hyperparameters": hyperparameters, "parameters": parameters}
 
 
-def _tree_to_record(tree: RegressionTree) -> dict:
-    """Nested v1 node records of a tree, made flat and then linked."""
-    feature, threshold, left, right, value, n = (
-        getattr(tree, name).tolist() for name in _NODE_ARRAYS)
-    records = [{"leaf": v, "n": c} if f < 0 else
-               {"feature": f, "threshold": t, "n": c, "value": v}
-               for f, t, v, c in zip(feature, threshold, value, n)]
-    for record, f, l, r in zip(records, feature, left, right):
-        if f >= 0:
-            record["left"], record["right"] = records[l], records[r]
-    return records[0]
+def _trees_to_arrays(trees) -> dict:
+    """Version-2 parameters of trees in preorder; see _trees_from_arrays."""
+    cat = {name: np.concatenate([getattr(t, name) for t in trees])
+           for name in ("feature", "threshold", "value", "n")}
+    return {"node_counts": [len(t.feature) for t in trees],
+            "feature": cat["feature"].tolist(),
+            "threshold": cat["threshold"][cat["feature"] >= 0].tolist(),
+            "value": cat["value"].tolist(), "n": cat["n"].tolist()}
 
 
-def _tree_from_record(root: dict, h: dict) -> RegressionTree:
-    """Tree with hyperparameters h from a nested v1 node record."""
-    def expand(node, depth):
-        if "leaf" in node:
-            return -1, 0.0, node["leaf"], node.get("n", 0), ()
-        return (node["feature"], node["threshold"], node.get("value", 0.0),
-                node.get("n", 0), (node["left"], node["right"]))
-    return _build_tree(root, expand, max_depth=h["max_depth"],
-                       min_leaf=h["min_leaf"], split_mode=h["split_mode"])
+def _trees_from_arrays(p: dict, h: dict) -> Tuple[RegressionTree, ...]:
+    """Trees with hyperparameters h from version-2 arrays: node_counts, then
+    all trees' nodes in preorder: feature (-1 at a leaf), threshold (internal
+    nodes only), value and n. Child indices follow from the preorder, so none
+    can form a cycle; arrays that encode no preorder trees raise ValueError."""
+    def ints(key):
+        a = np.asarray(p[key])
+        if a.ndim != 1 or (a.size and a.dtype.kind != "i"):
+            raise ValueError(f"{key} is not a list of integers")
+        return a.astype(np.int64)
+    counts, feature, n = ints("node_counts"), ints("feature"), ints("n")
+    threshold, value = (np.asarray(p[key], dtype=float) for key in ("threshold", "value"))
+    internal = np.flatnonzero(feature >= 0)
+    if not (threshold.ndim == value.ndim == 1 and len(counts) and counts.min() >= 1
+            and counts.sum() == len(feature) == len(value) == len(n)
+            and feature.min() >= -1 and len(threshold) == len(internal)):
+        raise ValueError("tree arrays disagree in shape")
+    # Adding +1 per internal node and -1 per leaf, a preorder tree first sums
+    # to -1 at its last node, and a left subtree to one below its parent.
+    step = np.where(feature >= 0, 1, -1)
+    level, ends = np.cumsum(step), np.cumsum(counts) - 1
+    first = np.repeat(ends - counts + 1, counts)  # the first node of each node's tree
+    if not np.array_equal(np.flatnonzero(level - level[first] + step[first] == -1), ends):
+        raise ValueError("tree arrays do not encode preorder trees")
+    keys = np.sort((level - level.min()) * len(level) + np.arange(len(level)))
+    left_end = keys[np.searchsorted(
+        keys, (level[internal] - 1 - level.min()) * len(level) + internal)] % len(level)
+    left, right, thresholds = (np.full(len(feature), fill) for fill in (-1, -1, 0.0))
+    base = internal - first[internal] + 1  # a left child's index in its tree
+    left[internal], right[internal] = base, base + left_end - internal
+    thresholds[internal] = threshold
+    arrays = (feature, thresholds, left, right, value, n)
+    return tuple(RegressionTree(*(a[o:o + c] for a in arrays), max_depth=h["max_depth"],
+                                min_leaf=h["min_leaf"], split_mode=h["split_mode"])
+                 for o, c in zip(first[ends], counts))
+
+
+def _trees_from_dict(d: dict) -> Tuple[RegressionTree, ...]:
+    """The trees of a tree or forest record; version 1 nests a dict per node,
+    read here in preorder into the version-2 arrays."""
+    p = d["parameters"]
+    if d["version"] == 1:
+        roots, p = [p["root"]] if d["kind"] == "tree" else p["trees"], {
+            "node_counts": [], "feature": [], "threshold": [], "value": [], "n": []}
+        for stack in ([root] for root in roots):
+            p["node_counts"].append(len(p["feature"]))
+            while stack:
+                node = stack.pop()
+                leaf = "leaf" in node
+                p["feature"].append(-1 if leaf else node["feature"])
+                p["value"].append(node["leaf"] if leaf else node.get("value", 0.0))
+                p["n"].append(node.get("n", 0))
+                if not leaf:
+                    p["threshold"].append(node["threshold"])
+                    stack += [node["right"], node["left"]]
+            p["node_counts"][-1] = len(p["feature"]) - p["node_counts"][-1]
+    return _trees_from_arrays(p, d["hyperparameters"])
+
+
+def _tree_from_dict(d: dict) -> RegressionTree:
+    tree, = _trees_from_dict(d)  # ValueError unless exactly one
+    return tree
 
 
 def _linear_from_dict(d: dict) -> LinearModel:
@@ -755,8 +843,7 @@ def _polynomial_from_dict(d: dict) -> PolynomialModel:
 
 def _forest_from_dict(d: dict) -> Forest:
     h = d["hyperparameters"]
-    trees = tuple(_tree_from_record(t, h) for t in d["parameters"]["trees"])
-    return Forest(trees=trees, bootstrap=h["bootstrap"],
+    return Forest(trees=_trees_from_dict(d), bootstrap=h["bootstrap"],
                   rng_seed=h.get("rng_seed", 0))
 
 
@@ -776,8 +863,7 @@ def _mlp_from_dict(d: dict) -> MlpModel:
 _MODEL_KINDS: Dict[str, Callable[[dict], object]] = {
     "linear": _linear_from_dict,
     "polynomial": _polynomial_from_dict,
-    "tree": lambda d: _tree_from_record(d["parameters"]["root"],
-                                        d["hyperparameters"]),
+    "tree": _tree_from_dict,
     "forest": _forest_from_dict,
     "paired": lambda d: PairedRegressor(models=tuple(
         model_from_dict(c) for c in d["parameters"]["components"])),
@@ -801,7 +887,7 @@ def model_from_dict(data: dict):
     or whose kind's fields are missing or mistyped, raises ValueError."""
     if not isinstance(data, dict) or data.get("format") != MODEL_FORMAT:
         raise ValueError("not a model record")
-    if data.get("version") != MODEL_VERSION:
+    if data.get("version") not in (1, MODEL_VERSION):
         raise ValueError(f"unsupported model version {data.get('version')}")
     kind = data.get("kind")
     if not isinstance(kind, str) or kind not in _MODEL_KINDS:

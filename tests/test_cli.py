@@ -3,7 +3,8 @@ import pytest
 
 from rssiloc.cli import main
 from rssiloc.ingest import load_all_columns, load_regression_csv, write_csv
-from rssiloc.learners import RegressionDataset
+from rssiloc.learners import (Forest, PairedRegressor, RegressionDataset,
+                              RegressionTree, load_model)
 
 ANCHORS = "0,0;400,0;200,300"
 
@@ -19,6 +20,16 @@ def read_report(path):
             key, value = raw.split("\t", 1)
             lines[key] = value
     return lines
+
+
+def tree_list(model):
+    """Every regression tree inside a model."""
+    if isinstance(model, RegressionTree):
+        return [model]
+    if isinstance(model, Forest):
+        return list(model.trees)
+    parts = model.models if isinstance(model, PairedRegressor) else model.components
+    return [tree for part in parts for tree in tree_list(part)]
 
 
 def simulate(tmp_path, name="sim.csv", sigma_p="2", positions="6",
@@ -174,6 +185,26 @@ class TestFitPredictEvaluate:
         code = run("treeloc", "--n-trees", "4", "-i", str(src),
                    "--report", str(tmp_path / "tl.txt"))
         assert code == 0
+
+    def test_tree_models_report_their_shape(self, tmp_path):
+        src = simulate(tmp_path, positions="12", samples="5")
+        report, saved = tmp_path / "fit.txt", tmp_path / "model.json"
+        for model, trees in (("tree", 2), ("forest", 6), ("extratrees", 6),
+                             ("treeloc", 14)):
+            code = run("fit", "--model", model, "--n-trees", "3", "--max-depth",
+                       "4", "-i", str(src), "--report", str(report),
+                       "--save-model", str(saved))
+            assert code == 0
+            lines = read_report(report)
+            found = tree_list(load_model(saved))
+            depths = [t.depth() for t in found]
+            assert int(lines["trees"]) == len(found) == trees
+            assert int(lines["tree_nodes"]) == sum(len(t.feature) for t in found)
+            assert int(lines["tree_depth_max"]) == max(depths) <= 4
+            assert lines["tree_depth_mean"] == f"{np.mean(depths):.6f}"
+        assert run("fit", "--model", "linear", "-i", str(src), "--report",
+                   str(report)) == 0
+        assert "trees" not in read_report(report)
 
     def test_evaluate_identical_files_r2_one(self, tmp_path):
         src = simulate(tmp_path)

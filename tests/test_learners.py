@@ -194,6 +194,13 @@ class TestForest:
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    def test_unknown_split_mode_rejected(self):
+        # fit_forest used to grow extra trees for any mode but "exhaustive"
+        x, y = np.arange(8.0).reshape(4, 2), np.arange(4.0)
+        for fit in (fit_tree, fit_forest):
+            with pytest.raises(ValueError, match="split_mode"):
+                fit(x, y, split_mode="exhaustiv")
+
     def test_extra_trees_uses_whole_dataset(self):
         # with unlimited depth and no bootstrap every tree memorizes the
         # training set, so the ensemble does too

@@ -1,11 +1,18 @@
-"""Golden v1 treeloc model: the saved format and the fitted trees stay fixed.
+"""Golden treeloc models: the saved formats and the fitted trees stay fixed.
 
 ``data/treeloc_v1.json`` is a small treeloc model (3 trees per forest,
-depth 6) written by ``save_model``; ``data/treeloc_v1_predictions.json``
-holds 20 query rows and that model's predictions on them. Both were written
-by the nested-dataclass tree code that preceded the flat node arrays, so
-these tests pin the arrays to the same fits, predictions and bytes.
-Regenerate them only together with a ``MODEL_VERSION`` bump:
+depth 6) saved in the version-1 format, one nested dict per tree node;
+``data/treeloc_v1_predictions.json`` holds 20 query rows and that model's
+predictions on them. Earlier code wrote both, and they stay as they are:
+they pin the version-1 reader, and the exhaustive-mode trees (the decision
+tree and the random forest), which the level-wise grower reproduces bit for
+bit.
+
+``data/treeloc_v2.json`` and ``data/treeloc_v2_predictions.json`` are the
+same fit saved with version-2 tree and forest records, which hold flat
+preorder arrays. Version 2 also draws the extra trees' thresholds level by
+level, so those trees differ from version 1's. Regenerate the version-2
+files only together with a ``MODEL_VERSION`` bump:
 
     PYTHONPATH=src python tests/test_model_golden.py
 """
@@ -17,12 +24,16 @@ import numpy as np
 
 from _synth import regression_testbed
 from rssiloc import treeloc_fit
+from rssiloc.ensemble import COMPONENT_NAMES
 from rssiloc.learners import load_model, model_to_dict, save_model
 
 DATA = Path(__file__).parent / "data"
 MODEL = DATA / "treeloc_v1.json"
 PREDICTIONS = DATA / "treeloc_v1_predictions.json"
+MODEL_V2 = DATA / "treeloc_v2.json"
+PREDICTIONS_V2 = DATA / "treeloc_v2_predictions.json"
 SEED = 11
+EXHAUSTIVE = ("decision_tree", "random_forest")
 
 
 def fit_golden():
@@ -31,15 +42,18 @@ def fit_golden():
                        forest_trees=3, extra_trees=3)
 
 
-def golden_rows():
-    record = json.loads(PREDICTIONS.read_text())
+def golden_rows(path=PREDICTIONS):
+    record = json.loads(path.read_text())
     return np.array(record["rows"]), np.array(record["predictions"])
 
 
-def tree_arrays(model):
-    """(feature, threshold, left, right, value, n) of every tree, in order."""
+def tree_arrays(model, components=COMPONENT_NAMES):
+    """(feature, threshold, left, right, value, n) of every tree of the
+    named components, in order."""
     out = []
-    for component in model.components:
+    for name, component in zip(COMPONENT_NAMES, model.components):
+        if name not in components:
+            continue
         for coordinate in component.models:
             for tree in getattr(coordinate, "trees", (coordinate,)):
                 out.append((tree.feature, tree.threshold, tree.left,
@@ -47,33 +61,47 @@ def tree_arrays(model):
     return out
 
 
+def assert_same_arrays(loaded, fitted, count):
+    assert len(loaded) == len(fitted) == count
+    for a, b in zip(loaded, fitted):
+        for x, y in zip(a, b):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
 def test_load_reproduces_predictions():
     rows, expected = golden_rows()
     assert np.array_equal(load_model(MODEL).predict(rows), expected)
 
 
+def test_load_v2_reproduces_predictions():
+    rows, expected = golden_rows(PREDICTIONS_V2)
+    assert np.array_equal(load_model(MODEL_V2).predict(rows), expected)
+
+
 def test_resave_is_byte_identical(tmp_path):
     path = tmp_path / "resaved.json"
-    save_model(load_model(MODEL), path)
-    assert path.read_bytes() == MODEL.read_bytes()
+    save_model(load_model(MODEL_V2), path)
+    assert path.read_bytes() == MODEL_V2.read_bytes()
 
 
 def test_fresh_fit_gives_same_record():
-    assert model_to_dict(fit_golden()) == json.loads(MODEL.read_text())
+    assert model_to_dict(fit_golden()) == json.loads(MODEL_V2.read_text())
+
+
+def test_exhaustive_tree_arrays_match_v1():
+    assert_same_arrays(tree_arrays(load_model(MODEL), EXHAUSTIVE),
+                       tree_arrays(fit_golden(), EXHAUSTIVE), 8)
 
 
 def test_loaded_tree_arrays_match_fit():
-    loaded, fitted = tree_arrays(load_model(MODEL)), tree_arrays(fit_golden())
-    assert len(loaded) == len(fitted) == 14
-    for a, b in zip(loaded, fitted):
-        for x, y in zip(a, b):
-            assert x.dtype == y.dtype and np.array_equal(x, y)
+    assert_same_arrays(tree_arrays(load_model(MODEL_V2)),
+                       tree_arrays(fit_golden()), 14)
 
 
 if __name__ == "__main__":
     model = fit_golden()
     rows = regression_testbed(SEED + 1, n=20)[0]
     DATA.mkdir(exist_ok=True)
-    save_model(model, MODEL)
-    PREDICTIONS.write_text(json.dumps(
+    save_model(model, MODEL_V2)
+    PREDICTIONS_V2.write_text(json.dumps(
         {"rows": rows.tolist(), "predictions": model.predict(rows).tolist()}))

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _synth import beacon_dataset, regression_testbed
 from rssiloc.cli import main
 from rssiloc.exceptions import MalformedNumber
 from rssiloc.filters import gaussian_filter
-from rssiloc.ingest import (load_all_columns, load_ibeacon_csv,
-                            load_regression_csv, load_series_csv)
+from rssiloc.ingest import (BEACON_COLUMNS, load_all_columns, load_ibeacon_csv,
+                            load_regression_csv, load_series_csv, write_csv)
 
 
 class TestGaussianFilterLength:
@@ -119,3 +120,44 @@ class TestLineNumbersAfterBlankLines:
                         + ",-200" * 12 + "\n")
         with pytest.raises(MalformedNumber, match="row 5, column 'b3001'"):
             load_ibeacon_csv(path)
+
+
+class TestFitTestSize:
+    """fit --test-size was not range-checked: -1 trained and reported on
+    every row, and a size leaving no training rows exited 3 for the
+    regressors but 2 for knn and mlp."""
+
+    def files(self, tmp_path):
+        rssi, targets, _, _ = regression_testbed(5, n=12)
+        regression = tmp_path / "regression.csv"
+        write_csv({"RSSI1": rssi[:, 0], "RSSI2": rssi[:, 1], "RSSI3": rssi[:, 2],
+                   "X_Actual": targets[:, 0], "Y_Actual": targets[:, 1]}, regression)
+        features, labels, _ = beacon_dataset(3, n=12)
+        beacons = tmp_path / "beacons.csv"
+        write_csv({"location": [["B05", "B12", "L05", "L12"][z] for z in labels],
+                   **dict(zip(BEACON_COLUMNS, features.T))}, beacons)
+        return regression, beacons
+
+    @pytest.mark.parametrize("size", ["-1", "-0.1", "1", "1.5", "nan"])
+    def test_out_of_range_exits_2_for_every_model(self, tmp_path, capsys, size):
+        regression, beacons = self.files(tmp_path)
+        for model in ("linear", "tree", "treeloc", "knn", "mlp"):
+            data = beacons if model in ("knn", "mlp") else regression
+            code = main(["fit", "--model", model, "--test-size", size, "--k", "1",
+                         "--n-trees", "2", "--epochs", "1", "-i", str(data)])
+            assert code == 2, (model, size)
+            assert "--test-size" in capsys.readouterr().err
+
+    def test_no_training_rows_exits_2_for_every_model(self, tmp_path):
+        regression, beacons = self.files(tmp_path)
+        for model, data in (("linear", regression), ("knn", beacons)):
+            one_row = tmp_path / f"one_{model}.csv"
+            one_row.write_text("".join(data.read_text().splitlines(True)[:2]))
+            assert main(["fit", "--model", model, "--test-size", "0.9", "--k", "1",
+                         "-i", str(one_row)]) == 2
+
+    def test_in_range_sizes_still_fit(self, tmp_path):
+        regression, _ = self.files(tmp_path)
+        for size in ("0", "0.5", "0.9"):
+            assert main(["fit", "--model", "linear", "--test-size", size,
+                         "-i", str(regression)]) == 0

@@ -1,14 +1,20 @@
-"""Property tests for the tree learners on small datasets with tied values."""
+"""Property tests for the tree learners on small datasets with tied values,
+and for their saved version-1 and version-2 records."""
 
+import copy
 import json
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from rssiloc import treeloc_fit
-from rssiloc.learners import (Forest, PairedRegressor, RegressionTree,
-                              fit_extra_trees, fit_forest, fit_tree,
-                              model_from_dict, model_to_dict)
+from rssiloc.cli import main
+from rssiloc.learners import (MODEL_VERSION, Forest, PairedRegressor,
+                              RegressionTree, _segment_sums, fit_extra_trees,
+                              fit_forest, fit_tree, model_from_dict,
+                              model_to_dict)
 
 
 @st.composite
@@ -43,16 +49,13 @@ def walk(tree, row):
 
 
 def check_model(model, x, min_leaf, max_depth):
-    # A treeloc model's trees are checked through its component outputs:
-    # its linear combiner's matrix product may round a one-row input
-    # differently from a batch, by an ulp.
+    # A treeloc model's trees are also checked through its component outputs.
     predict = getattr(model, "component_predictions", model.predict)
     batch = predict(x)
     one_row = np.array([predict(row) for row in x]).reshape(batch.shape)
     assert np.array_equal(one_row, batch)
     combined = model.predict(x)
-    np.testing.assert_allclose([model.predict(row) for row in x], combined,
-                               rtol=1e-13, atol=1e-13)
+    assert np.array_equal([model.predict(row) for row in x], combined)
     for tree in trees_of(model):
         assert np.array_equal(tree.predict(x), [walk(tree, row) for row in x])
         leaf = tree.feature < 0
@@ -113,3 +116,175 @@ def test_treeloc(data, min_leaf, max_depth, seed):
     model = treeloc_fit(x, y, rng_seed=seed, tree_depth=max_depth,
                         forest_trees=3, extra_trees=3, min_leaf=min_leaf)
     check_model(model, x, min_leaf, max_depth)
+
+
+# --- level-wise growth and the version-2 format ---------------------------------
+
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(lengths=st.lists(st.tuples(st.integers(1, 300), st.integers(1, 5)),
+                        min_size=1, max_size=6),
+       pool=st.lists(st.sampled_from(SPECIAL) | st.floats(-1e6, 1e6),
+                     min_size=1, max_size=12),
+       seed=seeds)
+def test_segment_sums_equal_numpy_sum(lengths, pool, seed):
+    # the node values must be y.sum() / n bit for bit, as a lone tree had them
+    rng = np.random.default_rng(seed)
+    sizes = rng.permutation([n for n, repeat in lengths for _ in range(repeat)])
+    y = rng.choice(np.array(pool), size=sizes.sum())
+    starts = np.cumsum(sizes) - sizes
+    got = _segment_sums(y, starts, sizes)
+    want = np.array([y[s:s + n].sum() for s, n in zip(starts, sizes)])
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want)) or np.isnan(want).any()
+
+
+def same_arrays(a, b):
+    return all(getattr(a, name).dtype == getattr(b, name).dtype
+               and np.array_equal(getattr(a, name), getattr(b, name))
+               for name in ("feature", "threshold", "left", "right", "value", "n"))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=datasets(), min_leaf=st.integers(1, 3), max_depth=depths,
+       n_trees=st.integers(1, 4), seed=seeds)
+def test_tree_i_does_not_depend_on_forest_size(data, min_leaf, max_depth,
+                                               n_trees, seed):
+    x, y = data
+    for fit in (fit_forest, fit_extra_trees):
+        small, large = (fit(x, y, n_trees=n, max_depth=max_depth, rng_seed=seed,
+                            min_leaf=min(min_leaf, len(y)))
+                        for n in (n_trees, n_trees + 3))
+        assert all(same_arrays(a, b) for a, b in zip(small.trees, large.trees))
+
+
+def v1_node(tree, i=0):
+    """The nested version-1 record of a tree's node i (the old writer)."""
+    if tree.feature[i] < 0:
+        return {"leaf": tree.value[i].item(), "n": tree.n[i].item()}
+    return {"feature": tree.feature[i].item(), "threshold": tree.threshold[i].item(),
+            "n": tree.n[i].item(), "value": tree.value[i].item(),
+            "left": v1_node(tree, tree.left[i]), "right": v1_node(tree, tree.right[i])}
+
+
+def check_v1_round_trip(v1_record, x):
+    from_v1 = model_from_dict(json.loads(json.dumps(v1_record)))
+    from_v2 = model_from_dict(json.loads(json.dumps(model_to_dict(from_v1))))
+    assert len(trees_of(from_v1)) == len(trees_of(from_v2))
+    assert all(same_arrays(a, b) for a, b in zip(trees_of(from_v1), trees_of(from_v2)))
+    assert np.array_equal(from_v1.predict(x), from_v2.predict(x))
+    return from_v1
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=datasets(), max_depth=depths, n_trees=st.integers(1, 3),
+       random=st.booleans(), seed=seeds)
+def test_v1_file_saved_as_v2_loads_the_same_trees(data, max_depth, n_trees,
+                                                  random, seed):
+    x, y = data
+    forest = fit_forest(x, y, n_trees=n_trees, max_depth=max_depth, rng_seed=seed,
+                        split_mode="random" if random else "exhaustive")
+    assert model_to_dict(forest)["version"] == MODEL_VERSION == 2
+    v1 = {**model_to_dict(forest), "version": 1,
+          "parameters": {"trees": [v1_node(t) for t in forest.trees]}}
+    loaded = check_v1_round_trip(v1, x)
+    assert all(same_arrays(a, b) for a, b in zip(forest.trees, loaded.trees))
+    tree = forest.trees[0]
+    check_v1_round_trip({**model_to_dict(tree), "version": 1,
+                         "parameters": {"root": v1_node(tree)}}, x)
+
+
+def test_v1_golden_file_saved_as_v2_loads_the_same_trees():
+    path = Path(__file__).parent / "data" / "treeloc_v1.json"
+    rows = json.loads(path.with_name("treeloc_v1_predictions.json").read_text())["rows"]
+    check_v1_round_trip(json.loads(path.read_text()), np.array(rows))
+
+
+ARRAY_KEYS = ("node_counts", "feature", "threshold", "value", "n")
+BASE_RECORD = model_to_dict(fit_forest(
+    np.arange(24.0).reshape(12, 2) % 5, np.arange(12.0) % 4, n_trees=3, max_depth=3))
+ITEMS = (st.integers(-3, 3) | st.integers(-3, 40) | st.none() | st.booleans()
+         | st.floats() | st.text(max_size=3) | st.lists(st.integers(0, 3), max_size=2))
+
+
+@st.composite
+def edited_arrays(draw):
+    """Version-2 forest arrays with items replaced, deleted or inserted."""
+    p = copy.deepcopy(BASE_RECORD["parameters"])
+    for _ in range(draw(st.integers(1, 3))):
+        items = p[draw(st.sampled_from(ARRAY_KEYS))]
+        i = draw(st.integers(0, len(items)))
+        how = draw(st.sampled_from(["replace", "delete", "insert"]))
+        if how == "insert":
+            items.insert(i, draw(ITEMS))
+        elif i < len(items):
+            if how == "replace":
+                items[i] = draw(ITEMS)
+            else:
+                del items[i]
+    return p
+
+
+def encodes_preorder_trees(p) -> bool:
+    """Reference check, one node at a time: integer node counts, features
+    and n; lengths that agree; each tree's features a preorder tree."""
+    counts, feature = p["node_counts"], p["feature"]
+    if not all(isinstance(v, int) for key in ("node_counts", "feature", "n")
+               for v in p[key]):
+        return False
+    if not (counts and min(counts) >= 1 and sum(counts) == len(feature)
+            == len(p["value"]) == len(p["n"]) and min(feature) >= -1
+            and len(p["threshold"]) == sum(f >= 0 for f in feature)):
+        return False
+    start = 0
+    for count in counts:
+        unfilled = 1  # child slots still open in this tree
+        for f in feature[start:start + count]:
+            if unfilled == 0:
+                return False
+            unfilled += 1 if f >= 0 else -1
+        if unfilled:
+            return False
+        start += count
+    return True
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(p=edited_arrays())
+def test_arrays_that_encode_no_preorder_trees_raise(p):
+    record = {**BASE_RECORD, "parameters": p}
+    if not encodes_preorder_trees(p):
+        with pytest.raises(ValueError):
+            model_from_dict(record)
+        return
+    numbers = all(v is None or isinstance(v, (int, float))
+                  for key in ("threshold", "value") for v in p[key])
+    try:
+        forest = model_from_dict(record)
+    except ValueError:
+        assert not numbers
+        return
+    for tree in forest.trees:  # every node is reached once from the root
+        seen, stack = np.zeros(len(tree.feature), dtype=bool), [0]
+        while stack:
+            i = stack.pop()
+            assert not seen[i]
+            seen[i] = True
+            if tree.feature[i] >= 0:
+                stack += [tree.left[i], tree.right[i]]
+        assert seen.all() and tree.depth() < len(tree.feature)
+
+
+def test_tree_record_with_too_few_leaves_exits_3(tmp_path, capsys):
+    record = model_to_dict(fit_tree(np.arange(6.0), np.arange(6.0) % 3, max_depth=2))
+    record["parameters"]["feature"][-1] = 0  # a leaf becomes an internal node
+    record["parameters"]["threshold"].append(0.5)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(record))
+    data = tmp_path / "data.csv"
+    data.write_text("RSSI1,X_Actual,Y_Actual\n1,2,3\n")
+    code = main(["predict", "--model-file", str(path), "-i", str(data),
+                 "-o", str(tmp_path / "out.csv")])
+    assert code == 3 and "preorder" in capsys.readouterr().err
