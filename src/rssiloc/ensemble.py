@@ -15,13 +15,15 @@ component's.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .exceptions import TooFewSamples
-from .learners import (fit_extra_trees, fit_forest, fit_tree, model_from_dict,
-                       model_to_dict, register_model_kind, _wrap)
+from .learners import (Forest, RegressionTree, fit_extra_trees, fit_forest,
+                       fit_tree, model_from_dict, model_to_dict,
+                       register_model_kind, _leaf_values, _stack_trees, _wrap)
 
 COMPONENT_NAMES = ("extra_trees", "decision_tree", "random_forest")
 
@@ -63,10 +65,31 @@ class TreeLocModel:
                                for c, b in ((cx, self.combiner_x), (cy, self.combiner_y))])
         return out[0] if np.asarray(comp_x).ndim == 1 else out
 
+    @cached_property
+    def _block(self):
+        """One node block with the trees of the six per-coordinate component
+        models, and the tree index where each model's trees start; None
+        unless every component is a pair of tree models."""
+        pairs = [getattr(c, "models", ()) for c in self.components]
+        models = [m for pair in pairs for m in pair]
+        if ([len(pair) for pair in pairs] != [2, 2, 2]
+                or not all(isinstance(m, (Forest, RegressionTree)) for m in models)):
+            return None
+        trees = [getattr(m, "trees", (m,)) for m in models]
+        return _stack_trees(sum(trees, ())), np.cumsum([0] + [len(t) for t in trees])
+
     def component_predictions(self, features) -> np.ndarray:
-        """Stacked component outputs, shape (N, 3, 2)."""
+        """Stacked component outputs, shape (N, 3, 2). Tree components are
+        walked as one block; each model's mean over its own trees, in tree
+        order, gives the bits of its own predict."""
         x = np.atleast_2d(np.asarray(features, dtype=float))
-        return np.stack([m.predict(x) for m in self.components], axis=1)
+        if self._block is None:
+            return np.stack([m.predict(x) for m in self.components], axis=1)
+        block, starts = self._block
+        leaves = _leaf_values(block, x)
+        # sum / count is np.mean's own arithmetic, without its overhead
+        means = [leaves[a:b].sum(axis=0) / (b - a) for a, b in zip(starts[:-1], starts[1:])]
+        return np.stack(means, axis=1).reshape(len(x), 3, 2)
 
     def predict(self, features) -> np.ndarray:
         x = np.asarray(features, dtype=float)
@@ -156,7 +179,10 @@ def treeloc_fit(features, targets, rng_seed: int = 0,
                     rng_seed=rng_seed)
 
     components = (et, dt, rf)
-    preds = np.stack([m.predict(x[comb_rows]) for m in components], axis=1)
+    # Walked as one block by a model that is then dropped: the components
+    # keep no node blocks of their own, which the fitted model would repeat.
+    preds = TreeLocModel(components, (0.0,) * 4, (0.0,) * 4).component_predictions(
+        x[comb_rows])
     combiner_x = _ols_combiner(preds[:, :, 0], y[comb_rows, 0])
     combiner_y = _ols_combiner(preds[:, :, 1], y[comb_rows, 1])
     return TreeLocModel(components=components, combiner_x=combiner_x,

@@ -38,6 +38,9 @@ MODEL_VERSION = 2  # of tree and forest records; other kinds are unchanged at 1
 
 MLP_DEFAULT_SIZES = (13, 20, 17, 4)
 
+# Tree-rows per step of a batched tree walk: keeps its arrays in cache.
+WALK_NODES = 1 << 16
+
 
 # --- datasets -----------------------------------------------------------------
 
@@ -347,28 +350,52 @@ def _grow(x: np.ndarray, y: np.ndarray, samples, max_depth: Optional[int],
 
 
 def _stack_trees(trees) -> tuple:
-    """(feature, threshold, left, right, value, roots, depth) of one block
-    holding every tree, indices offset; leaves become feature-0 self-loops
-    so that `depth` (the deepest tree's) steps bring every row to its leaf."""
+    """(feature, threshold, children, value, roots, steps, restore, inputs) of
+    one block holding every tree, deepest first, node indices offset.
+    children[2i] and children[2i + 1] are node i's right and left child, so
+    a row at node i steps to children[2i + (x <= threshold)]; leaves are
+    feature-0 self-loops. Level l steps the first steps[l] trees, those
+    deeper than l; restore puts the trees back in the given order; inputs
+    is the number of features the splits read."""
+    depths = np.array([t.depth() for t in trees])
+    order = np.argsort(-depths, kind="stable")
+    trees = [trees[i] for i in order]
     roots = np.cumsum([0] + [len(t.feature) for t in trees[:-1]])
-    feature = np.concatenate([t.feature for t in trees])
-    left, right = (np.where(feature < 0, np.arange(len(feature)), np.concatenate(
-        [getattr(t, side) + root for t, root in zip(trees, roots)]))
-        for side in ("left", "right"))
-    return (np.maximum(feature, 0), np.concatenate([t.threshold for t in trees]),
-            left, right, np.concatenate([t.value for t in trees]), roots,
-            max(t.depth() for t in trees))
+    children = np.empty(2 * sum(len(t.feature) for t in trees), dtype=np.int64)
+    for slot, side in enumerate(("right", "left")):  # built tree by tree: small temporaries
+        children[slot::2] = np.concatenate([root + np.where(
+            t.feature < 0, np.arange(len(t.feature)), getattr(t, side))
+            for t, root in zip(trees, roots)])
+    steps = [int(np.count_nonzero(depths > level)) for level in range(depths.max())]
+    return (np.concatenate([np.maximum(t.feature, 0) for t in trees]),
+            np.concatenate([t.threshold for t in trees]), children,
+            np.concatenate([t.value for t in trees]), roots, steps, np.argsort(order),
+            max(int(t.feature.max()) for t in trees) + 1)
 
 
 def _leaf_values(block: tuple, x: np.ndarray) -> np.ndarray:
-    """Leaf value of every row in every tree of a block, shape (T, N)."""
-    feature, threshold, left, right, value, roots, depth = block
-    rows = np.arange(len(x))
+    """Leaf value of every row in every tree of a block, shape (T, N), in
+    the trees' given order. Rows go in chunks of about WALK_NODES tree-rows
+    (each row's walk is its own, so the chunking changes no bit); each
+    level steps only the trees still deeper and sets aside the rest, and
+    reads x as one flat array."""
+    feature, threshold, children, value, roots, steps, restore, inputs = block
+    if x.shape[1] < inputs:
+        raise IndexError(f"the trees split on {inputs} inputs, rows have {x.shape[1]}")
+    chunk = max(1, WALK_NODES // len(roots))
+    if len(x) > chunk:
+        return np.concatenate([_leaf_values(block, x[i:i + chunk])
+                               for i in range(0, len(x), chunk)], axis=1)
+    flat, offset = x.ravel(), np.arange(len(x)) * x.shape[1]
     node = np.repeat(roots[:, None], len(x), axis=1)
-    for _ in range(depth):
-        go_left = x[rows, feature[node]] <= threshold[node]
-        node = np.where(go_left, left[node], right[node])
-    return value[node]
+    finished = []
+    for k in steps:
+        if k < len(node):
+            node, done = node[:k], node[k:]
+            finished.append(done)
+        go_left = flat.take(feature.take(node) + offset) <= threshold.take(node)
+        node = children.take(2 * node + go_left)
+    return value[np.concatenate([node] + finished[::-1])[restore]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -398,7 +425,11 @@ class RegressionTree:
         return float(out[0]) if single else out
 
     def depth(self) -> int:
-        """Edges on the longest root-to-leaf path, counted level by level."""
+        """Edges on the longest root-to-leaf path."""
+        return self._depth
+
+    @cached_property  # counted level by level, once: the arrays never change
+    def _depth(self) -> int:
         level, depth = np.zeros(1, dtype=np.int64), -1
         while len(level):
             level = level[self.feature[level] >= 0]

@@ -10,9 +10,14 @@ call; row checks run over the whole stack and raise if any row fails.
 
 The pseudo-linear family subtracts the centroid circle equation from each
 anchor's circle equation, giving the linear system 2*A*s = b with centered
-design matrix A. The weight matrix W = P*Cov(b1)*P (P the centering
-projector) is structurally rank deficient, so every "inverse" of W here is
-a Moore-Penrose pseudo-inverse with a relative eigenvalue cutoff.
+design matrix A. The weight matrix W = P*diag(var)*P (P the centering
+projector, var the per-anchor rhs variances) is structurally rank
+deficient. When a row's var_i are all positive and finite, W+ has the
+closed form D^-1 - w*w^T/sum(w) with w_i = 1/var_i
+(DiagonalWeights), and the weighted normal equations become sums about the
+w-weighted means. Rows with a zero variance, and any general W given as a
+WeightModel, use a Moore-Penrose pseudo-inverse with a relative eigenvalue
+cutoff instead.
 """
 
 from __future__ import annotations
@@ -38,6 +43,8 @@ WEIGHT_PINV_CUTOFF = 1e-10
 
 # Relative floor below which hyperbolic covariance entries are unusable.
 HYPERBOLIC_VAR_FLOOR = 1e-12
+
+COLLINEAR = "anchors are collinear; design matrix rank < 2"
 
 
 @dataclass(frozen=True)
@@ -85,6 +92,50 @@ class WeightModel:
         w_inv = np.linalg.pinv(self.w, rcond=WEIGHT_PINV_CUTOFF, hermitian=True)
         w_inv[degenerate] = np.eye(self.w.shape[-1])
         return w_inv, degenerate
+
+    def normal_equations(self, design, rhs):
+        """A^T W+ A and A^T W+ rhs, warning once per row whose W is
+        numerically zero (W+ is then the identity: ordinary LS)."""
+        w_inv, degenerate = self._inverse
+        for _ in range(np.count_nonzero(degenerate)):
+            warnings.warn("weight matrix is numerically zero; using ordinary LS",
+                          DegenerateWeightsWarning, stacklevel=3)
+        aw = design.T @ w_inv
+        return aw @ design, (aw @ rhs[..., None])[..., 0]
+
+    def q_diag(self) -> np.ndarray:
+        """diag(P W+ P) of each row."""
+        m = self.w.shape[-1]
+        proj = np.eye(m) - np.full((m, m), 1.0 / m)
+        return np.diagonal(proj @ self._inverse[0] @ proj, axis1=-2, axis2=-1)
+
+
+@dataclass(frozen=True)
+class DiagonalWeights:
+    """W = P*diag(var)*P with every var_i > 0, held as w_i = 1/var_i, (M,)
+    or (N, M): W+ = D^-1 - w*w^T/sum(w), formed by no pseudo-inverse. Sums
+    run over the anchor axis alone, so a row's bits do not depend on the
+    batch."""
+
+    w: np.ndarray
+
+    def normal_equations(self, design, rhs):
+        """A^T W+ A and A^T W+ rhs as sum_i w_i (a_i - a_w)(a_i - a_w)^T and
+        sum_i w_i (a_i - a_w)(b_i - b_w), a_w and b_w the w-weighted means:
+        accurate for any spread of the weights."""
+        w = self.w[..., None, :]
+        v = np.empty(np.broadcast_shapes(w.shape[:-2], rhs.shape[:-1]) + (3, len(design)))
+        v[..., :2, :], v[..., 2, :] = design.T, rhs  # rows a_x, a_y, b
+        v -= (w * v).sum(axis=-1, keepdims=True) / w.sum(axis=-1, keepdims=True)
+        s = ((w * v[..., :2, :])[..., None, :] * v[..., None, :, :]).sum(axis=-1)
+        return s[..., :2], s[..., 2]
+
+    def q_diag(self) -> np.ndarray:
+        """diag(P W+ P) = w_i * sum_{j != i} w_j / sum(w). The sum over j != i
+        is taken directly: sum(w) - w_i cancels when w_i dominates."""
+        m = self.w.shape[-1]
+        others = (self.w[..., None, :] * (1.0 - np.eye(m))).sum(axis=-1)
+        return self.w * others / self.w.sum(axis=-1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -168,26 +219,49 @@ def linearize(anchors, distances) -> LinearSystem:
         raise TooFewAnchors(f"need at least 3 anchors, got {m}")
     if np.shape(d)[-1:] != (m,):
         raise ValueError("distances length must match anchor count")
-    centroid = pts.mean(axis=0)
+    # sum / m is np.mean's own arithmetic, without its overhead
+    centroid = pts.sum(axis=0) / m
     k = (pts ** 2).sum(axis=1)
-    k_c = k.mean()
+    k_c = k.sum() / m
     d2 = d ** 2
-    d_c = d2.mean(axis=-1)
+    d_c = d2.sum(axis=-1) / m
     design = pts - centroid
     rhs = d_c[..., None] - d2 + k - k_c
     return LinearSystem(design=design, rhs=rhs)
 
 
-def _require_full_rank(design: np.ndarray):
-    if np.linalg.matrix_rank(design) < 2:
-        raise RankDeficient("anchors are collinear; design matrix rank < 2")
+def _require_rank_2(mat: np.ndarray, message: str):
+    """RankDeficient(message) if np.linalg.matrix_rank of a (.., K, 2)
+    matrix is below 2, with its tolerance on the singular values."""
+    s = np.linalg.svd(mat, compute_uv=False)
+    if (s[..., 1] <= s[..., 0] * max(mat.shape[-2:]) * np.finfo(float).eps).any():
+        raise RankDeficient(message)
+
+
+def _apply_pinv(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """pinv(mat) @ rhs for each rhs row, as products summed over the anchor
+    axis: unlike a many-column lstsq, a row gives the same bits in any
+    batch."""
+    return np.stack([(p * rhs).sum(axis=-1) for p in np.linalg.pinv(mat)], axis=-1)
 
 
 def lls_solve(sys: LinearSystem) -> np.ndarray:
     """Ordinary least squares minimizer of ||b - 2*A*s||^2, one per rhs row."""
-    _require_full_rank(sys.design)
-    sol, *_ = np.linalg.lstsq(2.0 * sys.design, sys.rhs.T, rcond=None)
-    return sol.T
+    _require_rank_2(sys.design, COLLINEAR)
+    return _apply_pinv(2.0 * sys.design, sys.rhs)
+
+
+def _rhs_variance(pts: np.ndarray, d: np.ndarray, sigmas_a, sigmas_p,
+                  eta: float) -> np.ndarray:
+    """Var(k_i) + Var(d_i^2) per anchor (see build_weights)."""
+    if np.any(d <= 0):
+        raise NonPositiveDistance("distances must be > 0")
+    if eta <= 0:
+        raise ValueError("eta must be > 0")
+    sa, sp = (np.full(len(pts), s, dtype=float) for s in (sigmas_a, sigmas_p))
+    var_k = 4.0 * sa ** 2 * (sa ** 2 + (pts ** 2).sum(axis=1))
+    sb2 = shadowing_scale(sp, eta) ** 2
+    return var_k + np.exp(4.0 * np.log(d)) * (np.exp(8.0 * sb2) - np.exp(4.0 * sb2))
 
 
 def build_weights(anchors, distances, sigmas_a, sigmas_p, eta: float) -> WeightModel:
@@ -200,32 +274,12 @@ def build_weights(anchors, distances, sigmas_a, sigmas_p, eta: float) -> WeightM
     sides. Noisy anchor coordinates and noisy distances are the inputs
     here; the true values are not available to an estimator.
     """
-    pts = np.asarray(anchors, dtype=float)
-    d = np.asarray(distances, dtype=float)
-    if np.any(d <= 0):
-        raise NonPositiveDistance("distances must be > 0")
-    if eta <= 0:
-        raise ValueError("eta must be > 0")
-    m = len(pts)
-    sa = np.broadcast_to(np.asarray(sigmas_a, dtype=float), (m,))
-    sp = np.broadcast_to(np.asarray(sigmas_p, dtype=float), (m,))
-    var_k = 4.0 * sa ** 2 * (sa ** 2 + (pts ** 2).sum(axis=1))
-    sb2 = shadowing_scale(sp, eta) ** 2
-    var_d2 = np.exp(4.0 * np.log(d)) * (np.exp(8.0 * sb2) - np.exp(4.0 * sb2))
+    var = _rhs_variance(np.asarray(anchors, dtype=float),
+                        np.asarray(distances, dtype=float), sigmas_a, sigmas_p, eta)
+    m = var.shape[-1]
     proj = np.eye(m) - np.full((m, m), 1.0 / m)
-    w = proj @ ((var_k + var_d2)[..., None] * np.eye(m)) @ proj
+    w = proj @ (var[..., None] * np.eye(m)) @ proj
     return WeightModel(w=(w + w.swapaxes(-1, -2)) / 2.0)
-
-
-def _weighted_normal(sys: LinearSystem, weights: WeightModel):
-    """A^T W+ and A^T W+ A, warning once per row whose W is numerically zero."""
-    _require_full_rank(sys.design)
-    w_inv, degenerate = weights._inverse
-    for _ in range(np.count_nonzero(degenerate)):
-        warnings.warn("weight matrix is numerically zero; using ordinary LS",
-                      DegenerateWeightsWarning, stacklevel=3)
-    aw = sys.design.T @ w_inv
-    return aw, aw @ sys.design
 
 
 def _positive_definite(normal: np.ndarray) -> np.ndarray:
@@ -237,21 +291,22 @@ def _positive_definite(normal: np.ndarray) -> np.ndarray:
         return (a11 > 0.0) & (a22 - l21 * l21 > 0.0)
 
 
-def wls_solve(sys: LinearSystem, weights: WeightModel) -> np.ndarray:
-    """Weighted least squares with pseudo-inverted weight matrix.
+def wls_solve(sys: LinearSystem, weights) -> np.ndarray:
+    """Weighted least squares with pseudo-inverted weight matrix, given as a
+    WeightModel or DiagonalWeights.
 
     A numerically zero W degrades gracefully: the solver emits
     DegenerateWeightsWarning (once per such row) and returns the ordinary
     LS estimate.
     """
-    aw, normal = _weighted_normal(sys, weights)
-    if (np.linalg.matrix_rank(normal) < 2).any():
-        raise RankDeficient("weighted normal matrix is singular")
-    return 0.5 * np.linalg.solve(normal, aw @ sys.rhs[..., None])[..., 0]
+    _require_rank_2(sys.design, COLLINEAR)
+    normal, rhs = weights.normal_equations(sys.design, sys.rhs)
+    _require_rank_2(normal, "weighted normal matrix is singular")
+    return 0.5 * np.linalg.solve(normal, rhs[..., None])[..., 0]
 
 
 def build_bias_terms(anchors, distances, sigmas_a, sigmas_p, eta: float,
-                     weights: WeightModel) -> BiasTerms:
+                     weights) -> BiasTerms:
     """Expected bias of the weighted pseudo-linear estimator.
 
     Uses the consolidated exact expectations: with Q = P W+ P,
@@ -264,29 +319,23 @@ def build_bias_terms(anchors, distances, sigmas_a, sigmas_p, eta: float,
     pts = np.asarray(anchors, dtype=float)
     d = np.asarray(distances, dtype=float)
     m = len(pts)
-    sa = np.broadcast_to(np.asarray(sigmas_a, dtype=float), (m,))
-    sp = np.broadcast_to(np.asarray(sigmas_p, dtype=float), (m,))
+    sa, sp = (np.full(m, s, dtype=float) for s in (sigmas_a, sigmas_p))
     u = math.log(10.0) / (5.0 * math.sqrt(2.0) * eta)
 
-    w_inv, _ = weights._inverse
-    proj = np.eye(m) - np.full((m, m), 1.0 / m)
-    q_diag = np.diagonal(proj @ w_inv @ proj, axis1=-2, axis2=-1)
-
+    q_diag = weights.q_diag()
     var_a = sa ** 2
     l_diag = (q_diag * var_a).sum(axis=-1)
     big_l = l_diag[..., None, None] * np.eye(2)
 
     c = u ** 2 * sp ** 2 + 0.5 * u ** 4 * sp ** 4
     cd2 = c * d ** 2
-    t = -cd2 + cd2.mean(axis=-1, keepdims=True) + 2.0 * (var_a - var_a.mean())
+    t = -cd2 + cd2.sum(axis=-1, keepdims=True) / m + 2.0 * (var_a - var_a.sum() / m)
 
-    g = 2.0 * np.array([(q_diag * pts[:, 0] * var_a).sum(axis=-1),
-                        (q_diag * pts[:, 1] * var_a).sum(axis=-1)]).T
+    g = 2.0 * (q_diag[..., None, :] * pts.T * var_a).sum(axis=-1)
     return BiasTerms(L=big_l, t=t, g=g, u=u)
 
 
-def bias_compensated_solve(sys: LinearSystem, weights: WeightModel,
-                           bias: BiasTerms,
+def bias_compensated_solve(sys: LinearSystem, weights, bias: BiasTerms,
                            include_cross_term: bool = False) -> np.ndarray:
     """Weighted LS with the expected bias terms subtracted.
 
@@ -300,19 +349,19 @@ def bias_compensated_solve(sys: LinearSystem, weights: WeightModel,
             information available; callers should fall back to wls_solve
             on the exception's rows. Its estimate holds the other rows.
     """
-    aw, normal = _weighted_normal(sys, weights)
+    _require_rank_2(sys.design, COLLINEAR)
+    normal, rhs = weights.normal_equations(sys.design, sys.rhs - bias.t)
     normal = normal - bias.L
-    rhs = (aw @ (sys.rhs - bias.t)[..., None])[..., 0]
     if include_cross_term:
         rhs = rhs - bias.g
     ok = _positive_definite(normal)
+    if ok.all():  # the usual case, without masked copies
+        return 0.5 * np.linalg.solve(normal, rhs[..., None])[..., 0]
     est = np.full(rhs.shape, np.nan)
     est[ok] = 0.5 * np.linalg.solve(normal[ok], rhs[ok][..., None])[..., 0]
-    if not ok.all():
-        raise NotPositiveDefinite(
-            "bias correction exceeds information in the weighted system",
-            rows=~ok, estimate=est)
-    return est
+    raise NotPositiveDefinite(
+        "bias correction exceeds information in the weighted system",
+        rows=~ok, estimate=est)
 
 
 def hyperbolic_solve(anchors, distances, sigma: float = 0.0, eta: float = 2.0,
@@ -334,14 +383,12 @@ def hyperbolic_solve(anchors, distances, sigma: float = 0.0, eta: float = 2.0,
     origin = pts[0]
     rel = pts - origin
     mat = 2.0 * rel[1:]
-    if np.linalg.matrix_rank(mat) < 2:
-        raise RankDeficient("anchors are collinear")
+    _require_rank_2(mat, "anchors are collinear")
     d2 = d * d
     rhs = (rel[1:] ** 2).sum(axis=1) - d2[..., 1:] + d2[..., :1]
 
     if not weighted:
-        sol, *_ = np.linalg.lstsq(mat, rhs.T, rcond=None)
-        return origin + sol.T
+        return origin + _apply_pinv(mat, rhs)
 
     if np.any(d <= 0):
         raise NonPositiveDistance("distances must be > 0")
@@ -353,8 +400,7 @@ def hyperbolic_solve(anchors, distances, sigma: float = 0.0, eta: float = 2.0,
     cov[identity] = np.eye(m - 1)
     mc = mat.T @ np.linalg.inv(cov)
     normal = mc @ mat
-    if (np.linalg.matrix_rank(normal) < 2).any():
-        raise RankDeficient("weighted normal matrix is singular")
+    _require_rank_2(normal, "weighted normal matrix is singular")
     return origin + np.linalg.solve(normal, mc @ rhs[..., None])[..., 0]
 
 
@@ -366,8 +412,12 @@ def estimate_position(solver: str, anchors, distances, *, sigmas_a=0.0,
     distances of shape (M,) give one estimate (2,); (N, M) give N
     estimates (N, 2) from one call, each solved as its own fix.
     Trilateration uses the first three anchors in the anchor plane.
-    wls-bc falls back to plain WLS on the rows whose compensated system is
-    not positive definite, and only on those.
+    wls and wls-bc weight a row by the diagonal rhs variances in closed
+    form (DiagonalWeights) when all of them are positive and finite; rows
+    with a zero variance keep the pseudo-inverse of W = P*diag(var)*P
+    (build_weights), which warns once per row whose W is zero. wls-bc
+    falls back to plain WLS on the rows whose compensated system is not
+    positive definite, and only on those.
     """
     if solver not in SOLVER_NAMES:
         raise ValueError(f"unknown solver {solver!r}; expected one of {SOLVER_NAMES}")
@@ -386,7 +436,24 @@ def estimate_position(solver: str, anchors, distances, *, sigmas_a=0.0,
     system = linearize(anchors, distances)
     if solver == "lls":
         return lls_solve(system)
-    weights = build_weights(anchors, distances, sigmas_a, sigmas_p, eta)
+    var = _rhs_variance(anchors, distances, sigmas_a, sigmas_p, eta)
+    with np.errstate(divide="ignore"):
+        w = 1.0 / var
+    closed = (w > 0.0).all(axis=-1) & (w.sum(axis=-1) < np.inf)
+    if closed.any() and not closed.all():  # each kind of row on its own
+        est = np.empty(distances.shape[:-1] + (2,))
+        for rows in (closed, ~closed):
+            est[rows] = estimate_position(
+                solver, anchors, distances[rows], sigmas_a=sigmas_a, sigmas_p=sigmas_p,
+                eta=eta, include_cross_term=include_cross_term)
+        return est
+
+    def weights_of(rows):
+        if closed.all():
+            return DiagonalWeights(w[rows])
+        return build_weights(anchors, distances[rows], sigmas_a, sigmas_p, eta)
+
+    weights = weights_of(slice(None))
     if solver == "wls":
         return wls_solve(system, weights)
     bias = build_bias_terms(anchors, distances, sigmas_a, sigmas_p, eta, weights)
@@ -395,7 +462,5 @@ def estimate_position(solver: str, anchors, distances, *, sigmas_a=0.0,
                                       include_cross_term=include_cross_term)
     except NotPositiveDefinite as exc:
         est, bad = exc.estimate, exc.rows
-    d_bad = distances[bad]
-    est[bad] = wls_solve(linearize(anchors, d_bad),
-                         build_weights(anchors, d_bad, sigmas_a, sigmas_p, eta))
+    est[bad] = wls_solve(LinearSystem(system.design, system.rhs[bad]), weights_of(bad))
     return est

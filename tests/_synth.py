@@ -1,4 +1,6 @@
-"""Shared synthetic-data builders for the test suite."""
+"""Shared synthetic-data builders and exact references for the test suite."""
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -45,3 +47,35 @@ def beacon_dataset(seed, n=400, n_beacons=13, n_zones=4):
         features[i, visible] = centers[zone, visible] + rng.normal(0, 3.0, len(visible))
     one_hot = rl.learners.one_hot_encode(labels, n_zones)
     return features, labels, one_hot
+
+
+def exact_weighted_position(design, rhs, var, t=None, var_a=None):
+    """One row's WLS estimate in exact rational arithmetic, or its
+    bias-compensated estimate when t and var_a are given, from the
+    solver's own float inputs: the centred design (M, 2), rhs (M,),
+    per-anchor rhs variances var (M,), rhs bias t (M,) and anchor
+    coordinate variances var_a (M,). W+ = D^-1 - w*w^T/sum(w) with
+    w = 1/var. Returns the estimate as floats and the exact normal matrix
+    (2x2 nested lists of Fractions)."""
+    w = [1 / Fraction(v) for v in var]
+    total = sum(w)
+    cols = [[Fraction(row[k]) for row in design] for k in (0, 1)]
+    b = [Fraction(r) for r in rhs]
+    if t is not None:
+        b = [r - Fraction(x) for r, x in zip(b, t)]
+
+    def inner(u, v):  # u^T W+ v
+        return (sum(wi * ui * vi for wi, ui, vi in zip(w, u, v))
+                - sum(wi * ui for wi, ui in zip(w, u))
+                * sum(wi * vi for wi, vi in zip(w, v)) / total)
+
+    normal = [[inner(cols[j], cols[k]) for k in (0, 1)] for j in (0, 1)]
+    r = [inner(col, b) for col in cols]
+    if var_a is not None:
+        loss = sum((wi - wi * wi / total) * Fraction(v) for wi, v in zip(w, var_a))
+        normal[0][0] -= loss
+        normal[1][1] -= loss
+    (n00, n01), (n10, n11) = normal
+    det = n00 * n11 - n01 * n10
+    est = ((n11 * r[0] - n01 * r[1]) / det / 2, (n00 * r[1] - n10 * r[0]) / det / 2)
+    return np.array([float(v) for v in est]), normal

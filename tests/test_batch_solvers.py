@@ -16,12 +16,6 @@ from rssiloc.ingest import load_all_columns, write_csv
 from rssiloc.radio import distance_from_rssi
 from rssiloc.solvers import SOLVER_NAMES, estimate_position
 
-# With 8 or more anchors, lstsq with several right-hand sides takes another
-# BLAS summation path than with one, so lls and hyperbolic batch rows can
-# differ from one-row calls in the last bits there.
-LSTSQ_SOLVERS = ("lls", "hyperbolic")
-
-
 def noisy_batch(rng, m, n):
     anchors = random_scene_points(rng, m)
     targets = rng.uniform(20.0, 380.0, (n, 2))
@@ -29,17 +23,13 @@ def noisy_batch(rng, m, n):
     return anchors, d * rng.uniform(0.8, 1.2, d.shape)
 
 
-def assert_rows_match(solver, anchors, d, exact=True, **kw):
+def assert_rows_match(solver, anchors, d, **kw):
     batch = estimate_position(solver, anchors, d, **kw)
     assert batch.shape == (len(d), 2)
     for i, row in enumerate(d):
         single = estimate_position(solver, anchors, row, **kw)
         assert single.shape == (2,)
-        if exact:
-            np.testing.assert_array_equal(batch[i], single, err_msg=solver)
-        else:
-            np.testing.assert_allclose(batch[i], single, rtol=1e-12, atol=1e-9,
-                                       err_msg=solver)
+        np.testing.assert_array_equal(batch[i], single, err_msg=solver)
 
 
 def bias_compensated_rows(anchors, d, sigma_a, sigma_p):
@@ -58,7 +48,7 @@ def bias_compensated_rows(anchors, d, sigma_a, sigma_p):
 
 class TestBatchEqualsRows:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-    @given(seed=st.integers(0, 2 ** 32 - 1), m=st.sampled_from([3, 4, 5, 8]),
+    @given(seed=st.integers(0, 2 ** 32 - 1), m=st.sampled_from([3, 4, 5, 8, 12]),
            n=st.integers(1, 12), sigma_p=st.floats(0.0, 4.0),
            sigma_a=st.one_of(st.floats(0.0, 5.0), st.floats(100.0, 400.0)))
     def test_every_solver(self, seed, m, n, sigma_p, sigma_a):
@@ -66,8 +56,7 @@ class TestBatchEqualsRows:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegenerateWeightsWarning)
             for solver in SOLVER_NAMES:
-                exact = m < 8 or solver not in LSTSQ_SOLVERS
-                assert_rows_match(solver, anchors, d, exact, sigmas_a=sigma_a,
+                assert_rows_match(solver, anchors, d, sigmas_a=sigma_a,
                                   sigmas_p=sigma_p)
 
     def test_wls_bc_falls_back_per_row(self, monkeypatch):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rssiloc.exceptions import EmptySignal, NonPositiveSigma, ZeroWindow
 from rssiloc.filters import (KalmanState, gaussian_filter, gaussian_kernel,
@@ -47,14 +48,16 @@ class TestMedianFilter:
         out = median_filter([-50.0, -50.0, -200.0, -50.0, -50.0], 1)
         np.testing.assert_array_equal(out, [-50.0] * 5)
 
-    def test_outputs_are_window_members(self):
-        rng = np.random.default_rng(1)
-        sig = rng.normal(-60, 5, 200)
-        for t in (0, 1, 3):
-            out = median_filter(sig, t)
-            for n, v in enumerate(out):
-                lo, hi = max(0, n - t), min(len(sig), n + t + 1)
-                assert v in sig[lo:hi]
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(sig=st.lists(st.floats(-1e6, 1e6) | st.sampled_from([-200.0, -60.0, 0.0, -0.0]),
+                        min_size=1, max_size=40),
+           t=st.integers(0, 45))
+    def test_outputs_are_window_members(self, sig, t):
+        out = median_filter(sig, t)
+        assert len(out) == len(sig)
+        for n, v in enumerate(out):
+            lo, hi = max(0, n - t), min(len(sig), n + t + 1)
+            assert v in sig[lo:hi]
 
     def test_negative_half_width(self):
         with pytest.raises(ValueError):

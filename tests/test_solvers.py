@@ -3,13 +3,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from _synth import exact_distances, random_scene_points
+from _synth import exact_distances, exact_weighted_position, random_scene_points
+from rssiloc import solvers
 from rssiloc.exceptions import (CollinearAnchors, DegenerateWeightsWarning,
                                 NoIntersection, NonPositiveDistance,
                                 NotPositiveDefinite, RankDeficient,
                                 TooFewAnchors)
-from rssiloc.solvers import (BiasTerms, SOLVER_NAMES, WeightModel,
+from rssiloc.solvers import (BiasTerms, DiagonalWeights, SOLVER_NAMES, WeightModel,
                              bias_compensated_solve, build_bias_terms,
                              build_weights, estimate_position,
                              hyperbolic_solve, linearize, lls_solve,
@@ -435,17 +437,24 @@ class TestEstimatePosition:
         with pytest.raises(ValueError):
             estimate_position("bogus", TRIANGLE, TRIANGLE_D)
 
-    def test_all_solvers_recover_noiseless(self):
-        rng = np.random.default_rng(109)
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(3, 8),
+           sigma_p=st.floats(0.5, 4.0), sigma_a=st.floats(0.0, 5.0))
+    def test_all_solvers_recover_noiseless(self, seed, m, sigma_p, sigma_a):
+        rng = np.random.default_rng(seed)
+        # the first three anchors span a triangle, for trilateration
+        pts = np.vstack([random_scene_points(rng, 3), rng.uniform(0, 400, (m - 3, 2))])
+        target = rng.uniform(20, 380, 2)
+        d = exact_distances(pts, target)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegenerateWeightsWarning)
-            for _ in range(20):
-                pts = random_scene_points(rng, int(rng.integers(3, 6)))
-                target = rng.uniform(20, 380, 2)
-                d = exact_distances(pts, target)
-                for name in SOLVER_NAMES:
-                    est = estimate_position(name, pts, d)
-                    assert np.linalg.norm(est - target) < 1e-9, name
+            for name in SOLVER_NAMES:
+                est = estimate_position(name, pts, d)
+                assert np.linalg.norm(est - target) < 1e-9, name
+        # with no residual, any positive weights give the target too
+        for name in ("wls", "hyperbolic-w"):
+            est = estimate_position(name, pts, d, sigmas_a=sigma_a, sigmas_p=sigma_p)
+            assert np.linalg.norm(est - target) < 1e-9, name
 
     def test_translation_equivariance_all_solvers(self):
         # noisy ranges for the least-squares family; exact ones for
@@ -464,3 +473,110 @@ class TestEstimatePosition:
                 moved = estimate_position(name, pts + shift, d, sigmas_p=2.0)
                 np.testing.assert_allclose(moved, base + shift, atol=1e-6,
                                            err_msg=name)
+
+
+def exact_estimates(anchors, d, sigma_a, sigma_p):
+    """Exact wls and wls-bc estimates from the solver's float inputs, and
+    the exact compensated normal matrix as floats."""
+    system = linearize(anchors, d)
+    var = solvers._rhs_variance(anchors, d, sigma_a, sigma_p, 2.0)
+    t = build_bias_terms(anchors, d, sigma_a, sigma_p, 2.0, DiagonalWeights(1.0 / var)).t
+    wls, _ = exact_weighted_position(system.design, system.rhs, var)
+    bc, normal = exact_weighted_position(system.design, system.rhs, var, t,
+                                         np.full(len(anchors), sigma_a) ** 2)
+    (n00, n01), (n10, n11) = normal
+    if not (n00 > 0 and n00 * n11 - n01 * n10 > 0):
+        bc = wls  # wls-bc falls back to wls
+    return wls, bc, np.array(normal, dtype=float)
+
+
+def assert_near_exact(anchors, d, sigma_a, sigma_p, wls, bc, rtol=1e-9):
+    kw = dict(sigmas_a=sigma_a, sigmas_p=sigma_p, eta=2.0)
+    for name, want in (("wls", wls), ("wls-bc", bc)):
+        got = estimate_position(name, anchors, d, **kw)
+        assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want), name
+
+
+class TestDiagonalWeights:
+    """wls and wls-bc in closed form against exact rational arithmetic."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(3, 8),
+           near=st.floats(0.01, 0.3), sigma_p=st.floats(0.5, 4.0),
+           sigma_a=st.just(0.0) | st.floats(1.0, 400.0))
+    def test_wide_variance_spread_matches_exact(self, seed, m, near, sigma_p, sigma_a):
+        rng = np.random.default_rng(seed)
+        anchors = random_scene_points(rng, m, extent=800.0, min_spread=80.0)
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        target = anchors[0] + near * np.array([math.cos(angle), math.sin(angle)])
+        d = exact_distances(anchors, target) * rng.uniform(0.9, 1.1, m)
+        # three decades of distance: variances spread by >= 1e12 at sigma_a = 0
+        assume(d.max() / d.min() >= 1e3)
+        wls, bc, normal = exact_estimates(anchors, d, sigma_a, sigma_p)
+        assume(np.linalg.cond(normal) < 1e6)  # clear of the fallback's edge
+        assert_near_exact(anchors, d, sigma_a, sigma_p, wls, bc)
+
+    def test_ranging_row_with_a_near_anchor(self):
+        # Row 1126 of the ranging benchmark chain at seed 2: the target is
+        # 1.5 cm from the fourth anchor and the rhs variances span 3.8e11.
+        # The one-pass normal matrix sum(w a a^T) - (sum w a)(sum w a)^T / sum(w)
+        # is off by ~8e-4 cm here; the weighted-centred sums are not.
+        anchors = np.array([[26.1, 21.2], [796.2, 6.1], [798.2, 582.4],
+                            [27.4, 579.7], [410.5, 322.2]])
+        d = np.array([732.4905069431685, 1183.5456071228882, 952.0707219278289,
+                      1.5115404543224786, 540.2763073599524])
+        wls, bc, _ = exact_estimates(anchors, d, 0.0, 2.0)
+        assert_near_exact(anchors, d, 0.0, 2.0, wls, bc)
+
+    def test_dominant_weight_keeps_its_bias_term(self):
+        # 100 m anchors, 1 cm anchor noise and a target 0.5 cm from the
+        # first anchor: its weight is 1e15 times the others'. Its diag(Q)
+        # entry needs sum_{j != i} w_j summed directly; sum(w) - w_i
+        # cancels and moves the estimate by ~5e-10 of its size.
+        anchors = np.array([[0.0, 0.0], [1e4, 0.0], [1e4, 1e4], [0.0, 1e4],
+                            [5e3, 4e3]])
+        d = exact_distances(anchors, [0.3, 0.4]) * [1.05, 0.95, 1.02, 0.98, 1.01]
+        wls, bc, normal = exact_estimates(anchors, d, 1.0, 2.0)
+        assert np.linalg.cond(normal) < 10.0 and bc is not wls
+        assert_near_exact(anchors, d, 1.0, 2.0, wls, bc, rtol=1e-12)
+
+    def test_zero_variance_rows_keep_the_pseudo_inverse(self):
+        rng = np.random.default_rng(71)
+        anchors = random_scene_points(rng, 5)
+        targets = rng.uniform(20.0, 380.0, (6, 2))
+        d = np.array([exact_distances(anchors, t) for t in targets])
+        d *= rng.uniform(0.9, 1.1, d.shape)
+        d[2, 1] = 1e-90  # d^4 underflows: one zero variance
+        d[4] = 1e-90  # all variances zero: W is zero
+        kw = dict(sigmas_a=0.0, sigmas_p=2.0, eta=2.0)
+        for name in ("wls", "wls-bc"):
+            with pytest.warns(DegenerateWeightsWarning) as caught:
+                batch = estimate_position(name, anchors, d, **kw)
+            assert len(caught) == 1, name
+            for i, row in enumerate(d):
+                weights = build_weights(anchors, row, 0.0, 2.0, 2.0)
+                if i not in (2, 4):
+                    var = solvers._rhs_variance(anchors, row, 0.0, 2.0, 2.0)
+                    weights = DiagonalWeights(1.0 / var)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", DegenerateWeightsWarning)
+                    system = linearize(anchors, row)
+                    if name == "wls":
+                        want = wls_solve(system, weights)
+                    else:
+                        bias = build_bias_terms(anchors, row, 0.0, 2.0, 2.0, weights)
+                        want = bias_compensated_solve(system, weights, bias)
+                np.testing.assert_array_equal(batch[i], want, err_msg=f"{name} row {i}")
+
+    def test_closed_form_equals_pseudo_inverse_on_plain_rows(self):
+        rng = np.random.default_rng(73)
+        anchors = random_scene_points(rng, 6)
+        d = rng.uniform(50.0, 500.0, (20, 6))
+        var = solvers._rhs_variance(anchors, d, 1.5, 2.0, 2.0)
+        system = linearize(anchors, d)
+        general = build_weights(anchors, d, 1.5, 2.0, 2.0)
+        closed = DiagonalWeights(1.0 / var)
+        np.testing.assert_allclose(closed.q_diag(), general.q_diag(), rtol=1e-9)
+        for got, want in zip(closed.normal_equations(system.design, system.rhs),
+                             general.normal_equations(system.design, system.rhs)):
+            np.testing.assert_allclose(got, want, rtol=1e-9)

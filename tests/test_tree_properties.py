@@ -2,6 +2,7 @@
 and for their saved version-1 and version-2 records."""
 
 import copy
+import dataclasses
 import json
 from pathlib import Path
 
@@ -9,8 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rssiloc import treeloc_fit
+from rssiloc import learners, load_model, treeloc_fit
 from rssiloc.cli import main
+from rssiloc.ensemble import TreeLocModel
 from rssiloc.learners import (MODEL_VERSION, Forest, PairedRegressor,
                               RegressionTree, _segment_sums, fit_extra_trees,
                               fit_forest, fit_tree, model_from_dict,
@@ -116,6 +118,74 @@ def test_treeloc(data, min_leaf, max_depth, seed):
     model = treeloc_fit(x, y, rng_seed=seed, tree_depth=max_depth,
                         forest_trees=3, extra_trees=3, min_leaf=min_leaf)
     check_model(model, x, min_leaf, max_depth)
+
+
+# --- one node block per treeloc model -------------------------------------------
+
+def component_reference(model, x):
+    """TreeLocModel.predict from each component's own predict."""
+    comps = [np.asarray(c.predict(x)) for c in model.components]
+    return model.combine([c[..., 0] for c in comps] if x.ndim == 1 else
+                         np.column_stack([c[:, 0] for c in comps]),
+                         [c[..., 1] for c in comps] if x.ndim == 1 else
+                         np.column_stack([c[:, 1] for c in comps]))
+
+
+def check_block_walk(model, x, monkeypatch):
+    expected = component_reference(model, x)
+    assert np.array_equal(model.predict(x), expected)
+    for row, want in zip(x, expected):
+        assert np.array_equal(model.predict(row), want)
+        assert np.array_equal(component_reference(model, row), want)
+    # rows walked a few at a time give the same bits
+    monkeypatch.setattr(learners, "WALK_NODES", 3 * len(trees_of(model)))
+    assert np.array_equal(dataclasses.replace(model).predict(x), expected)
+    for tree in trees_of(model):
+        assert np.array_equal(tree.predict(x), [walk(tree, row) for row in x])
+
+
+@pytest.mark.parametrize("name", ["treeloc_v1", "treeloc_v2"])
+def test_block_walk_on_golden_models(name, monkeypatch):
+    data = Path(__file__).parent / "data"
+    model = load_model(data / f"{name}.json")
+    rows = np.array(json.loads((data / f"{name}_predictions.json").read_text())["rows"])
+    assert model._block is not None
+    check_block_walk(model, rows, monkeypatch)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=datasets(min_rows=3, outputs=2),
+       max_depths=st.lists(st.none() | st.integers(0, 6), min_size=3, max_size=3),
+       n_trees=st.lists(st.integers(1, 4), min_size=2, max_size=2),
+       combiner=st.lists(st.floats(-2.0, 2.0), min_size=8, max_size=8), seed=seeds)
+def test_block_walk_on_components_of_different_depths(data, max_depths, n_trees,
+                                                     combiner, seed):
+    x, y = data
+    comps = (fit_extra_trees(x, y, n_trees[0], max_depth=max_depths[0], rng_seed=seed),
+             fit_tree(x, y, max_depth=max_depths[1], rng_seed=seed),
+             fit_forest(x, y, n_trees[1], max_depth=max_depths[2], rng_seed=seed))
+    model = TreeLocModel(components=comps, combiner_x=tuple(combiner[:4]),
+                         combiner_y=tuple(combiner[4:]))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        check_block_walk(model, x, monkeypatch)
+
+
+def test_components_other_than_tree_pairs_predict_one_by_one():
+    x, y = np.arange(40.0).reshape(20, 2) % 7, np.arange(40.0).reshape(20, 2) % 5
+    trees = fit_tree(x, y, max_depth=3)
+    model = TreeLocModel(components=(learners.fit_linear(x, y), trees, trees),
+                         combiner_x=(0.5, 1.0, 2.0, 3.0), combiner_y=(-0.5, 3.0, 2.0, 1.0))
+    assert model._block is None
+    assert np.array_equal(model.predict(x), component_reference(model, x))
+    assert np.array_equal(model.predict(x[3]), component_reference(model, x[3]))
+
+
+def test_block_walk_rejects_rows_too_short_for_the_splits():
+    x = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0], [3.0, 1.0]])
+    tree = fit_tree(x, x[:, 1] * 2.0)
+    assert tree.feature.max() == 1
+    with pytest.raises(IndexError):
+        tree.predict(x[:, :1])
 
 
 # --- level-wise growth and the version-2 format ---------------------------------
