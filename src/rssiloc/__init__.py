@@ -30,7 +30,7 @@ from .metrics import (ClassificationReport, ConfusionMatrix,
                       confusion_matrix, regression_metrics)
 from .radio import (NoiseSpec, distance_from_rssi, measure_once,
                     rssi_from_distance, synthesize_measurements)
-from .solvers import (BiasTerms, LinearSystem, SOLVER_NAMES, WeightModel,
+from .solvers import (BiasTerms, DiagonalWeights, LinearSystem, SOLVER_NAMES,
                       bias_compensated_solve, build_bias_terms, build_weights,
                       estimate_position, hyperbolic_solve, linearize,
                       lls_solve, trilaterate, wls_solve)

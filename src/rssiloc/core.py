@@ -66,8 +66,8 @@ class Anchor:
     sigma_p: float = 0.0
 
     def __post_init__(self):
-        if self.sigma_a < 0 or self.sigma_p < 0:
-            raise ValueError(f"anchor {self.id}: noise stds must be >= 0")
+        if not (0 <= self.sigma_a < math.inf and 0 <= self.sigma_p < math.inf):
+            raise ValueError(f"anchor {self.id}: noise stds must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -86,6 +86,8 @@ class PathLossParams:
     sigma_shadow: float = 2.0  # shadowing std (dB)
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.p0, self.d0, self.eta, self.sigma_shadow))):
+            raise ValueError("path-loss parameters must be finite")
         if self.eta <= 0:
             raise ValueError("path-loss exponent must be > 0")
         if self.d0 <= 0:

@@ -137,4 +137,4 @@ class IoFailure(IngestError):
 # --- warnings ----------------------------------------------------------------------
 
 class DegenerateWeightsWarning(UserWarning):
-    """Weight matrix was numerically zero; solver fell back to unweighted LS."""
+    """A row had no usable rhs variances; the solver fell back to unweighted LS."""

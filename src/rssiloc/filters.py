@@ -69,8 +69,8 @@ def gaussian_kernel(sigma: float, radius: Optional[int] = None) -> np.ndarray:
 
     Truncated at ceil(3*sigma) taps each side unless a radius is given.
     """
-    if sigma <= 0:
-        raise NonPositiveSigma("sigma must be > 0")
+    if not 0 < sigma < math.inf:
+        raise NonPositiveSigma("sigma must be finite and > 0")
     if radius is None:
         radius = math.ceil(3.0 * sigma)
     k = np.arange(-radius, radius + 1, dtype=float)
@@ -107,6 +107,8 @@ class KalmanState:
     r: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.x_hat, self.p, self.q, self.r))):
+            raise ValueError("Kalman state must be finite")
         if self.p < 0 or self.q < 0 or self.r < 0:
             raise ValueError("variances must be >= 0")
         if self.q == 0 and self.r == 0:

@@ -33,8 +33,8 @@ class NoiseSpec:
     seed: int = 42
 
     def __post_init__(self):
-        if self.sigma_a < 0 or self.sigma_p < 0:
-            raise ValueError("noise stds must be >= 0")
+        if not (0 <= self.sigma_a < math.inf and 0 <= self.sigma_p < math.inf):
+            raise ValueError("noise stds must be finite and >= 0")
 
 
 def shadowing_scale(sigma_p: float, eta: float) -> float:

@@ -12,21 +12,21 @@ The pseudo-linear family subtracts the centroid circle equation from each
 anchor's circle equation, giving the linear system 2*A*s = b with centered
 design matrix A. The weight matrix W = P*diag(var)*P (P the centering
 projector, var the per-anchor rhs variances) is structurally rank
-deficient. When a row's var_i are all positive and finite, W+ has the
-closed form D^-1 - w*w^T/sum(w) with w_i = 1/var_i
-(DiagonalWeights), and the weighted normal equations become sums about the
-w-weighted means. Rows with a zero variance, and any general W given as a
-WeightModel, use a Moore-Penrose pseudo-inverse with a relative eigenvalue
-cutoff instead.
+deficient; its pseudo-inverse has the closed form W+ = D^-1 - w*w^T/sum(w)
+with w_i = 1/var_i (DiagonalWeights), so the weighted normal equations
+are sums about the w-weighted means and no weight matrix is formed. A row
+with no usable variances (one of them zero or not finite) is weighted
+uniformly, W+ = P: ordinary LS. The weighted hyperbolic estimator is this
+weighted LS with exact anchors: differencing against the first anchor
+instead of the centroid removes the same unknown |s|^2 and leaves the
+weighted estimate unchanged.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Tuple
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,12 +37,6 @@ from .radio import shadowing_scale
 
 SOLVER_NAMES = ("trilateration", "lls", "wls", "wls-bc",
                 "hyperbolic", "hyperbolic-w")
-
-# Relative eigenvalue cutoff for pseudo-inverting weight matrices.
-WEIGHT_PINV_CUTOFF = 1e-10
-
-# Relative floor below which hyperbolic covariance entries are unusable.
-HYPERBOLIC_VAR_FLOOR = 1e-12
 
 COLLINEAR = "anchors are collinear; design matrix rank < 2"
 
@@ -70,59 +64,31 @@ class LinearSystem:
 
 
 @dataclass(frozen=True)
-class WeightModel:
-    """Symmetric PSD weight matrix (M, M), or a (N, M, M) stack checked
-    matrix by matrix; pseudo-inverted with the WEIGHT_PINV_CUTOFF cutoff."""
-
-    w: np.ndarray
-
-    def __post_init__(self):
-        w, w_t = self.w, self.w.swapaxes(-1, -2)
-        scale = np.abs(w).max(axis=(-2, -1))
-        if (np.abs(w - w_t).max(axis=(-2, -1)) > 1e-12 * scale).any():
-            raise ValueError("weight matrix must be symmetric")
-        eigs = np.linalg.eigvalsh((w + w_t) / 2.0)  # ascending
-        if eigs.size and (eigs[..., 0] < -1e-12 * np.maximum(eigs[..., -1], 0.0)).any():
-            raise ValueError("weight matrix must be positive semidefinite")
-
-    @cached_property  # the bias terms and the solve both need it
-    def _inverse(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Pseudo-inverse of each W (the identity where W is zero), and where."""
-        degenerate = ~(self.w != 0.0).any(axis=(-2, -1))
-        w_inv = np.linalg.pinv(self.w, rcond=WEIGHT_PINV_CUTOFF, hermitian=True)
-        w_inv[degenerate] = np.eye(self.w.shape[-1])
-        return w_inv, degenerate
-
-    def normal_equations(self, design, rhs):
-        """A^T W+ A and A^T W+ rhs, warning once per row whose W is
-        numerically zero (W+ is then the identity: ordinary LS)."""
-        w_inv, degenerate = self._inverse
-        for _ in range(np.count_nonzero(degenerate)):
-            warnings.warn("weight matrix is numerically zero; using ordinary LS",
-                          DegenerateWeightsWarning, stacklevel=3)
-        aw = design.T @ w_inv
-        return aw @ design, (aw @ rhs[..., None])[..., 0]
-
-    def q_diag(self) -> np.ndarray:
-        """diag(P W+ P) of each row."""
-        m = self.w.shape[-1]
-        proj = np.eye(m) - np.full((m, m), 1.0 / m)
-        return np.diagonal(proj @ self._inverse[0] @ proj, axis1=-2, axis2=-1)
-
-
-@dataclass(frozen=True)
 class DiagonalWeights:
-    """W = P*diag(var)*P with every var_i > 0, held as w_i = 1/var_i, (M,)
-    or (N, M): W+ = D^-1 - w*w^T/sum(w), formed by no pseudo-inverse. Sums
+    """W = P*diag(var)*P held as w_i = 1/var_i, (M,) or (N, M):
+    W+ = D^-1 - w*w^T/sum(w), formed by no pseudo-inverse. A row whose w
+    are not all positive with a finite sum has no usable variances; it is
+    weighted uniformly (W+ = P, ordinary LS) and marked in unweighted. Sums
     run over the anchor axis alone, so a row's bits do not depend on the
     batch."""
 
     w: np.ndarray
+    unweighted: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        w = np.asarray(self.w, dtype=float)
+        unweighted = ~((w > 0.0).all(axis=-1) & (w.sum(axis=-1) < np.inf))
+        object.__setattr__(self, "w", np.where(unweighted[..., None], 1.0, w))
+        object.__setattr__(self, "unweighted", unweighted)
 
     def normal_equations(self, design, rhs):
         """A^T W+ A and A^T W+ rhs as sum_i w_i (a_i - a_w)(a_i - a_w)^T and
         sum_i w_i (a_i - a_w)(b_i - b_w), a_w and b_w the w-weighted means:
-        accurate for any spread of the weights."""
+        accurate for any spread of the weights. Warns once per unweighted
+        row."""
+        for _ in range(np.count_nonzero(self.unweighted)):
+            warnings.warn("no usable rhs variances; using ordinary LS",
+                          DegenerateWeightsWarning, stacklevel=3)
         w = self.w[..., None, :]
         v = np.empty(np.broadcast_shapes(w.shape[:-2], rhs.shape[:-1]) + (3, len(design)))
         v[..., :2, :], v[..., 2, :] = design.T, rhs  # rows a_x, a_y, b
@@ -264,22 +230,21 @@ def _rhs_variance(pts: np.ndarray, d: np.ndarray, sigmas_a, sigmas_p,
     return var_k + np.exp(4.0 * np.log(d)) * (np.exp(8.0 * sb2) - np.exp(4.0 * sb2))
 
 
-def build_weights(anchors, distances, sigmas_a, sigmas_p, eta: float) -> WeightModel:
-    """Covariance-based weight matrix for the pseudo-linear system.
+def build_weights(anchors, distances, sigmas_a, sigmas_p, eta: float) -> DiagonalWeights:
+    """Diagonal weights w_i = 1/var_i of the pseudo-linear system.
 
     Per-anchor rhs variance is Var(k_i) + Var(d_i^2) with
     Var(k_i) = 4*sigma_a^2*(sigma_a^2 + x_i^2 + y_i^2) and the lognormal
     Var(d_i^2) = d_i^4 * (exp(8*sb^2) - exp(4*sb^2)), sb the shadowing std
-    scaled by ln(10)/(10*eta). The centering projector is applied on both
-    sides. Noisy anchor coordinates and noisy distances are the inputs
-    here; the true values are not available to an estimator.
+    scaled by ln(10)/(10*eta). Noisy anchor coordinates and noisy distances
+    are the inputs here; the true values are not available to an estimator.
+    A row with a zero variance (no noise, or d^4 underflow) or a
+    non-finite one is left unweighted.
     """
     var = _rhs_variance(np.asarray(anchors, dtype=float),
                         np.asarray(distances, dtype=float), sigmas_a, sigmas_p, eta)
-    m = var.shape[-1]
-    proj = np.eye(m) - np.full((m, m), 1.0 / m)
-    w = proj @ (var[..., None] * np.eye(m)) @ proj
-    return WeightModel(w=(w + w.swapaxes(-1, -2)) / 2.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        return DiagonalWeights(1.0 / var)
 
 
 def _positive_definite(normal: np.ndarray) -> np.ndarray:
@@ -291,11 +256,10 @@ def _positive_definite(normal: np.ndarray) -> np.ndarray:
         return (a11 > 0.0) & (a22 - l21 * l21 > 0.0)
 
 
-def wls_solve(sys: LinearSystem, weights) -> np.ndarray:
-    """Weighted least squares with pseudo-inverted weight matrix, given as a
-    WeightModel or DiagonalWeights.
+def wls_solve(sys: LinearSystem, weights: DiagonalWeights) -> np.ndarray:
+    """Minimizer of (b - 2*A*s)^T W+ (b - 2*A*s), one per rhs row.
 
-    A numerically zero W degrades gracefully: the solver emits
+    A row without usable variances degrades gracefully: the solver emits
     DegenerateWeightsWarning (once per such row) and returns the ordinary
     LS estimate.
     """
@@ -364,16 +328,14 @@ def bias_compensated_solve(sys: LinearSystem, weights, bias: BiasTerms,
         rows=~ok, estimate=est)
 
 
-def hyperbolic_solve(anchors, distances, sigma: float = 0.0, eta: float = 2.0,
-                     weighted: bool = False) -> np.ndarray:
+def hyperbolic_solve(anchors, distances) -> np.ndarray:
     """Squared-distance-difference estimator anchored at the first beacon.
 
     Rows n = 2..M of the system are [2*a_n, 2*b_n] * s =
     a_n^2 + b_n^2 - d_n^2 + d_1^2 in the frame translated so the first
-    anchor sits at the origin. The weighted variant uses the rhs covariance
-    R = Var(d_1^2) * ones + diag(Var(d_n^2)) with lognormal variances; in a
-    row whose variances are degenerate (sigma = 0 or wildly unbalanced) R
-    falls back to the identity, which reproduces the unweighted solution.
+    anchor sits at the origin, solved by ordinary least squares. Weighting
+    these rows by their lognormal covariance gives the wls estimate with
+    exact anchors, which estimate_position computes as hyperbolic-w.
     """
     pts = np.asarray(anchors, dtype=float)
     d = np.asarray(distances, dtype=float)
@@ -386,22 +348,7 @@ def hyperbolic_solve(anchors, distances, sigma: float = 0.0, eta: float = 2.0,
     _require_rank_2(mat, "anchors are collinear")
     d2 = d * d
     rhs = (rel[1:] ** 2).sum(axis=1) - d2[..., 1:] + d2[..., :1]
-
-    if not weighted:
-        return origin + _apply_pinv(mat, rhs)
-
-    if np.any(d <= 0):
-        raise NonPositiveDistance("distances must be > 0")
-    sb2 = shadowing_scale(sigma, eta) ** 2
-    var = d ** 4 * (np.exp(8.0 * sb2) - np.exp(4.0 * sb2))
-    vmax = var.max(axis=-1, keepdims=True)
-    identity = ((vmax <= 0.0) | (var < HYPERBOLIC_VAR_FLOOR * vmax)).any(axis=-1)
-    cov = var[..., :1, None] + var[..., 1:, None] * np.eye(m - 1)
-    cov[identity] = np.eye(m - 1)
-    mc = mat.T @ np.linalg.inv(cov)
-    normal = mc @ mat
-    _require_rank_2(normal, "weighted normal matrix is singular")
-    return origin + np.linalg.solve(normal, mc @ rhs[..., None])[..., 0]
+    return origin + _apply_pinv(mat, rhs)
 
 
 def estimate_position(solver: str, anchors, distances, *, sigmas_a=0.0,
@@ -412,12 +359,13 @@ def estimate_position(solver: str, anchors, distances, *, sigmas_a=0.0,
     distances of shape (M,) give one estimate (2,); (N, M) give N
     estimates (N, 2) from one call, each solved as its own fix.
     Trilateration uses the first three anchors in the anchor plane.
-    wls and wls-bc weight a row by the diagonal rhs variances in closed
-    form (DiagonalWeights) when all of them are positive and finite; rows
-    with a zero variance keep the pseudo-inverse of W = P*diag(var)*P
-    (build_weights), which warns once per row whose W is zero. wls-bc
-    falls back to plain WLS on the rows whose compensated system is not
-    positive definite, and only on those.
+    wls and wls-bc weight each row by its diagonal rhs variances in closed
+    form (build_weights); a row without usable variances is solved
+    unweighted and warns once. hyperbolic-w is wls with exact anchors
+    (sigma_a = 0) and sigma_p = mean(sigmas_p), the weighted form of the
+    hyperbolic system; at sigma_p = 0 it is the unweighted hyperbolic
+    solve. wls-bc falls back to plain WLS on the rows whose compensated
+    system is not positive definite, and only on those.
     """
     if solver not in SOLVER_NAMES:
         raise ValueError(f"unknown solver {solver!r}; expected one of {SOLVER_NAMES}")
@@ -430,31 +378,15 @@ def estimate_position(solver: str, anchors, distances, *, sigmas_a=0.0,
     if solver == "hyperbolic":
         return hyperbolic_solve(anchors, distances)
     if solver == "hyperbolic-w":
-        return hyperbolic_solve(anchors, distances, sigma=float(np.mean(sigmas_p)),
-                                eta=eta, weighted=True)
+        sigmas_a, sigmas_p = 0.0, float(np.mean(sigmas_p))
 
     system = linearize(anchors, distances)
     if solver == "lls":
         return lls_solve(system)
-    var = _rhs_variance(anchors, distances, sigmas_a, sigmas_p, eta)
-    with np.errstate(divide="ignore"):
-        w = 1.0 / var
-    closed = (w > 0.0).all(axis=-1) & (w.sum(axis=-1) < np.inf)
-    if closed.any() and not closed.all():  # each kind of row on its own
-        est = np.empty(distances.shape[:-1] + (2,))
-        for rows in (closed, ~closed):
-            est[rows] = estimate_position(
-                solver, anchors, distances[rows], sigmas_a=sigmas_a, sigmas_p=sigmas_p,
-                eta=eta, include_cross_term=include_cross_term)
-        return est
-
-    def weights_of(rows):
-        if closed.all():
-            return DiagonalWeights(w[rows])
-        return build_weights(anchors, distances[rows], sigmas_a, sigmas_p, eta)
-
-    weights = weights_of(slice(None))
-    if solver == "wls":
+    weights = build_weights(anchors, distances, sigmas_a, sigmas_p, eta)
+    if solver == "hyperbolic-w" and sigmas_p == 0.0:  # d > 0 and eta > 0 checked
+        return hyperbolic_solve(anchors, distances)
+    if solver != "wls-bc":
         return wls_solve(system, weights)
     bias = build_bias_terms(anchors, distances, sigmas_a, sigmas_p, eta, weights)
     try:
@@ -462,5 +394,7 @@ def estimate_position(solver: str, anchors, distances, *, sigmas_a=0.0,
                                       include_cross_term=include_cross_term)
     except NotPositiveDefinite as exc:
         est, bad = exc.estimate, exc.rows
-    est[bad] = wls_solve(LinearSystem(system.design, system.rhs[bad]), weights_of(bad))
+    # the failing rows' weights, already uniform where unweighted: no second warning
+    est[bad] = wls_solve(LinearSystem(system.design, system.rhs[bad]),
+                         DiagonalWeights(weights.w[bad]))
     return est

@@ -79,3 +79,14 @@ def exact_weighted_position(design, rhs, var, t=None, var_a=None):
     det = n00 * n11 - n01 * n10
     est = ((n11 * r[0] - n01 * r[1]) / det / 2, (n00 * r[1] - n10 * r[0]) / det / 2)
     return np.array([float(v) for v in est]), normal
+
+
+def pseudo_inverse_weights(var):
+    """pinv(P*diag(var)*P) for (M,) or (N, M) rhs variances, P the centering
+    projector: the general weight matrix pseudo-inverse, formed by an
+    eigendecomposition, that the solvers' closed form must reproduce."""
+    var = np.asarray(var, dtype=float)
+    m = var.shape[-1]
+    proj = np.eye(m) - np.full((m, m), 1.0 / m)
+    w = proj @ (var[..., None] * np.eye(m)) @ proj
+    return np.linalg.pinv((w + w.swapaxes(-1, -2)) / 2.0, rcond=1e-10, hermitian=True)

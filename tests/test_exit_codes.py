@@ -200,6 +200,7 @@ class TestContract:
         st.sampled_from(["window", "half-width", "sigma", "filter", "q", "r",
                          "seed", "threads", "report", "input", "output"]) | TEXT,
         SMALL_TEXT, st.sampled_from(["=", " = ", ":", ""])), max_size=4))
+    @example(lines=[("sigma", "inf", " = ")])
     def test_bad_config_file(self, files, lines):
         path = files["root"] / "run.cfg"
         path.write_text("".join(f"{k}{sep}{v}\n" for k, v, sep in lines),

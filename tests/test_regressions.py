@@ -1,15 +1,19 @@
 """Regression tests for defects that once escaped their documented contract."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from _synth import beacon_dataset, regression_testbed
 from rssiloc.cli import main
-from rssiloc.exceptions import MalformedNumber
-from rssiloc.filters import gaussian_filter
+from rssiloc.core import Anchor, PathLossParams, Position
+from rssiloc.exceptions import MalformedNumber, NonPositiveSigma
+from rssiloc.filters import KalmanState, gaussian_filter, gaussian_kernel
 from rssiloc.ingest import (BEACON_COLUMNS, load_all_columns, load_ibeacon_csv,
                             load_regression_csv, load_series_csv, write_csv)
+from rssiloc.radio import NoiseSpec
 
 
 class TestGaussianFilterLength:
@@ -161,3 +165,45 @@ class TestFitTestSize:
         for size in ("0", "0.5", "0.9"):
             assert main(["fit", "--model", "linear", "--test-size", size,
                          "-i", str(regression)]) == 0
+
+
+class TestNonFiniteParameters:
+    """NaN and infinite parameters are rejected where they enter, not
+    written out as nan/inf cells or left to fail deep in a solver."""
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--sigma-p", "nan"], ["simulate", "--p0", "nan"],
+        ["simulate", "--eta", "inf"],
+        ["filter", "--filter", "kalman", "--q", "nan"],
+        ["filter", "--filter", "kalman", "--q", "inf"],
+        ["filter", "--filter", "kalman", "--r", "nan"],
+        ["filter", "--filter", "gaussian", "--sigma", "inf"],
+        ["locate", "--solver", "wls", "--sigma-p", "nan"],
+        ["locate", "--solver", "hyperbolic-w", "--sigma-p", "nan"]])
+    def test_cli_exits_2_without_output(self, tmp_path, capsys, command):
+        path = tmp_path / "in.csv"
+        path.write_text("RSSI1,RSSI2,RSSI3,X_Actual,Y_Actual\n"
+                        "-60,-61,-62,10,20\n-61,-60,-63,11,21\n")
+        out = tmp_path / "out.csv"
+        scene = [] if command[0] == "filter" else ["--anchors", "0,0;400,0;200,300"]
+        source = ["--positions", "2"] if command[0] == "simulate" else ["-i", str(path)]
+        code = main(command + scene + source + ["-o", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("make", [
+        lambda v: PathLossParams(p0=v), lambda v: PathLossParams(d0=v),
+        lambda v: PathLossParams(eta=v), lambda v: PathLossParams(sigma_shadow=v),
+        lambda v: NoiseSpec(sigma_a=v), lambda v: NoiseSpec(sigma_p=v),
+        lambda v: Anchor("A", Position(0.0, 0.0), sigma_a=v),
+        lambda v: Anchor("A", Position(0.0, 0.0), sigma_p=v),
+        lambda v: KalmanState(x_hat=v, p=1.0, q=1.0, r=1.0),
+        lambda v: KalmanState(x_hat=0.0, p=v, q=1.0, r=1.0),
+        lambda v: KalmanState(x_hat=0.0, p=1.0, q=v, r=1.0),
+        lambda v: KalmanState(x_hat=0.0, p=1.0, q=1.0, r=v), gaussian_kernel])
+    def test_constructors_reject(self, make, value):
+        with pytest.raises((ValueError, NonPositiveSigma)):
+            make(value)

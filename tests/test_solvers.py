@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from _synth import exact_distances, exact_weighted_position, random_scene_points
+from _synth import (exact_distances, exact_weighted_position, pseudo_inverse_weights,
+                    random_scene_points)
 from rssiloc import solvers
 from rssiloc.exceptions import (CollinearAnchors, DegenerateWeightsWarning,
                                 NoIntersection, NonPositiveDistance,
                                 NotPositiveDefinite, RankDeficient,
                                 TooFewAnchors)
-from rssiloc.solvers import (BiasTerms, DiagonalWeights, SOLVER_NAMES, WeightModel,
+from rssiloc.solvers import (BiasTerms, DiagonalWeights, SOLVER_NAMES,
                              bias_compensated_solve, build_bias_terms,
                              build_weights, estimate_position,
                              hyperbolic_solve, linearize, lls_solve,
@@ -150,16 +151,14 @@ class TestLls:
 
 
 class TestWeights:
-    def test_zero_noise_gives_zero_matrix(self):
+    def test_zero_noise_gives_an_unweighted_row(self):
         w = build_weights(TRIANGLE, TRIANGLE_D, 0.0, 0.0, 2.0)
-        np.testing.assert_array_equal(w.w, 0.0)
+        assert w.unweighted
+        np.testing.assert_array_equal(w.w, 1.0)
 
     def test_equal_variances_give_scaled_projector(self):
-        # equal per-anchor variance v: W = P diag(v) P = v P
-        pts = np.array([[100.0, 0.0], [0.0, 100.0], [-100.0, -100.0]])
-        k = (pts ** 2).sum(axis=1)
-        assert len(set(k)) < 3 or True
-        # equal distances and equal coordinates norms make variances equal
+        # equal distances and equal coordinate norms make the per-anchor
+        # variances equal, v: W = P diag(v) P = v P, so W+ = P / v
         pts = np.array([[100.0, 0.0], [-50.0, 86.602540378443865],
                         [-50.0, -86.602540378443865]])
         d = np.full(3, 200.0)
@@ -167,32 +166,35 @@ class TestWeights:
         sb2 = (2.0 * math.log(10.0) / 20.0) ** 2
         v = (4.0 * 9.0 * (9.0 + 100.0 ** 2)
              + 200.0 ** 4 * (math.exp(8 * sb2) - math.exp(4 * sb2)))
-        np.testing.assert_allclose(w.w, v * centering_projector(3), rtol=1e-12)
+        np.testing.assert_allclose(w.w, 1.0 / v, rtol=1e-12)
+        np.testing.assert_allclose(w.q_diag(), np.diag(centering_projector(3)) / v,
+                                   rtol=1e-12)
 
     def test_symmetric_zero_row_sums(self):
+        # W = P diag(var) P is symmetric with zero row sums, so W+ is
+        # symmetric and annihilates the ones vector: the normal matrix is
+        # symmetric, and a constant added to every rhs entry leaves
+        # A^T W+ b unchanged
         rng = np.random.default_rng(53)
         pts = random_scene_points(rng, 5)
         d = rng.uniform(50, 500, 5)
         w = build_weights(pts, d, rng.uniform(0, 5, 5), rng.uniform(0, 4, 5), 2.0)
-        np.testing.assert_allclose(w.w, w.w.T, atol=1e-18)
-        scale = np.abs(w.w).max()
-        np.testing.assert_allclose(w.w.sum(axis=1) / scale, 0.0, atol=1e-12)
+        assert not w.unweighted
+        system = linearize(pts, d)
+        normal, base = w.normal_equations(system.design, system.rhs)
+        _, shifted = w.normal_equations(system.design, system.rhs + 1e4)
+        assert normal[0, 1] == normal[1, 0]
+        np.testing.assert_allclose(shifted, base, atol=1e-9 * np.abs(base).max())
 
     def test_non_positive_distance(self):
         with pytest.raises(NonPositiveDistance):
             build_weights(TRIANGLE, [1.0, 0.0, 1.0], 1.0, 1.0, 2.0)
 
-    def test_weight_model_validates(self):
-        with pytest.raises(ValueError):
-            WeightModel(w=np.array([[0.0, 1.0], [0.0, 0.0]]))
-        with pytest.raises(ValueError):
-            WeightModel(w=np.array([[-1.0, 0.0], [0.0, 1.0]]))
-
 
 class TestWls:
     def test_identity_weights_match_lls(self):
         system = linearize(TRIANGLE, TRIANGLE_D)
-        est = wls_solve(system, WeightModel(w=np.eye(3)))
+        est = wls_solve(system, DiagonalWeights(np.ones(3)))
         np.testing.assert_allclose(est, lls_solve(system), atol=1e-12)
 
     def test_exact_distances_any_valid_weights(self):
@@ -218,16 +220,16 @@ class TestWls:
         pts = random_scene_points(rng, 4)
         d = rng.uniform(100, 500, 4)
         system = linearize(pts, d)
-        proj = centering_projector(4)
-        base = wls_solve(system, WeightModel(w=proj))
+        w = rng.uniform(0.1, 10.0, 4)
+        base = wls_solve(system, DiagonalWeights(w))
         for c in (1e-6, 3.0, 1e8):
-            scaled = wls_solve(system, WeightModel(w=c * proj))
+            scaled = wls_solve(system, DiagonalWeights(c * w))
             np.testing.assert_allclose(scaled, base, rtol=1e-9)
 
     def test_rank_deficient(self):
         pts = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
         with pytest.raises(RankDeficient):
-            wls_solve(linearize(pts, [1.0, 1.0, 1.0]), WeightModel(w=np.eye(3)))
+            wls_solve(linearize(pts, [1.0, 1.0, 1.0]), DiagonalWeights(np.ones(3)))
 
 
 class TestBiasTerms:
@@ -267,7 +269,7 @@ class TestBiasTerms:
         sigma_a = 3.0
         w = build_weights(pts, d, sigma_a, 2.0, 2.0)
         bias = build_bias_terms(pts, d, sigma_a, 2.0, 2.0, w)
-        w_inv = np.linalg.pinv(w.w, rcond=1e-10, hermitian=True)
+        w_inv = pseudo_inverse_weights(solvers._rhs_variance(pts, d, sigma_a, 2.0, 2.0))
         var = sigma_a ** 2
         ones = np.ones(m)
         t1 = var * np.trace(w_inv)                     # E[N1' W+ N1]
@@ -285,7 +287,7 @@ class TestBiasTerms:
         sigma_a = 3.0
         w = build_weights(pts, d, sigma_a, 2.0, 2.0)
         bias = build_bias_terms(pts, d, sigma_a, 2.0, 2.0, w)
-        w_inv = np.linalg.pinv(w.w, rcond=1e-10, hermitian=True)
+        w_inv = pseudo_inverse_weights(solvers._rhs_variance(pts, d, sigma_a, 2.0, 2.0))
         proj = centering_projector(m)
         q = proj @ w_inv @ proj
         trials = 200_000
@@ -342,7 +344,7 @@ class TestBiasCompensatedSolve:
 
     def test_not_positive_definite_detected(self):
         system = linearize(TRIANGLE, TRIANGLE_D)
-        w = WeightModel(w=np.eye(3))
+        w = DiagonalWeights(np.ones(3))
         huge = BiasTerms(L=np.eye(2) * 1e9, t=np.zeros(3), g=np.zeros(2),
                          u=0.1)
         with pytest.raises(NotPositiveDefinite):
@@ -399,7 +401,7 @@ class TestHyperbolic:
         pts = random_scene_points(rng, 5)
         d = rng.uniform(100, 500, 5)
         plain = hyperbolic_solve(pts, d)
-        floored = hyperbolic_solve(pts, d, sigma=0.0, eta=2.0, weighted=True)
+        floored = estimate_position("hyperbolic-w", pts, d, sigmas_p=0.0, eta=2.0)
         np.testing.assert_allclose(floored, plain, atol=1e-9)
 
     def test_weighted_differs_on_noisy_data(self):
@@ -408,7 +410,7 @@ class TestHyperbolic:
         target = rng.uniform(100, 300, 2)
         d = exact_distances(pts, target) * rng.uniform(0.8, 1.2, 5)
         plain = hyperbolic_solve(pts, d)
-        weighted = hyperbolic_solve(pts, d, sigma=2.0, eta=2.0, weighted=True)
+        weighted = estimate_position("hyperbolic-w", pts, d, sigmas_p=2.0, eta=2.0)
         assert np.linalg.norm(plain - weighted) > 1e-9
 
     def test_noiseless_recovery_both_variants(self):
@@ -417,10 +419,29 @@ class TestHyperbolic:
             pts = random_scene_points(rng, int(rng.integers(3, 6)))
             target = rng.uniform(20, 380, 2)
             d = exact_distances(pts, target)
-            for weighted in (False, True):
-                est = hyperbolic_solve(pts, d, sigma=2.0, eta=2.0,
-                                       weighted=weighted)
+            for solver in ("hyperbolic", "hyperbolic-w"):
+                est = estimate_position(solver, pts, d, sigmas_p=2.0, eta=2.0)
                 assert np.linalg.norm(est - target) < 1e-9
+
+    def test_weighted_is_wls_with_exact_anchors(self):
+        # Weighting the first-anchor differences by their lognormal
+        # covariance gives the wls estimate at sigma_a = 0, bit for bit.
+        rng = np.random.default_rng(109)
+        pts = random_scene_points(rng, 6)
+        d = rng.uniform(1.0, 500.0, (30, 6))
+        for sigmas_p in (2.0, rng.uniform(0.5, 4.0, 6)):
+            np.testing.assert_array_equal(
+                estimate_position("hyperbolic-w", pts, d, sigmas_a=7.0,
+                                  sigmas_p=sigmas_p, eta=2.5),
+                estimate_position("wls", pts, d, sigmas_a=0.0,
+                                  sigmas_p=float(np.mean(sigmas_p)), eta=2.5))
+
+    @pytest.mark.parametrize("solver", ["wls", "hyperbolic-w"])
+    @pytest.mark.parametrize("eta", [0.0, -1.0])
+    @pytest.mark.parametrize("sigma_p", [0.0, 2.0])
+    def test_weighted_solvers_reject_non_positive_eta(self, solver, eta, sigma_p):
+        with pytest.raises(ValueError, match="eta"):
+            estimate_position(solver, TRIANGLE, TRIANGLE_D, sigmas_p=sigma_p, eta=eta)
 
     def test_collinear_rank_deficient(self):
         pts = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
@@ -515,6 +536,9 @@ class TestDiagonalWeights:
         wls, bc, normal = exact_estimates(anchors, d, sigma_a, sigma_p)
         assume(np.linalg.cond(normal) < 1e6)  # clear of the fallback's edge
         assert_near_exact(anchors, d, sigma_a, sigma_p, wls, bc)
+        if sigma_a == 0.0:  # hyperbolic-w is wls with exact anchors
+            got = estimate_position("hyperbolic-w", anchors, d, sigmas_p=sigma_p, eta=2.0)
+            assert np.linalg.norm(got - wls) <= 1e-9 * np.linalg.norm(wls)
 
     def test_ranging_row_with_a_near_anchor(self):
         # Row 1126 of the ranging benchmark chain at seed 2: the target is
@@ -540,33 +564,33 @@ class TestDiagonalWeights:
         assert np.linalg.cond(normal) < 10.0 and bc is not wls
         assert_near_exact(anchors, d, 1.0, 2.0, wls, bc, rtol=1e-12)
 
-    def test_zero_variance_rows_keep_the_pseudo_inverse(self):
+    def test_rows_without_usable_variances_are_unweighted(self):
         rng = np.random.default_rng(71)
         anchors = random_scene_points(rng, 5)
         targets = rng.uniform(20.0, 380.0, (6, 2))
         d = np.array([exact_distances(anchors, t) for t in targets])
         d *= rng.uniform(0.9, 1.1, d.shape)
         d[2, 1] = 1e-90  # d^4 underflows: one zero variance
-        d[4] = 1e-90  # all variances zero: W is zero
+        d[4] = 1e-90  # all variances zero
         kw = dict(sigmas_a=0.0, sigmas_p=2.0, eta=2.0)
         for name in ("wls", "wls-bc"):
             with pytest.warns(DegenerateWeightsWarning) as caught:
                 batch = estimate_position(name, anchors, d, **kw)
-            assert len(caught) == 1, name
+            assert len(caught) == 2, name  # one per unweighted row
             for i, row in enumerate(d):
                 weights = build_weights(anchors, row, 0.0, 2.0, 2.0)
-                if i not in (2, 4):
-                    var = solvers._rhs_variance(anchors, row, 0.0, 2.0, 2.0)
-                    weights = DiagonalWeights(1.0 / var)
+                assert weights.unweighted == (i in (2, 4))
+                system = linearize(anchors, row)
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", DegenerateWeightsWarning)
-                    system = linearize(anchors, row)
                     if name == "wls":
                         want = wls_solve(system, weights)
                     else:
                         bias = build_bias_terms(anchors, row, 0.0, 2.0, 2.0, weights)
                         want = bias_compensated_solve(system, weights, bias)
                 np.testing.assert_array_equal(batch[i], want, err_msg=f"{name} row {i}")
+                if name == "wls" and i in (2, 4):  # W+ = P: ordinary LS
+                    np.testing.assert_allclose(want, lls_solve(system), rtol=1e-12)
 
     def test_closed_form_equals_pseudo_inverse_on_plain_rows(self):
         rng = np.random.default_rng(73)
@@ -574,9 +598,14 @@ class TestDiagonalWeights:
         d = rng.uniform(50.0, 500.0, (20, 6))
         var = solvers._rhs_variance(anchors, d, 1.5, 2.0, 2.0)
         system = linearize(anchors, d)
-        general = build_weights(anchors, d, 1.5, 2.0, 2.0)
-        closed = DiagonalWeights(1.0 / var)
-        np.testing.assert_allclose(closed.q_diag(), general.q_diag(), rtol=1e-9)
-        for got, want in zip(closed.normal_equations(system.design, system.rhs),
-                             general.normal_equations(system.design, system.rhs)):
-            np.testing.assert_allclose(got, want, rtol=1e-9)
+        closed = build_weights(anchors, d, 1.5, 2.0, 2.0)
+        assert not closed.unweighted.any()
+        w_inv = pseudo_inverse_weights(var)
+        proj = centering_projector(6)
+        np.testing.assert_allclose(
+            closed.q_diag(), np.diagonal(proj @ w_inv @ proj, axis1=-2, axis2=-1),
+            rtol=1e-9)
+        aw = system.design.T @ w_inv
+        want = aw @ system.design, (aw @ system.rhs[..., None])[..., 0]
+        for got, ref in zip(closed.normal_equations(system.design, system.rhs), want):
+            np.testing.assert_allclose(got, ref, rtol=1e-9)
