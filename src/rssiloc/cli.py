@@ -179,8 +179,12 @@ def _apply_filter(args, values: np.ndarray) -> np.ndarray:
 
 def cmd_filter(args) -> None:
     out, names = ingest.load_rssi_columns(args.input)
-    for name in names:
-        out[name] = _apply_filter(args, out[name])
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
+        for name in names:
+            out[name] = _apply_filter(args, out[name])
+    bad = [name for name in names if not np.isfinite(out[name]).all()]
+    if bad:
+        raise NumericalError(f"{args.filter} filter left non-finite values in {bad[0]}")
     _finish(args, [("filter", args.filter), ("columns_filtered", len(names)),
                    ("output", args.output)], data=out)
 
@@ -239,8 +243,7 @@ def _fit_model(args, ds, train_idx):
     y = ds.targets[train_idx]
     if args.model == "treeloc":
         model = ensemble.treeloc_fit(
-            x, y, rng_seed=args.seed, combiner_holdout=args.combiner_holdout,
-            shuffle=args.shuffle, tree_depth=args.max_depth,
+            x, y, rng_seed=args.seed, tree_depth=args.max_depth,
             forest_trees=args.n_trees, extra_trees=args.n_trees,
             min_leaf=args.min_leaf)
         if args.fixed_coefficients:
@@ -450,9 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--fixed-coefficients", action="store_true",
                          help="use the published reference combiner "
                               "instead of fitting it")
-        sub.add_argument("--combiner-holdout", type=float, default=0.0)
-        sub.add_argument("--shuffle", action="store_true",
-                         help="shuffle before the thirds partition")
         sub.add_argument("-i", "--input", required=True)
         sub.add_argument("-o", "--output", default=None)
         sub.add_argument("--report", default=None)

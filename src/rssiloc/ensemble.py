@@ -1,9 +1,9 @@
 """Stacked tree-ensemble position estimator.
 
 Three tree learners (extra trees, a single CART tree, a random forest) are
-each trained on one third of the dataset; their full-dataset predictions
-then feed a per-coordinate multiple linear regression that produces the
-final coordinate estimate:
+each trained on one contiguous third of the rows; their predictions on all
+the rows then feed a per-coordinate multiple linear regression that
+produces the final coordinate estimate:
 
     X = a1 + W1 * x_et + W2 * x_dt + W3 * x_rf    (and likewise for Y)
 
@@ -41,8 +41,9 @@ DEFAULT_EXTRA_TREES = 100
 class TreeLocModel:
     """Fitted stacking ensemble.
 
-    components hold the per-coordinate tree models in COMPONENT_NAMES
-    order; combiner_x / combiner_y are (intercept, w_et, w_dt, w_rf). mode
+    components are three pairs of tree models (one per coordinate), in
+    COMPONENT_NAMES order; predict raises TypeError on anything else.
+    combiner_x / combiner_y are (intercept, w_et, w_dt, w_rf). mode
     is "fitted" for OLS-derived combiners or "reference" for the published
     fixed coefficients.
     """
@@ -68,23 +69,20 @@ class TreeLocModel:
     @cached_property
     def _block(self):
         """One node block with the trees of the six per-coordinate component
-        models, and the tree index where each model's trees start; None
-        unless every component is a pair of tree models."""
+        models, and the tree index where each model's trees start."""
         pairs = [getattr(c, "models", ()) for c in self.components]
         models = [m for pair in pairs for m in pair]
         if ([len(pair) for pair in pairs] != [2, 2, 2]
                 or not all(isinstance(m, (Forest, RegressionTree)) for m in models)):
-            return None
+            raise TypeError("treeloc components must be three pairs of tree models")
         trees = [getattr(m, "trees", (m,)) for m in models]
         return _stack_trees(sum(trees, ())), np.cumsum([0] + [len(t) for t in trees])
 
     def component_predictions(self, features) -> np.ndarray:
-        """Stacked component outputs, shape (N, 3, 2). Tree components are
-        walked as one block; each model's mean over its own trees, in tree
-        order, gives the bits of its own predict."""
+        """Stacked component outputs, shape (N, 3, 2). The trees are walked
+        as one block; each model's mean over its own trees, in tree order,
+        gives the bits of its own predict."""
         x = np.atleast_2d(np.asarray(features, dtype=float))
-        if self._block is None:
-            return np.stack([m.predict(x) for m in self.components], axis=1)
         block, starts = self._block
         leaves = _leaf_values(block, x)
         # sum / count is np.mean's own arithmetic, without its overhead
@@ -131,60 +129,39 @@ def _ols_combiner(component_preds: np.ndarray, truth: np.ndarray) -> Tuple[float
 
 
 def treeloc_fit(features, targets, rng_seed: int = 0,
-                combiner_holdout: float = 0.0, shuffle: bool = False,
                 tree_depth: int = DEFAULT_TREE_DEPTH,
                 forest_trees: int = DEFAULT_FOREST_TREES,
                 extra_trees: int = DEFAULT_EXTRA_TREES,
                 min_leaf: int = 1) -> TreeLocModel:
-    """Fit the stacking ensemble.
+    """Fit the stacking ensemble: contiguous thirds; combiner on all rows.
 
-    The dataset is partitioned into three contiguous thirds (pass
-    shuffle=True for a seeded random partition): extra trees train on the
-    first, the CART tree on the second, the random forest on the third.
-    Each component then predicts the combiner fitting set, which is the
-    full dataset unless combiner_holdout reserves a trailing fraction for
-    the combiner regression only. The per-coordinate combiners come from
-    OLS of the actual coordinates on (1, components), using the
-    pseudo-inverse so collinear component outputs still yield finite
-    coefficients.
+    Extra trees train on the first third of the rows, the CART tree on the
+    second, the random forest on the third. Each component then predicts
+    every row, and the per-coordinate combiners come from OLS of the actual
+    coordinates on (1, components), using the pseudo-inverse so collinear
+    component outputs still yield finite coefficients.
     """
     x = np.asarray(features, dtype=float)
     y = np.asarray(targets, dtype=float)
-    n = len(x)
-    if n < 6:
-        raise TooFewSamples(f"need at least 6 samples, got {n}")
-    if not 0.0 <= combiner_holdout < 1.0:
-        raise ValueError("combiner_holdout must be in [0, 1)")
+    if len(x) < 6:
+        raise TooFewSamples(f"need at least 6 samples, got {len(x)}")
 
-    order = np.arange(n)
-    if shuffle:
-        order = np.random.default_rng(rng_seed).permutation(n)
-
-    n_hold = int(round(n * combiner_holdout))
-    if n_hold > 0:
-        fit_rows, comb_rows = order[:-n_hold], order[-n_hold:]
-    else:
-        fit_rows, comb_rows = order, order
-    if len(fit_rows) < 6:
-        raise TooFewSamples("holdout leaves too few samples for the components")
-
-    s1, s2, s3 = _thirds(len(fit_rows))
-    et = fit_extra_trees(x[fit_rows[s1]], y[fit_rows[s1]], n_trees=extra_trees,
+    s1, s2, s3 = _thirds(len(x))
+    et = fit_extra_trees(x[s1], y[s1], n_trees=extra_trees,
                          max_depth=tree_depth, min_leaf=min_leaf,
                          rng_seed=rng_seed)
-    dt = fit_tree(x[fit_rows[s2]], y[fit_rows[s2]], max_depth=tree_depth,
+    dt = fit_tree(x[s2], y[s2], max_depth=tree_depth,
                   min_leaf=min_leaf, rng_seed=rng_seed)
-    rf = fit_forest(x[fit_rows[s3]], y[fit_rows[s3]], n_trees=forest_trees,
+    rf = fit_forest(x[s3], y[s3], n_trees=forest_trees,
                     max_depth=tree_depth, min_leaf=min_leaf,
                     rng_seed=rng_seed)
 
     components = (et, dt, rf)
     # Walked as one block by a model that is then dropped: the components
     # keep no node blocks of their own, which the fitted model would repeat.
-    preds = TreeLocModel(components, (0.0,) * 4, (0.0,) * 4).component_predictions(
-        x[comb_rows])
-    combiner_x = _ols_combiner(preds[:, :, 0], y[comb_rows, 0])
-    combiner_y = _ols_combiner(preds[:, :, 1], y[comb_rows, 1])
+    preds = TreeLocModel(components, (0.0,) * 4, (0.0,) * 4).component_predictions(x)
+    combiner_x = _ols_combiner(preds[:, :, 0], y[:, 0])
+    combiner_y = _ols_combiner(preds[:, :, 1], y[:, 1])
     return TreeLocModel(components=components, combiner_x=combiner_x,
                         combiner_y=combiner_y, mode="fitted",
                         rng_seed=rng_seed)
@@ -194,8 +171,8 @@ def treeloc_reference(components: Optional[Tuple[object, object, object]] = None
                       ) -> TreeLocModel:
     """Ensemble with the published fixed combiner coefficients.
 
-    Components may be omitted when only the combiner arithmetic is needed
-    (predict then requires calling :meth:`TreeLocModel.combine` directly).
+    Components may be omitted when only the combiner arithmetic is needed:
+    :meth:`TreeLocModel.combine` works, predict raises TypeError.
     """
     return TreeLocModel(components=components or (None, None, None),
                         combiner_x=REFERENCE_COMBINER_X,

@@ -1,9 +1,11 @@
 """1-D RSSI signal conditioning.
 
-All filters preserve the input length and leave constant signals unchanged.
-Edge policies: the moving average uses a shrinking causal warm-up window,
-the median filter clamps window indices to the signal range, and the
-Gaussian filter renormalizes its kernel over the in-range taps.
+All filters preserve the input length and leave constant signals of any
+finite level unchanged, bit for bit. Edge policies: the moving average uses
+a shrinking causal warm-up window, the median filter clamps window indices
+to the signal range, and the Gaussian filter renormalizes its kernel over
+the in-range taps. Median half widths and Gaussian radii stop at
+len(signal) - 1, past which no tap reaches the signal.
 """
 
 from __future__ import annotations
@@ -39,13 +41,14 @@ def moving_average(signal: Sequence[float], window: int) -> np.ndarray:
     n = int(window)
     if n < 1:
         raise ZeroWindow("window must be >= 1")
-    csum = np.cumsum(arr)
+    # Sums of the offsets from the first sample: a constant sums to zero.
+    csum = np.cumsum(arr - arr[0])
     out = np.empty_like(arr)
     head = min(n, arr.size)
     out[:head] = csum[:head] / np.arange(1, head + 1)
     if arr.size > n:
         out[n:] = (csum[n:] - csum[:-n]) / n
-    return out
+    return out + arr[0]
 
 
 def median_filter(signal: Sequence[float], half_width: int) -> np.ndarray:
@@ -53,12 +56,14 @@ def median_filter(signal: Sequence[float], half_width: int) -> np.ndarray:
 
     Window indices are clamped to the signal range (nearest-sample edge
     policy), which keeps the window length odd and every output value a
-    member of its window.
+    member of its window. Past len(signal) - 1, each step of half width only
+    adds a first and a last sample, which straddle the median.
     """
     arr = _as_signal(signal)
     t = int(half_width)
     if t < 0:
         raise ValueError("half_width must be >= 0")
+    t = min(t, arr.size - 1)
     idx = np.arange(arr.size)[:, None] + np.arange(-t, t + 1)[None, :]
     np.clip(idx, 0, arr.size - 1, out=idx)
     return np.median(arr[idx], axis=1)
@@ -74,7 +79,8 @@ def gaussian_kernel(sigma: float, radius: Optional[int] = None) -> np.ndarray:
     if radius is None:
         radius = math.ceil(3.0 * sigma)
     k = np.arange(-radius, radius + 1, dtype=float)
-    kernel = np.exp(-(k ** 2) / (2.0 * sigma ** 2))
+    with np.errstate(over="ignore"):  # sigma ** 2 = inf gives the flat kernel
+        kernel = np.exp(-(k ** 2) / (2.0 * np.float64(sigma) ** 2))
     return kernel / kernel.sum()
 
 
@@ -82,14 +88,16 @@ def gaussian_filter(signal: Sequence[float], sigma: float) -> np.ndarray:
     """Convolve with a discrete Gaussian, renormalizing at the boundaries.
 
     Near the edges the kernel is renormalized over the taps that fall
-    inside the signal, so constants pass through unchanged everywhere.
+    inside the signal. Each output, a weighted mean of samples, is kept in
+    the signal's range, which passes constants through exactly.
     """
     arr = _as_signal(signal)
-    kernel = gaussian_kernel(sigma)
+    kernel = gaussian_kernel(sigma, math.ceil(min(3.0 * sigma, arr.size - 1)))
     # Full convolution cut to the signal's span: mode="same" returns
     # max(len(arr), len(kernel)) samples when the kernel is the longer one.
     span = slice(len(kernel) // 2, len(kernel) // 2 + arr.size)
-    return np.convolve(arr, kernel)[span] / np.convolve(np.ones_like(arr), kernel)[span]
+    out = np.convolve(arr, kernel)[span] / np.convolve(np.ones_like(arr), kernel)[span]
+    return np.clip(out, arr.min(), arr.max())
 
 
 @dataclass(frozen=True)
@@ -135,13 +143,14 @@ def kalman_filter(signal: Sequence[float], q: float = KALMAN_DEFAULT_Q,
 
     Defaults: x0 is the first sample and r is the sample variance of the
     first 10 measurements, falling back to 4.0 when that variance is not
-    usable (fewer than two samples, or zero).
+    usable (fewer than two samples, zero, or overflowed).
     """
     arr = _as_signal(signal)
     if r is None:
         head = arr[:10]
-        r = float(np.var(head, ddof=1)) if head.size >= 2 else 0.0
-        if r <= 0.0:
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = float(np.var(head, ddof=1)) if head.size >= 2 else 0.0
+        if not 0.0 < r < math.inf:
             r = KALMAN_FALLBACK_R
     state = KalmanState(x_hat=arr[0] if x0 is None else x0, p=p0, q=q, r=r)
     out = np.empty_like(arr)

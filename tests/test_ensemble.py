@@ -114,15 +114,6 @@ class TestTreelocFit:
         np.testing.assert_allclose(permuted.predict(rssi),
                                    model.predict(rssi), atol=1e-12)
 
-    def test_combiner_holdout_and_shuffle_modes(self):
-        rssi, targets, _, _ = regression_testbed(8, n=120)
-        held = treeloc_fit(rssi, targets, rng_seed=2, combiner_holdout=0.2,
-                           shuffle=True, forest_trees=4, extra_trees=4)
-        assert held.predict(rssi).shape == (120, 2)
-        again = treeloc_fit(rssi, targets, rng_seed=2, combiner_holdout=0.2,
-                            shuffle=True, forest_trees=4, extra_trees=4)
-        np.testing.assert_array_equal(held.predict(rssi), again.predict(rssi))
-
     def test_predict_alias(self):
         rssi, targets, _, _ = regression_testbed(9, n=60)
         model = treeloc_fit(rssi, targets, rng_seed=0, forest_trees=3,

@@ -106,6 +106,15 @@ RECORDS = [(record, layout, list(json_paths(record)))
            for record, layout in model_records()]
 
 
+def treeloc_with_linear_component():
+    """A treeloc record whose first component is a saved linear record."""
+    treeloc, linear = RECORDS[4][0], RECORDS[0][0]
+    assert (treeloc["kind"], linear["kind"]) == ("treeloc", "linear")
+    record = copy.deepcopy(treeloc)
+    record["parameters"]["components"][0] = linear
+    return json.dumps(record), "regression"
+
+
 @st.composite
 def broken_records(draw):
     """A saved model with one value deleted or replaced by any JSON value."""
@@ -216,6 +225,7 @@ class TestContract:
                                "kind": "linear", "hyperparameters": {},
                                "parameters": {}}), "regression"))
     @example(case=("[1, 2]", "regression"))
+    @example(case=treeloc_with_linear_component())
     def test_malformed_model_file(self, files, case):
         text, layout = case
         path = files["root"] / "model.json"

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rssiloc.exceptions import EmptySignal, NonPositiveSigma, ZeroWindow
 from rssiloc.filters import (KalmanState, gaussian_filter, gaussian_kernel,
@@ -163,3 +163,39 @@ class TestVarianceReduction:
                     gaussian_filter(sig, 2.0), kalman_filter(sig, q=0.0)):
             assert len(out) == 50
             np.testing.assert_allclose(out, -42.0)
+
+
+class TestExtremeLevelsAndWidths:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 30), level=st.floats(-1.7e308, 1.7e308),
+           width=st.integers(0, 40), sigma=st.floats(0.05, 1e12))
+    @example(n=3, level=1e308, width=5, sigma=1.0)
+    @example(n=12, level=-1.7e308, width=3, sigma=2.0)
+    def test_constants_pass_through_exactly(self, n, level, width, sigma):
+        sig = np.full(n, level)
+        for out in (moving_average(sig, width + 1), median_filter(sig, width),
+                    gaussian_filter(sig, sigma), kalman_filter(sig)):
+            assert np.array_equal(out, sig)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(sig=st.lists(st.floats(-1e6, 1e6) | st.sampled_from([-200.0, -60.0, 0.0]),
+                        min_size=1, max_size=30),
+           extra=st.integers(0, 40))
+    def test_half_widths_past_the_signal_are_exact(self, sig, extra):
+        # the uncut clamped window, built here, against the cut one
+        t = len(sig) - 1 + extra
+        idx = np.clip(np.arange(len(sig))[:, None] + np.arange(-t, t + 1), 0, len(sig) - 1)
+        assert np.array_equal(median_filter(sig, t), np.median(np.array(sig)[idx], axis=1))
+        assert np.array_equal(median_filter(sig, 10 ** 12), median_filter(sig, len(sig) - 1))
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(sig=st.lists(st.floats(-120.0, 0.0), min_size=1, max_size=30),
+           sigma=st.floats(0.05, 60.0))
+    def test_gaussian_radius_past_the_signal_barely_moves(self, sig, sigma):
+        # the uncut kernel, renormalized over the in-range taps
+        kernel = gaussian_kernel(sigma)
+        span = slice(len(kernel) // 2, len(kernel) // 2 + len(sig))
+        want = (np.convolve(sig, kernel)[span]
+                / np.convolve(np.ones(len(sig)), kernel)[span])
+        np.testing.assert_allclose(gaussian_filter(sig, sigma), want, rtol=2e-15)
+        assert np.isfinite(gaussian_filter(sig, 1e12)).all()

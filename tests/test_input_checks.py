@@ -1,0 +1,176 @@
+"""Input checks of the library and CLI branches that no other test
+reaches: each bad input raises, or exits 2 or 3, with its own message, and
+the good paths beside them exit 0."""
+
+import numpy as np
+import pytest
+
+from _synth import beacon_dataset, regression_testbed
+from rssiloc import filters, learners, metrics, solvers
+from rssiloc.core import PathLossParams
+from rssiloc.exceptions import CollinearAnchors, EmptyDataset, ShapeMismatch
+from rssiloc.cli import main
+from rssiloc.ingest import format_number
+
+X = np.arange(12.0).reshape(6, 2)
+ONE_HOT = learners.one_hot_encode([0, 1, 1], 2)
+
+
+def record(version):
+    return {"format": learners.MODEL_FORMAT, "version": version, "kind": "linear",
+            "hyperparameters": {}, "parameters": {}}
+
+
+def mlp_train(**kwargs):
+    net = learners.MlpModel.create(sizes=(2, 3, 2))
+    return learners.mlp_train(net, X[:3], ONE_HOT, epochs=1, **kwargs)
+
+
+LIBRARY_CHECKS = {
+    "model version": (lambda: learners.model_from_dict(record(99)),
+                      ValueError, "unsupported model version 99"),
+    "forest size": (lambda: learners.fit_forest(X, X[:, 0], n_trees=0),
+                    ValueError, "n_trees"),
+    "mlp rate": (lambda: mlp_train(lr=-0.1), ValueError, "learning rate"),
+    "mlp batch": (lambda: mlp_train(batch_size=0), ValueError, "batch_size"),
+    "mlp holdout": (lambda: mlp_train(test_fraction=1.0), EmptyDataset,
+                    "no training samples"),
+    "mlp empty": (lambda: learners.mlp_train(learners.MlpModel.create(sizes=(2, 3, 2)),
+                                             X[:0], ONE_HOT[:0]),
+                  EmptyDataset, "no training samples"),
+    "mlp batch shape": (lambda: learners.mlp_backprop(learners.MlpModel.create(
+        sizes=(2, 3, 2)), X[:3], ONE_HOT[:, :1]), ShapeMismatch, "batch shapes"),
+    "tree empty": (lambda: learners.fit_tree(X[:0], X[:0, 0]), EmptyDataset,
+                   "no training samples"),
+    "polynomial empty": (lambda: learners.fit_polynomial(X[:0], X[:0], degree=2),
+                         EmptyDataset, "no training samples"),
+    "regression empty": (lambda: learners.RegressionDataset(np.empty((0, 2)),
+                                                            np.empty((0, 2))),
+                         EmptyDataset, "empty"),
+    "regression rows": (lambda: learners.RegressionDataset(X, X[:5]),
+                        ShapeMismatch, "disagree"),
+    "regression finite": (lambda: learners.RegressionDataset(X, X * np.nan),
+                          ValueError, "non-finite"),
+    "classification empty": (lambda: learners.ClassificationDataset(
+        np.empty((0, 2)), np.empty(0), np.empty((0, 2))), EmptyDataset, "empty"),
+    "classification one-hot": (lambda: learners.ClassificationDataset(
+        X[:3], np.zeros(3), ONE_HOT * 2), ValueError, "one-hot"),
+    "system centred": (lambda: solvers.LinearSystem(X[:3] + 1.0, np.zeros(3)),
+                       ValueError, "not centered"),
+    "system rhs": (lambda: solvers.LinearSystem(X[:3] - X[:3].mean(axis=0),
+                                                np.array([0.0, np.inf, 0.0])),
+                   ValueError, "non-finite rhs"),
+    "trilaterate radii": (lambda: solvers.trilaterate([[0, 0], [4, 0], [0, 3]],
+                                                      [1.0, -1.0, 1.0]),
+                          ValueError, "radii"),
+    "trilaterate anchors": (lambda: solvers.trilaterate([[1, 1], [1, 1], [0, 3]],
+                                                        [1.0, 1.0, 1.0]),
+                            CollinearAnchors, "coincide"),
+    "linearize lengths": (lambda: solvers.linearize(X[:3], [1.0, 2.0]),
+                          ValueError, "length"),
+    "confusion square": (lambda: metrics.ConfusionMatrix(np.ones((2, 3)), ("a", "b")),
+                         ValueError, "square"),
+    "confusion counts": (lambda: metrics.ConfusionMatrix(-np.eye(2), ("a", "b")),
+                         ValueError, ">= 0"),
+    "metrics 3-D": (lambda: metrics.regression_metrics(np.ones((2, 2, 2)),
+                                                       np.ones((2, 2, 2))),
+                    ValueError, "1-D series"),
+    "polynomial degree": (lambda: learners.polynomial_features(X, degree=0),
+                          ValueError, "degree"),
+    "signal 2-D": (lambda: filters.moving_average(X, 3), ValueError, "1-D"),
+    "shadowing": (lambda: PathLossParams(sigma_shadow=-1.0), ValueError, "shadowing"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", LIBRARY_CHECKS.values(),
+                         ids=LIBRARY_CHECKS.keys())
+def test_library_check_raises(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+ANCHORS = "0,0;400,0;200,300"
+
+
+@pytest.fixture(scope="module")
+def paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("checks")
+    rssi, targets, _, _ = regression_testbed(5, n=30)
+    features, labels, _ = beacon_dataset(3, n=24)
+    out = {"root": root, "out": root / "out.csv", "reg": root / "reg.csv",
+           "beacons": root / "beacons.csv", "cfg": root / "run.cfg",
+           "bad_bool": root / "bad_bool.cfg", "tree1d": root / "tree1d.json",
+           "knn": root / "knn.json"}
+    out["reg"].write_text("RSSI1,RSSI2,RSSI3,X_Actual,Y_Actual\n" + "".join(
+        ",".join(map(format_number, (*r, *t))) + "\n" for r, t in zip(rssi, targets)))
+    out["beacons"].write_text(
+        "location," + ",".join(f"b{3000 + i}" for i in range(1, 14)) + "\n" + "".join(
+            f"{'BL'[z // 2]}{'05' if z % 2 == 0 else '12'},"
+            + ",".join(map(format_number, f)) + "\n" for f, z in zip(features, labels)))
+    out["cfg"].write_text("# comment and blank line first\n\nseed = 3\n")
+    out["bad_bool"].write_text("include-cross-term = maybe\n")
+    learners.save_model(learners.fit_tree(rssi, targets[:, 0], max_depth=2), out["tree1d"])
+    learners.save_model(learners.fit_knn(features, labels, k=3, n_classes=4), out["knn"])
+    return out
+
+
+LOCATE = ["locate", "--solver", "wls-bc", "--anchors", ANCHORS, "--sigma-a", "5",
+          "--sigma-p", "2", "-i", "{reg}", "-o", "{out}"]
+CLI_CASES = {
+    "anchor spec": (["simulate", "--anchors", "0,0;400", "-o", "{out}"], 2,
+                    "bad anchor spec"),
+    "anchor coordinates": (["simulate", "--anchors", "0,0;a,1;9,9", "-o", "{out}"], 2,
+                           "bad anchor coordinates"),
+    "anchors missing": (["simulate", "-o", "{out}"], 2, "anchors required"),
+    "bounds": (["simulate", "--anchors", ANCHORS, "--bounds", "0,0,400,300",
+                "--positions", "2", "-o", "{out}"], 0, ""),
+    "bounds count": (["simulate", "--anchors", ANCHORS, "--bounds", "0,0,400",
+                      "-o", "{out}"], 2, "bounds must be"),
+    "treeloc shuffle": (["treeloc", "--shuffle", "-i", "{reg}"], 2,
+                        "unrecognized arguments: --shuffle"),
+    "treeloc holdout": (["treeloc", "--combiner-holdout", "0.2", "-i", "{reg}"], 2,
+                        "unrecognized arguments: --combiner-holdout 0.2"),
+    "knn k": (["fit", "--model", "knn", "--k", "50", "-i", "{beacons}"], 2, "k="),
+    "model unreadable": (["predict", "--model-file", "{root}/missing.json",
+                          "-i", "{reg}", "-o", "{out}"], 3, "cannot read model"),
+    "knn model": (["predict", "--model-file", "{knn}", "-i", "{beacons}",
+                   "-o", "{out}"], 0, ""),
+    "model output": (["predict", "--model-file", "{tree1d}", "-i", "{reg}",
+                      "-o", "{out}"], 3, "does not predict x and y"),
+    "poly fit with config": (["fit", "--model", "poly", "--degree", "2", "-i", "{reg}",
+                              "--config", "{cfg}"], 0, ""),
+    "mlp fit": (["fit", "--model", "mlp", "--epochs", "1", "-i", "{beacons}"], 0, ""),
+    "evaluate inputs": (["evaluate", "--actual", "{reg}"], 2, "evaluate needs"),
+    "config path": ([*LOCATE, "--config"], 2, "requires a file path"),
+    "config subcommand": (["--config", "{cfg}"], 2, "needs a subcommand"),
+    "config unknown subcommand": (["bogus", "--config", "{cfg}"], 2,
+                                  "unknown subcommand 'bogus'"),
+    "config unreadable": ([*LOCATE, "--config", "{root}/missing.cfg"], 2,
+                          "cannot read config"),
+    "config boolean": ([*LOCATE, "--config", "{bad_bool}"], 2, "must be boolean"),
+}
+
+
+@pytest.mark.parametrize("argv, code, message", CLI_CASES.values(), ids=CLI_CASES.keys())
+def test_cli_branch_exit_code(paths, capsys, argv, code, message):
+    try:
+        got = main([arg.format(**paths) for arg in argv])
+    except SystemExit as exc:  # argparse's usage errors
+        got = exc.code
+    err = capsys.readouterr().err
+    assert got == code, err
+    assert message in err and "Traceback" not in err
+
+
+def test_boolean_config_keys_equal_their_flag(paths, capsys):
+    def locate(*extra):
+        assert main([arg.format(**paths) for arg in LOCATE] + list(extra)) == 0
+        return paths["out"].read_bytes(), capsys.readouterr().out
+
+    with_flag, without = locate("--include-cross-term"), locate()
+    assert with_flag != without
+    cfg = paths["root"] / "bool.cfg"
+    for value, want in [("true", with_flag), ("Yes", with_flag), ("1", with_flag),
+                        ("false", without), ("no", without), ("0", without)]:
+        cfg.write_text(f"include-cross-term = {value}\n")
+        assert locate("--config", str(cfg)) == want

@@ -207,3 +207,35 @@ class TestNonFiniteParameters:
     def test_constructors_reject(self, make, value):
         with pytest.raises((ValueError, NonPositiveSigma)):
             make(value)
+
+
+class TestFilterExtremes:
+    def write(self, tmp_path, column):
+        path = tmp_path / "in.csv"
+        path.write_text("RSSI1,RSSI2,RSSI3,X_Actual,Y_Actual\n"
+                        + "".join(f"{v},-6{i},-61,1,2\n" for i, v in enumerate(column)))
+        return path
+
+    @pytest.mark.parametrize("flt", ["ma", "kalman"])
+    def test_huge_constant_column_passes_through(self, tmp_path, capsys, flt):
+        out = tmp_path / "out.csv"
+        code = main(["filter", "--filter", flt, "-i", str(self.write(tmp_path, ["1e308"] * 3)),
+                     "-o", str(out)])
+        assert code == 0, capsys.readouterr().err
+        assert list(load_series_csv(out, ["RSSI1"])["RSSI1"]) == [1e308] * 3
+
+    @pytest.mark.parametrize("flags", [["gaussian", "--sigma", "1e12"],
+                                       ["gaussian", "--sigma", "1e200"],
+                                       ["median", "--half-width", "1000000000000"]])
+    def test_huge_widths_exit_0(self, tmp_path, capsys, flags):
+        code = main(["filter", "--filter", *flags, "-o", str(tmp_path / "out.csv"),
+                     "-i", str(self.write(tmp_path, ["-60", "-70", "-65"]))])
+        assert code == 0, capsys.readouterr().err
+
+    def test_non_finite_output_exits_4(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        code = main(["filter", "--filter", "ma", "-o", str(out),
+                     "-i", str(self.write(tmp_path, ["1e308", "-1e308", "1e308"]))])
+        err = capsys.readouterr().err
+        assert code == 4 and "non-finite values in RSSI1" in err
+        assert "Traceback" not in err and not out.exists()

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rssiloc import learners, load_model, treeloc_fit
+from rssiloc import learners, load_model, treeloc_fit, treeloc_reference
 from rssiloc.cli import main
 from rssiloc.ensemble import TreeLocModel
 from rssiloc.learners import (MODEL_VERSION, Forest, PairedRegressor,
@@ -170,14 +170,29 @@ def test_block_walk_on_components_of_different_depths(data, max_depths, n_trees,
         check_block_walk(model, x, monkeypatch)
 
 
-def test_components_other_than_tree_pairs_predict_one_by_one():
-    x, y = np.arange(40.0).reshape(20, 2) % 7, np.arange(40.0).reshape(20, 2) % 5
+def test_components_other_than_tree_pairs_are_rejected(tmp_path, capsys):
+    x, y = np.arange(60.0).reshape(20, 3) % 7, np.arange(40.0).reshape(20, 2) % 5
     trees = fit_tree(x, y, max_depth=3)
-    model = TreeLocModel(components=(learners.fit_linear(x, y), trees, trees),
-                         combiner_x=(0.5, 1.0, 2.0, 3.0), combiner_y=(-0.5, 3.0, 2.0, 1.0))
-    assert model._block is None
-    assert np.array_equal(model.predict(x), component_reference(model, x))
-    assert np.array_equal(model.predict(x[3]), component_reference(model, x[3]))
+    data = tmp_path / "data.csv"
+    data.write_text("RSSI1,RSSI2,RSSI3,X_Actual,Y_Actual\n"
+                    + "".join(",".join(map(str, row)) + "\n" for row in np.hstack([x, y])))
+    out = tmp_path / "out.csv"
+    for other in (learners.fit_linear(x, y), fit_forest(x, y[:, 0], n_trees=2)):
+        model = TreeLocModel(components=(other, trees, trees),
+                             combiner_x=(0.5, 1.0, 2.0, 3.0), combiner_y=(-0.5, 3.0, 2.0, 1.0))
+        for rows in (x, x[3]):
+            with pytest.raises(TypeError, match="three pairs of tree models"):
+                model.predict(rows)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model_to_dict(model)))
+        code = main(["predict", "--model-file", str(path), "-i", str(data), "-o", str(out)])
+        err = capsys.readouterr().err
+        assert code == 3 and "three pairs of tree models" in err
+        assert "Traceback" not in err and not out.exists()
+    reference = treeloc_reference()
+    with pytest.raises(TypeError, match="three pairs of tree models"):
+        reference.predict(x)
+    assert reference.combine([1.0, 1.0, 1.0], [0.0, 0.0, 0.0]).shape == (2,)
 
 
 def test_block_walk_rejects_rows_too_short_for_the_splits():
