@@ -29,7 +29,8 @@ from .metrics import (ClassificationReport, ConfusionMatrix,
                       RegressionMetrics, classification_metrics,
                       confusion_matrix, regression_metrics)
 from .radio import (NoiseSpec, distance_from_rssi, measure_once,
-                    rssi_from_distance, synthesize_measurements)
+                    measure_targets, rssi_from_distance,
+                    synthesize_measurements)
 from .solvers import (BiasTerms, DiagonalWeights, LinearSystem, SOLVER_NAMES,
                       bias_compensated_solve, build_bias_terms, build_weights,
                       estimate_position, hyperbolic_solve, linearize,

@@ -36,7 +36,7 @@ from .core import Anchor, PathLossParams, Position, Scene, validate_scene
 from .exceptions import (DegenerateWeightsWarning, EmptySignal, IngestError,
                          KTooLarge, LearnerError, MetricError, NumericalError,
                          RssilocError, SceneError, SignalError)
-from .radio import NoiseSpec, distance_from_rssi, measure_once
+from .radio import NoiseSpec, distance_from_rssi, measure_targets
 
 DEFAULT_SEED = 42
 
@@ -152,18 +152,15 @@ def cmd_simulate(args) -> None:
     pos_rng = np.random.default_rng(
         np.random.SeedSequence(entropy=args.seed, spawn_key=(2 ** 31,)))
     xmin, ymin, xmax, ymax = scene.bounds
-    targets = [Position(pos_rng.uniform(xmin, xmax), pos_rng.uniform(ymin, ymax))
-               for _ in range(args.positions)]
-    # Trial t draws from its own seed substream, whatever runs before it.
-    rows = [(measure_once(scene, target, params, noise, t)[1].values(), target)
-            for t, target in enumerate(p for p in targets for _ in range(args.samples))]
+    positions, samples = max(args.positions, 0), max(args.samples, 0)  # < 1: no rows
+    targets = pos_rng.uniform((xmin, ymin), (xmax, ymax), size=(positions, 2))
+    # Row t draws from trial t's seed substream, whatever runs before it.
+    rssi = measure_targets(scene, targets, params, noise, samples)
     m = len(scene.anchors)
-    columns: Dict[str, list] = {f"RSSI{i + 1}": [rssi[i] for rssi, _ in rows]
-                                for i in range(m)}
-    columns["X_Actual"] = [target.x for _, target in rows]
-    columns["Y_Actual"] = [target.y for _, target in rows]
+    columns: Dict[str, np.ndarray] = {f"RSSI{i + 1}": rssi[:, i] for i in range(m)}
+    columns["X_Actual"], columns["Y_Actual"] = np.repeat(targets, samples, axis=0).T
     _finish(args, [("anchors", m), ("positions", args.positions),
-                   ("samples", args.samples), ("rows", len(rows)),
+                   ("samples", args.samples), ("rows", len(rssi)),
                    ("output", args.output)], data=columns)
 
 

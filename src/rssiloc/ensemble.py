@@ -20,7 +20,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .exceptions import TooFewSamples
+from .exceptions import ShapeMismatch, TooFewSamples
 from .learners import (Forest, RegressionTree, fit_extra_trees, fit_forest,
                        fit_tree, model_from_dict, model_to_dict,
                        register_model_kind, _leaf_values, _stack_trees, _wrap)
@@ -143,6 +143,8 @@ def treeloc_fit(features, targets, rng_seed: int = 0,
     """
     x = np.asarray(features, dtype=float)
     y = np.asarray(targets, dtype=float)
+    if y.shape != (len(x), 2):
+        raise ShapeMismatch(f"targets must have shape ({len(x)}, 2), got {y.shape}")
     if len(x) < 6:
         raise TooFewSamples(f"need at least 6 samples, got {len(x)}")
 

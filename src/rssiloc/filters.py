@@ -80,7 +80,9 @@ def gaussian_kernel(sigma: float, radius: Optional[int] = None) -> np.ndarray:
         radius = math.ceil(3.0 * sigma)
     k = np.arange(-radius, radius + 1, dtype=float)
     with np.errstate(over="ignore"):  # sigma ** 2 = inf gives the flat kernel
-        kernel = np.exp(-(k ** 2) / (2.0 * np.float64(sigma) ** 2))
+        two_var = 2.0 * np.float64(sigma) ** 2
+        # Below sigma ~1.5e-162, two_var underflows to 0: the limit is the identity.
+        kernel = np.exp(-(k ** 2) / two_var) if two_var else (k == 0.0) * 1.0
     return kernel / kernel.sum()
 
 

@@ -9,13 +9,21 @@ rule.
 
 Loaders never drop rows silently: a cell that is not a finite number, or
 a row shorter than the header, raises MalformedNumber naming its line in
-the file. :func:`load_rssi_columns` reads a file for the filter step: its
-RSSI columns as floats, checked the same way, and every other column as
-raw strings. A file that cannot be read or decoded raises IoFailure.
+the file. The numeric columns a loader needs are parsed into one float
+block with ``float()`` per cell and checked with one ``np.isfinite`` over
+the block; only a block that fails is scanned again cell by cell, row by
+row, to name its first bad cell. :func:`load_rssi_columns` reads a file
+for the filter step: its RSSI columns as floats, checked the same way, and
+every other column as raw strings. A file that cannot be read or decoded
+raises IoFailure.
+
 Every file is written by :func:`write_text`, atomically (temp file plus
 rename); it also writes reports and saved models. :func:`write_csv`
-formats floats with 17 significant digits so a write/load round trip is
-bit exact.
+formats a table row by row with one ``%``-format string built from its
+columns' kinds: floats with 17 significant digits, so a write/load round
+trip is bit exact, then ints, bools and text. Its bytes are those of
+``csv.writer``; a text column (or the header) goes through ``csv`` quoting
+only when one scan finds a cell that may need it.
 """
 
 from __future__ import annotations
@@ -87,6 +95,13 @@ def _parse_block(path, header, rows, lines, names) -> np.ndarray:
         if name not in index:
             raise MissingColumn(f"{path}: missing column {name!r}")
     cells = [(index[name], name) for name in names]
+    try:
+        block = np.array([[float(row[i]) for i, _ in cells] for row in rows], dtype=float)
+        if np.isfinite(block).all():
+            return block.reshape(len(rows), len(names))
+    except ValueError:
+        pass
+    # A bad cell: scan again, row by row and cell by cell, to name the first.
     return np.array([[_parse_float(row[i], line, name) for i, name in cells]
                      for row, line in zip(rows, lines)],
                     dtype=float).reshape(len(rows), len(names))
@@ -186,22 +201,45 @@ def load_ibeacon_csv(path, zones: Union[Mapping[str, str], str, None] = "grid"
                                  locations=locations)
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return str(value)
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format_number(value)
+def _column(values, alone: bool) -> Tuple[str, list]:
+    """One column as its row-format field and its cells. Float cells keep 17
+    significant digits; text cells are written as csv.writer writes them."""
+    # A list's first cell tells text: np.asarray would pad every cell to the longest.
+    if isinstance(values, np.ndarray) or not isinstance(next(iter(values), 0.0), str):
+        array = np.asarray(values)
+        field = {"f": "%.17g", "i": "%d", "u": "%d", "b": "%s"}.get(array.dtype.kind)
+        if field:
+            return field, array.tolist()
+    return "%s", _csv_text(list(values), alone)
+
+
+_QUOTABLE = re.compile(r'[,"\r\n]')  # csv.writer may quote a field holding one
+
+
+def _csv_text(cells: list, alone: bool) -> list:
+    """str cells as csv.writer writes them as fields of a row, one scan for
+    the common case that none needs quoting. `alone`: each is its row's only
+    field, which csv.writer quotes when it is empty."""
+    if not (_QUOTABLE.search("".join(cells)) or alone and "" in cells):
+        return cells
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    quoted = []
+    for cell in cells:
+        buffer.seek(0)
+        buffer.truncate()
+        writer.writerow((cell,) if alone else (cell, ""))
+        quoted.append(buffer.getvalue()[:-1 if alone else -2])
+    return quoted
 
 
 def write_csv(data, path) -> None:
     """Write a dataset (or a column mapping) as CSV, atomically.
 
     Accepts a RegressionDataset, a ClassificationDataset, or a mapping of
-    column name to sequence. The file appears only after a successful
-    write (temp file then rename).
+    column name to sequence. Each column holds one kind of cell: float, int,
+    bool or str. The file appears only after a successful write (temp file
+    then rename).
     """
     if isinstance(data, RegressionDataset):
         names = data.feature_names or tuple(
@@ -224,12 +262,12 @@ def write_csv(data, path) -> None:
     if len(lengths) > 1:
         raise ValueError(f"column lengths differ: {sorted(lengths)}")
 
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(columns.keys())
-    for r in range(lengths.pop() if lengths else 0):
-        writer.writerow(_format_cell(col[r]) for col in columns.values())
-    write_text(buffer.getvalue(), path)
+    alone = len(columns) == 1
+    parts = [_column(values, alone) for values in columns.values()]
+    row = ",".join(field for field, _ in parts) + "\n"
+    header = ",".join(_csv_text([str(name) for name in columns], alone)) + "\n"
+    write_text(header + "".join(row % cells for cells in zip(*(c for _, c in parts))),
+               path)
 
 
 def write_text(text: str, path) -> None:

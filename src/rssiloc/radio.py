@@ -10,6 +10,7 @@ is what the bias-compensated solver later corrects for.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -62,11 +63,90 @@ def distance_from_rssi(rssi, params: PathLossParams):
     return float(out) if out.ndim == 0 else out
 
 
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    # Counter-derived substream: independent of how many trials run before
-    # this one, so trials can execute in any order or in parallel.
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed,
-                                                        spawn_key=(trial,)))
+# The constants of numpy's SeedSequence hash (numpy/random/bit_generator.pyx).
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _substream_states(seed: int, first: int, count: int) -> np.ndarray:
+    """``SeedSequence(seed, spawn_key=(t,)).generate_state(4, np.uint64)``
+    for trials t = first .. first + count - 1, as one (count, 4) array:
+    numpy's hash, run on all trials at once in uint32 arithmetic. Trial
+    numbers must lie in [0, 2**32)."""
+    n = operator.index(seed)
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    if count and not 0 <= first <= first + count - 1 <= _MASK32:
+        raise ValueError("trial numbers must lie in [0, 2**32)")
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    entropy = [np.full(count, w, dtype=np.uint32)
+               for w in words + [0] * (4 - len(words))]
+    entropy.append(np.arange(first, first + count, dtype=np.uint32))
+    mult = _INIT_A
+
+    def hashmix(value):
+        nonlocal mult
+        value = value ^ np.uint32(mult)
+        mult = mult * _MULT_A & _MASK32
+        value = value * np.uint32(mult)
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        out = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+        return out ^ (out >> 16)
+
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    mult, state = _INIT_B, []
+    for i in range(8):
+        value = pool[i % 4] ^ np.uint32(mult)
+        mult = mult * _MULT_B & _MASK32
+        value = value * np.uint32(mult)
+        state.append(value ^ (value >> 16))
+    return np.stack(state, axis=-1).astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _SeedState:
+    """A seed sequence whose 4-word uint64 state is already known. It is
+    registered as numpy's ISeedSequence when first used, so importing this
+    module does not import numpy.random (~16 ms and ~5 MB per process)."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint64):
+        return self.state
+
+
+def _trial_noise(noise: NoiseSpec, first: int, count: int,
+                 m: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Anchor-coordinate noise (count, m, 2) and shadowing (count, m) of
+    trials first .. first + count - 1. Trial t draws them in that order from
+    its own counter-derived RNG substream, independent of which trials run
+    before it, so trials can run in any order or in parallel."""
+    np.random.bit_generator.ISeedSequence.register(_SeedState)
+    offsets, shadow = np.empty((count, m, 2)), np.empty((count, m))
+    for i, state in enumerate(_substream_states(noise.seed, first, count)):
+        rng = np.random.Generator(np.random.PCG64(_SeedState(state)))
+        offsets[i] = rng.normal(0.0, noise.sigma_a, size=(m, 2))
+        shadow[i] = rng.normal(0.0, noise.sigma_p, size=m)
+    return offsets, shadow
+
+
+def _mean_rssi(anchors: np.ndarray, targets: np.ndarray,
+               params: PathLossParams) -> np.ndarray:
+    """Noise-free RSSI (targets, M) of every target at every anchor."""
+    d = np.sqrt(((anchors - targets[:, None, :]) ** 2).sum(axis=-1))
+    return rssi_from_distance(d, params)
 
 
 def measure_once(scene: Scene, target: Position, params: PathLossParams,
@@ -77,13 +157,23 @@ def measure_once(scene: Scene, target: Position, params: PathLossParams,
     is generated from the true anchor-target distance; the perturbed
     coordinates model the estimator's imperfect knowledge of the anchors.
     """
-    rng = _trial_rng(noise.seed, trial)
     true_pos = scene.anchor_positions()
-    perturbed = true_pos + rng.normal(0.0, noise.sigma_a, size=true_pos.shape)
-    d_true = np.sqrt(((true_pos - target.as_array()) ** 2).sum(axis=1))
-    rssi = rssi_from_distance(d_true, params)
-    rssi = rssi + rng.normal(0.0, noise.sigma_p, size=rssi.shape)
-    return perturbed, MeasurementSet(rssi, timestamp=trial)
+    offsets, shadow = _trial_noise(noise, trial, 1, len(true_pos))
+    rssi = _mean_rssi(true_pos, target.as_array()[None], params)[0] + shadow[0]
+    return true_pos + offsets[0], MeasurementSet(rssi, timestamp=trial)
+
+
+def measure_targets(scene: Scene, targets, params: PathLossParams,
+                    noise: NoiseSpec, samples: int = 1) -> np.ndarray:
+    """RSSI rows (len(targets) * samples, M): each target observed `samples`
+    times in a row, row t bit for bit the RSSI of ``measure_once(...,
+    trial=t)``. The geometry is computed once for all rows; each row draws
+    its noise from its own trial substream.
+    """
+    true_pos = scene.anchor_positions()
+    xy = np.asarray(targets, dtype=float).reshape(-1, 2)
+    mean = np.repeat(_mean_rssi(true_pos, xy, params), samples, axis=0)
+    return mean + _trial_noise(noise, 0, len(mean), len(true_pos))[1]
 
 
 def synthesize_measurements(scene: Scene, target: Position,
@@ -93,9 +183,14 @@ def synthesize_measurements(scene: Scene, target: Position,
 
     Each trial draws fresh anchor-coordinate noise N(0, sigma_a^2) per axis
     and shadowing noise N(0, sigma_p^2) per anchor from its own RNG
-    substream. Deterministic under a fixed seed.
+    substream; trial t equals ``measure_once(..., trial=t)``. Deterministic
+    under a fixed seed.
     """
     validate_scene(scene)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    return [measure_once(scene, target, params, noise, t) for t in range(trials)]
+    true_pos = scene.anchor_positions()
+    mean = _mean_rssi(true_pos, target.as_array()[None], params)[0]
+    offsets, shadow = _trial_noise(noise, 0, trials, len(true_pos))
+    return [(true_pos + a, MeasurementSet(mean + p, timestamp=t))
+            for t, (a, p) in enumerate(zip(offsets, shadow))]

@@ -1,12 +1,18 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import rssiloc
 from rssiloc.core import Anchor, PathLossParams, Position, Scene
 from rssiloc.exceptions import NonPositiveDistance
-from rssiloc.radio import (NoiseSpec, distance_from_rssi, measure_once,
-                           rssi_from_distance, synthesize_measurements)
+from rssiloc.radio import (NoiseSpec, _substream_states, distance_from_rssi,
+                           measure_once, measure_targets, rssi_from_distance,
+                           synthesize_measurements)
 
 FREE_SPACE = PathLossParams(p0=-40.0, d0=100.0, eta=2.0, sigma_shadow=0.0)
 
@@ -134,3 +140,88 @@ class TestSquaredDistanceInflation:
         d2 = distance_from_rssi(rssi, params) ** 2
         se = d2.std() / math.sqrt(n)
         assert abs(d2.mean() - theory) < 4.0 * se
+
+
+def reference_observation(scene, target, params, noise, trial):
+    """One trial as drawn one target and one trial at a time: numpy's own
+    SeedSequence substream, then the anchor-coordinate noise (M, 2), then the
+    shadowing (M,)."""
+    rng = np.random.default_rng(np.random.SeedSequence(noise.seed, spawn_key=(trial,)))
+    true_pos = scene.anchor_positions()
+    perturbed = true_pos + rng.normal(0.0, noise.sigma_a, size=true_pos.shape)
+    d = np.sqrt(((true_pos - target.as_array()) ** 2).sum(axis=1))
+    return perturbed, rssi_from_distance(d, params) + rng.normal(0.0, noise.sigma_p, size=len(d))
+
+
+SEEDS = st.integers(0, 2 ** 31) | st.sampled_from([0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 7,
+                                                   2 ** 128 - 1, 2 ** 128, 2 ** 200 + 3])
+coords = st.floats(-2000.0, 2000.0)
+
+
+@st.composite
+def simulations(draw):
+    dx, dy = draw(coords), draw(coords)  # a shifted triangle spans the plane
+    anchors = [(dx, dy), (dx + 400.0, dy), (dx + 200.0, dy + 300.0)]
+    anchors += draw(st.lists(st.tuples(coords, coords), max_size=3))
+    scene = Scene([Anchor(id=f"A{i}", position=Position(x, y))
+                   for i, (x, y) in enumerate(anchors)])
+    targets = draw(st.lists(st.tuples(coords, coords), min_size=0, max_size=4).filter(
+        lambda ts: not set(ts) & set(anchors)))
+    params = PathLossParams(p0=draw(st.floats(-80.0, 0.0)), d0=draw(st.floats(1.0, 200.0)),
+                            eta=draw(st.floats(1.5, 5.0)))
+    noise = NoiseSpec(sigma_a=draw(st.floats(0.0, 50.0)), sigma_p=draw(st.floats(0.0, 8.0)),
+                      seed=draw(SEEDS))
+    return scene, targets, params, noise, draw(st.integers(1, 4))
+
+
+class TestBatchedSimulation:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(sim=simulations())
+    def test_rows_equal_measure_once_and_the_reference(self, sim):
+        scene, targets, params, noise, samples = sim
+        rows = measure_targets(scene, targets, params, noise, samples)
+        assert rows.shape == (len(targets) * samples, len(scene.anchors))
+        for t, row in enumerate(rows):
+            target = Position(*targets[t // samples])
+            perturbed, measurement = measure_once(scene, target, params, noise, trial=t)
+            assert row.tobytes() == measurement.values().tobytes()
+            ref_perturbed, ref_rssi = reference_observation(scene, target, params, noise, t)
+            assert perturbed.tobytes() == ref_perturbed.tobytes()
+            assert row.tobytes() == ref_rssi.tobytes()
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(sim=simulations(), trials=st.integers(1, 12))
+    def test_synthesized_trials_equal_measure_once(self, sim, trials):
+        scene, targets, params, noise, _ = sim
+        target = Position(*(targets or [(1.5, -2.5)])[0])
+        for t, (perturbed, measurement) in enumerate(
+                synthesize_measurements(scene, target, params, noise, trials)):
+            once = measure_once(scene, target, params, noise, trial=t)
+            assert perturbed.tobytes() == once[0].tobytes()
+            assert measurement == once[1]
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(seed=SEEDS, first=st.integers(0, 2 ** 32 - 20) | st.just(2 ** 32 - 5),
+           count=st.integers(0, 5))
+    @example(seed=5, first=2 ** 32 - 1, count=1)
+    def test_substream_states_equal_seed_sequence(self, seed, first, count):
+        states = _substream_states(seed, first, count)
+        expected = [np.random.SeedSequence(seed, spawn_key=(t,)).generate_state(4, np.uint64)
+                    for t in range(first, first + count)]
+        assert states.shape == (count, 4) and states.dtype == np.uint64
+        assert states.tobytes() == np.array(expected, dtype=np.uint64).reshape(count, 4).tobytes()
+
+    @pytest.mark.parametrize("seed, first", [(-1, 0), (1, -1), (1, 2 ** 32)])
+    def test_seeds_and_trials_out_of_range_raise(self, seed, first):
+        with pytest.raises(ValueError):
+            _substream_states(seed, first, 1)
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    # numpy.random costs every CLI process ~16 ms and ~5 MB; only commands
+    # that draw random numbers should load it
+    code = "import sys, rssiloc.cli; print('numpy.random' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(rssiloc.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "False"

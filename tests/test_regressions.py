@@ -1,6 +1,7 @@
 """Regression tests for defects that once escaped their documented contract."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from _synth import beacon_dataset, regression_testbed
 from rssiloc.cli import main
 from rssiloc.core import Anchor, PathLossParams, Position
-from rssiloc.exceptions import MalformedNumber, NonPositiveSigma
+from rssiloc import ensemble
+from rssiloc.exceptions import MalformedNumber, NonPositiveSigma, ShapeMismatch
 from rssiloc.filters import KalmanState, gaussian_filter, gaussian_kernel
 from rssiloc.ingest import (BEACON_COLUMNS, load_all_columns, load_ibeacon_csv,
                             load_regression_csv, load_series_csv, write_csv)
@@ -239,3 +241,25 @@ class TestFilterExtremes:
         err = capsys.readouterr().err
         assert code == 4 and "non-finite values in RSSI1" in err
         assert "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize("sigma", ["1e-200", "1.4e-162", "5e-324"])
+    def test_underflowing_sigma_is_the_identity(self, tmp_path, capsys, sigma):
+        # 2 sigma^2 underflows to 0: the kernel was 0/0 at its centre (exit 4)
+        src, out = self.write(tmp_path, ["-60.5", "-70.25", "-65"]), tmp_path / "out.csv"
+        code = main(["filter", "--filter", "gaussian", "--sigma", sigma,
+                     "-i", str(src), "-o", str(out)])
+        assert code == 0, capsys.readouterr().err
+        assert load_all_columns(out) == load_all_columns(src)
+        assert list(gaussian_kernel(float(sigma))) == [0.0, 1.0, 0.0]
+
+
+class TestTreelocTargets:
+    @pytest.mark.parametrize("shape", [(30,), (30, 1), (30, 3), (29, 2), (30, 2, 1)])
+    def test_bad_targets_raise_before_any_fit(self, monkeypatch, shape):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a component was fitted")
+        for name in ("fit_extra_trees", "fit_tree", "fit_forest"):
+            monkeypatch.setattr(ensemble, name, no_fit)
+        x = np.random.default_rng(0).normal(size=(30, 3))
+        with pytest.raises(ShapeMismatch, match=str(shape).replace("(", r"\(").replace(")", r"\)")):
+            ensemble.treeloc_fit(x, np.zeros(shape))
