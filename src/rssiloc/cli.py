@@ -131,7 +131,9 @@ def _parse_anchors(args) -> Scene:
         parts = args.bounds.split(",")
         if len(parts) != 4:
             raise CliError(2, "bounds must be xmin,ymin,xmax,ymax")
-        bounds = tuple(float(p) for p in parts)
+        xmin, ymin, xmax, ymax = bounds = tuple(float(p) for p in parts)
+        if not np.isfinite([*bounds, xmax - xmin, ymax - ymin]).all():
+            raise CliError(2, "bounds and their spans must be finite")
     try:
         return validate_scene(Scene(anchors, bounds=bounds))
     except SceneError as exc:
@@ -154,8 +156,10 @@ def cmd_simulate(args) -> None:
     xmin, ymin, xmax, ymax = scene.bounds
     positions, samples = max(args.positions, 0), max(args.samples, 0)  # < 1: no rows
     targets = pos_rng.uniform((xmin, ymin), (xmax, ymax), size=(positions, 2))
-    # Row t draws from trial t's seed substream, whatever runs before it.
-    rssi = measure_targets(scene, targets, params, noise, samples)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        rssi = measure_targets(scene, targets, params, noise, samples)
+    if not np.isfinite(rssi).all():
+        raise NumericalError("simulated RSSI is not finite")
     m = len(scene.anchors)
     columns: Dict[str, np.ndarray] = {f"RSSI{i + 1}": rssi[:, i] for i in range(m)}
     columns["X_Actual"], columns["Y_Actual"] = np.repeat(targets, samples, axis=0).T

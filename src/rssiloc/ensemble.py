@@ -22,7 +22,7 @@ import numpy as np
 
 from .exceptions import ShapeMismatch, TooFewSamples
 from .learners import (Forest, RegressionTree, fit_extra_trees, fit_forest,
-                       fit_tree, model_from_dict, model_to_dict,
+                       fit_linear, fit_tree, model_from_dict, model_to_dict,
                        register_model_kind, _leaf_values, _stack_trees, _wrap)
 
 COMPONENT_NAMES = ("extra_trees", "decision_tree", "random_forest")
@@ -122,12 +122,6 @@ def _thirds(n: int) -> Tuple[slice, slice, slice]:
     return slice(0, size), slice(size, 2 * size), slice(2 * size, n)
 
 
-def _ols_combiner(component_preds: np.ndarray, truth: np.ndarray) -> Tuple[float, ...]:
-    design = np.hstack([np.ones((len(truth), 1)), component_preds])
-    coef, *_ = np.linalg.lstsq(design, truth, rcond=None)
-    return tuple(float(c) for c in coef)
-
-
 def treeloc_fit(features, targets, rng_seed: int = 0,
                 tree_depth: int = DEFAULT_TREE_DEPTH,
                 forest_trees: int = DEFAULT_FOREST_TREES,
@@ -162,8 +156,8 @@ def treeloc_fit(features, targets, rng_seed: int = 0,
     # Walked as one block by a model that is then dropped: the components
     # keep no node blocks of their own, which the fitted model would repeat.
     preds = TreeLocModel(components, (0.0,) * 4, (0.0,) * 4).component_predictions(x)
-    combiner_x = _ols_combiner(preds[:, :, 0], y[:, 0])
-    combiner_y = _ols_combiner(preds[:, :, 1], y[:, 1])
+    combiner_x, combiner_y = (tuple(fit_linear(preds[:, :, j], y[:, j]).theta[:, 0].tolist())
+                              for j in (0, 1))
     return TreeLocModel(components=components, combiner_x=combiner_x,
                         combiner_y=combiner_y, mode="fitted",
                         rng_seed=rng_seed)

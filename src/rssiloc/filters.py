@@ -11,7 +11,7 @@ len(signal) - 1, past which no tap reaches the signal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -125,6 +125,13 @@ class KalmanState:
             raise ValueError("q and r cannot both be zero")
 
 
+def _update(x_hat: float, p: float, q: float, r: float, z: float):
+    """kalman_step's arithmetic on plain floats: the next (x_hat, p)."""
+    p_pred = p + q
+    gain = p_pred / (p_pred + r)
+    return x_hat + gain * (z - x_hat), p_pred * r / (p_pred + r)
+
+
 def kalman_step(state: KalmanState, z: float) -> KalmanState:
     """One predict-update cycle with identity state and measurement maps.
 
@@ -132,10 +139,8 @@ def kalman_step(state: KalmanState, z: float) -> KalmanState:
     innovation and the variance contracts to (1 - K) * p', computed as
     p' * r / (p' + r) to stay exact under a diffuse prior.
     """
-    p_pred = state.p + state.q
-    gain = p_pred / (p_pred + state.r)
-    x_hat = state.x_hat + gain * (z - state.x_hat)
-    return replace(state, x_hat=x_hat, p=p_pred * state.r / (p_pred + state.r))
+    return KalmanState(*_update(state.x_hat, state.p, state.q, state.r, z),
+                       state.q, state.r)
 
 
 def kalman_filter(signal: Sequence[float], q: float = KALMAN_DEFAULT_Q,
@@ -146,6 +151,10 @@ def kalman_filter(signal: Sequence[float], q: float = KALMAN_DEFAULT_Q,
     Defaults: x0 is the first sample and r is the sample variance of the
     first 10 measurements, falling back to 4.0 when that variance is not
     usable (fewer than two samples, zero, or overflowed).
+
+    The state is checked once, at the start, and the output equals iterating
+    kalman_step bit for bit. A non-finite estimate or final variance raises
+    kalman_step's ValueError: once x_hat or p is not finite, later x_hat are nan.
     """
     arr = _as_signal(signal)
     if r is None:
@@ -155,8 +164,12 @@ def kalman_filter(signal: Sequence[float], q: float = KALMAN_DEFAULT_Q,
         if not 0.0 < r < math.inf:
             r = KALMAN_FALLBACK_R
     state = KalmanState(x_hat=arr[0] if x0 is None else x0, p=p0, q=q, r=r)
-    out = np.empty_like(arr)
-    for i, z in enumerate(arr):
-        state = kalman_step(state, z)
-        out[i] = state.x_hat
-    return out
+    x_hat, p, q, r = map(float, (state.x_hat, state.p, state.q, state.r))
+    out = []
+    for z in arr.tolist():
+        x_hat, p = _update(x_hat, p, q, r, z)
+        out.append(x_hat)
+    est = np.array(out)
+    if not (math.isfinite(p) and np.isfinite(est).all()):
+        raise ValueError("Kalman state must be finite")
+    return est

@@ -5,14 +5,16 @@ zero-mean Gaussian noise in dB, which makes the RSSI-derived distance a
 lognormal random variable; the second-moment inflation this causes,
 E[d_hat^2] = d^2 * exp(u^2 * sigma_p^2) with u = ln(10) / (5*sqrt(2)*eta),
 is what the bias-compensated solver later corrects for.
+
+Trial t draws its noise from numpy's ``SeedSequence(seed, spawn_key=(t,))``,
+whatever else is drawn; numpy.random loads on the first draw, not on import.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -25,13 +27,14 @@ class NoiseSpec:
     """Noise configuration for synthetic measurements.
 
     sigma_a perturbs each anchor coordinate (cm, per axis), sigma_p is the
-    shadowing std (dB). The same seed with the same inputs reproduces the
-    output stream bit for bit.
+    shadowing std (dB). seed is any entropy numpy's SeedSequence accepts:
+    a non-negative int of any size or a sequence of them. The same seed with
+    the same inputs reproduces the output stream bit for bit.
     """
 
     sigma_a: float = 0.0
     sigma_p: float = 0.0
-    seed: int = 42
+    seed: Union[int, Sequence[int]] = 42
 
     def __post_init__(self):
         if not (0 <= self.sigma_a < math.inf and 0 <= self.sigma_p < math.inf):
@@ -50,7 +53,7 @@ def rssi_from_distance(d, params: PathLossParams):
     params.d0.
     """
     d = np.asarray(d, dtype=float)
-    if np.any(d <= 0):
+    if (d <= 0).any():
         raise NonPositiveDistance("distance must be > 0")
     out = params.p0 - 10.0 * params.eta * np.log10(d / params.d0)
     return float(out) if out.ndim == 0 else out
@@ -63,80 +66,17 @@ def distance_from_rssi(rssi, params: PathLossParams):
     return float(out) if out.ndim == 0 else out
 
 
-# The constants of numpy's SeedSequence hash (numpy/random/bit_generator.pyx).
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-
-
-def _substream_states(seed: int, first: int, count: int) -> np.ndarray:
-    """``SeedSequence(seed, spawn_key=(t,)).generate_state(4, np.uint64)``
-    for trials t = first .. first + count - 1, as one (count, 4) array:
-    numpy's hash, run on all trials at once in uint32 arithmetic. Trial
-    numbers must lie in [0, 2**32)."""
-    n = operator.index(seed)
-    if n < 0:
-        raise ValueError("expected non-negative integer")
-    if count and not 0 <= first <= first + count - 1 <= _MASK32:
-        raise ValueError("trial numbers must lie in [0, 2**32)")
-    words = [n & _MASK32]
-    while n := n >> 32:
-        words.append(n & _MASK32)
-    entropy = [np.full(count, w, dtype=np.uint32)
-               for w in words + [0] * (4 - len(words))]
-    entropy.append(np.arange(first, first + count, dtype=np.uint32))
-    mult = _INIT_A
-
-    def hashmix(value):
-        nonlocal mult
-        value = value ^ np.uint32(mult)
-        mult = mult * _MULT_A & _MASK32
-        value = value * np.uint32(mult)
-        return value ^ (value >> 16)
-
-    def mix(x, y):
-        out = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
-        return out ^ (out >> 16)
-
-    pool = [hashmix(word) for word in entropy[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    mult, state = _INIT_B, []
-    for i in range(8):
-        value = pool[i % 4] ^ np.uint32(mult)
-        mult = mult * _MULT_B & _MASK32
-        value = value * np.uint32(mult)
-        state.append(value ^ (value >> 16))
-    return np.stack(state, axis=-1).astype("<u4").view("<u8").astype(np.uint64)
-
-
-class _SeedState:
-    """A seed sequence whose 4-word uint64 state is already known. It is
-    registered as numpy's ISeedSequence when first used, so importing this
-    module does not import numpy.random (~16 ms and ~5 MB per process)."""
-
-    def __init__(self, state: np.ndarray):
-        self.state = state
-
-    def generate_state(self, n_words, dtype=np.uint64):
-        return self.state
-
-
 def _trial_noise(noise: NoiseSpec, first: int, count: int,
                  m: int) -> Tuple[np.ndarray, np.ndarray]:
     """Anchor-coordinate noise (count, m, 2) and shadowing (count, m) of
     trials first .. first + count - 1. Trial t draws them in that order from
-    its own counter-derived RNG substream, independent of which trials run
-    before it, so trials can run in any order or in parallel."""
-    np.random.bit_generator.ISeedSequence.register(_SeedState)
+    its own substream, ``default_rng(SeedSequence(noise.seed, spawn_key=(t,)))``,
+    independent of which trials run before it, so trials can run in any
+    order or in parallel. A negative seed or trial raises numpy's ValueError.
+    """
     offsets, shadow = np.empty((count, m, 2)), np.empty((count, m))
-    for i, state in enumerate(_substream_states(noise.seed, first, count)):
-        rng = np.random.Generator(np.random.PCG64(_SeedState(state)))
+    for i in range(count):
+        rng = np.random.default_rng(np.random.SeedSequence(noise.seed, spawn_key=(first + i,)))
         offsets[i] = rng.normal(0.0, noise.sigma_a, size=(m, 2))
         shadow[i] = rng.normal(0.0, noise.sigma_p, size=m)
     return offsets, shadow

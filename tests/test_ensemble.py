@@ -3,10 +3,10 @@ import pytest
 
 from _synth import regression_testbed
 from rssiloc.ensemble import (REFERENCE_COMBINER_X, REFERENCE_COMBINER_Y,
-                              TreeLocModel, _ols_combiner, _thirds,
+                              TreeLocModel, _thirds,
                               treeloc_fit, treeloc_predict, treeloc_reference)
 from rssiloc.exceptions import TooFewSamples
-from rssiloc.learners import load_model, model_from_dict, model_to_dict
+from rssiloc.learners import fit_linear, load_model, model_from_dict, model_to_dict
 
 
 def rmse(a, b):
@@ -51,7 +51,7 @@ class TestCombinerRegression:
         rng = np.random.default_rng(2)
         truth = rng.uniform(0, 400, 50)
         preds = np.column_stack([truth, np.zeros(50), np.zeros(50)])
-        coef = np.asarray(_ols_combiner(preds, truth))
+        coef = fit_linear(preds, truth).theta[:, 0]
         np.testing.assert_allclose(coef, [0.0, 1.0, 0.0, 0.0], atol=1e-9)
         fitted = coef[0] + preds @ coef[1:]
         assert rmse(fitted, truth) < 1e-9
@@ -62,7 +62,7 @@ class TestCombinerRegression:
         rng = np.random.default_rng(3)
         truth = rng.uniform(0, 400, 50)
         preds = np.column_stack([truth, truth, truth])
-        coef = np.asarray(_ols_combiner(preds, truth))
+        coef = fit_linear(preds, truth).theta[:, 0]
         assert np.all(np.isfinite(coef))
         fitted = coef[0] + preds @ coef[1:]
         np.testing.assert_allclose(fitted, truth, atol=1e-9)

@@ -147,6 +147,48 @@ class TestKalman:
         assert out[0] == -60.0
 
 
+def iterated_steps(signal, q, r):
+    state = KalmanState(signal[0], 1.0, q, r)
+    out = []
+    for z in signal:
+        state = kalman_step(state, z)
+        out.append(state.x_hat)
+    return np.array(out)
+
+
+@st.composite
+def kalman_signals(draw):
+    # raw or rounded (tied) offsets about a level up to +-1e308; a sum that
+    # overflows puts inf in the signal
+    level = draw(st.floats(-1e308, 1e308) | st.sampled_from([0.0, -60.0]))
+    scale = draw(st.sampled_from([1.0, 8.0, 1e6, 1e300, 1e308]))
+    offsets = draw(st.lists(st.floats(-1.0, 1.0) | st.sampled_from([-1.0, 1.0]),
+                            min_size=1, max_size=40))
+    if draw(st.booleans()):
+        offsets = [round(o * 4) / 4 for o in offsets]
+    return [level + scale * o for o in offsets]
+
+
+VARIANCES = st.floats(1e-6, 1e308) | st.sampled_from([0.0, 1e-4, 4.0, 1e300])
+
+
+class TestKalmanFilterEqualsSteps:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(signal=kalman_signals(), q=VARIANCES, r=VARIANCES)
+    @example(signal=[0.0], q=1e300, r=1e300)  # only the last variance overflows
+    @example(signal=[-1e308, 1e308, 0.0], q=1.0, r=1.0)  # the innovation overflows
+    @example(signal=[-60.0, -61.0], q=0.0, r=0.0)
+    def test_bit_for_bit_and_same_errors(self, signal, q, r):
+        try:
+            want = iterated_steps(signal, q, r)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as err:
+                kalman_filter(signal, q=q, r=r)
+            assert str(err.value) == str(exc)
+            return
+        assert kalman_filter(signal, q=q, r=r).tobytes() == want.tobytes()
+
+
 class TestVarianceReduction:
     def test_all_filters_reduce_noise_variance(self):
         rng = np.random.default_rng(4)

@@ -126,6 +126,14 @@ CLI_CASES = {
                 "--positions", "2", "-o", "{out}"], 0, ""),
     "bounds count": (["simulate", "--anchors", ANCHORS, "--bounds", "0,0,400",
                       "-o", "{out}"], 2, "bounds must be"),
+    "bounds inf": (["simulate", "--anchors", ANCHORS, "--bounds", "0,0,inf,5",
+                    "-o", "{out}"], 2, "bounds and their spans must be finite"),
+    "bounds nan": (["simulate", "--anchors", ANCHORS, "--bounds", "0,nan,400,5",
+                    "-o", "{out}"], 2, "bounds and their spans must be finite"),
+    "bounds span": (["simulate", "--anchors", ANCHORS, "--bounds=-1e308,0,1e308,5",
+                     "-o", "{out}"], 2, "bounds and their spans must be finite"),
+    "simulated rssi": (["simulate", "--anchors", ANCHORS, "--bounds=0,0,1e308,5",
+                        "-o", "{out}"], 4, "simulated RSSI is not finite"),
     "treeloc shuffle": (["treeloc", "--shuffle", "-i", "{reg}"], 2,
                         "unrecognized arguments: --shuffle"),
     "treeloc holdout": (["treeloc", "--combiner-holdout", "0.2", "-i", "{reg}"], 2,
@@ -153,6 +161,7 @@ CLI_CASES = {
 
 @pytest.mark.parametrize("argv, code, message", CLI_CASES.values(), ids=CLI_CASES.keys())
 def test_cli_branch_exit_code(paths, capsys, argv, code, message):
+    paths["out"].unlink(missing_ok=True)
     try:
         got = main([arg.format(**paths) for arg in argv])
     except SystemExit as exc:  # argparse's usage errors
@@ -160,6 +169,7 @@ def test_cli_branch_exit_code(paths, capsys, argv, code, message):
     err = capsys.readouterr().err
     assert got == code, err
     assert message in err and "Traceback" not in err
+    assert paths["out"].exists() == (code == 0 and "-o" in argv)
 
 
 def test_boolean_config_keys_equal_their_flag(paths, capsys):

@@ -5,14 +5,13 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import rssiloc
 from rssiloc.core import Anchor, PathLossParams, Position, Scene
 from rssiloc.exceptions import NonPositiveDistance
-from rssiloc.radio import (NoiseSpec, _substream_states, distance_from_rssi,
-                           measure_once, measure_targets, rssi_from_distance,
-                           synthesize_measurements)
+from rssiloc.radio import (NoiseSpec, distance_from_rssi, measure_once, measure_targets,
+                           rssi_from_distance, synthesize_measurements)
 
 FREE_SPACE = PathLossParams(p0=-40.0, d0=100.0, eta=2.0, sigma_shadow=0.0)
 
@@ -200,21 +199,23 @@ class TestBatchedSimulation:
             assert perturbed.tobytes() == once[0].tobytes()
             assert measurement == once[1]
 
-    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-    @given(seed=SEEDS, first=st.integers(0, 2 ** 32 - 20) | st.just(2 ** 32 - 5),
-           count=st.integers(0, 5))
-    @example(seed=5, first=2 ** 32 - 1, count=1)
-    def test_substream_states_equal_seed_sequence(self, seed, first, count):
-        states = _substream_states(seed, first, count)
-        expected = [np.random.SeedSequence(seed, spawn_key=(t,)).generate_state(4, np.uint64)
-                    for t in range(first, first + count)]
-        assert states.shape == (count, 4) and states.dtype == np.uint64
-        assert states.tobytes() == np.array(expected, dtype=np.uint64).reshape(count, 4).tobytes()
-
-    @pytest.mark.parametrize("seed, first", [(-1, 0), (1, -1), (1, 2 ** 32)])
-    def test_seeds_and_trials_out_of_range_raise(self, seed, first):
+    @pytest.mark.parametrize("seed, trial", [(-1, 0), (1, -1)])
+    def test_negative_seed_or_trial_raises(self, seed, trial):
+        noise = NoiseSpec(sigma_a=1.0, sigma_p=2.0, seed=seed)
         with pytest.raises(ValueError):
-            _substream_states(seed, first, 1)
+            measure_once(triangle_scene(), Position(1.0, 2.0), FREE_SPACE, noise, trial)
+
+    @pytest.mark.parametrize("seed, trial", [(1, 2 ** 32), (1, 2 ** 70 + 1), ([1, 2], 0),
+                                             ([1, 2], 7), ((2 ** 64, 3), 2 ** 32)])
+    def test_any_seed_sequence_entropy_and_trial(self, seed, trial):
+        # the seed and trial rules are numpy's own: any SeedSequence entropy,
+        # trials of any non-negative size
+        scene, target = triangle_scene(), Position(120.0, 90.0)
+        noise = NoiseSpec(sigma_a=3.0, sigma_p=2.0, seed=seed)
+        perturbed, measurement = measure_once(scene, target, FREE_SPACE, noise, trial)
+        ref_perturbed, ref_rssi = reference_observation(scene, target, FREE_SPACE, noise, trial)
+        assert perturbed.tobytes() == ref_perturbed.tobytes()
+        assert measurement.values().tobytes() == ref_rssi.tobytes()
 
 
 def test_importing_the_cli_leaves_numpy_random_unloaded():
