@@ -131,11 +131,13 @@ def _parse_anchors(args) -> Scene:
         parts = args.bounds.split(",")
         if len(parts) != 4:
             raise CliError(2, "bounds must be xmin,ymin,xmax,ymax")
-        xmin, ymin, xmax, ymax = bounds = tuple(float(p) for p in parts)
-        if not np.isfinite([*bounds, xmax - xmin, ymax - ymin]).all():
-            raise CliError(2, "bounds and their spans must be finite")
+        bounds = tuple(float(p) for p in parts)
+    scene = Scene(anchors, bounds=bounds)  # by default, the anchors' bounding box
+    xmin, ymin, xmax, ymax = scene.bounds
+    if not np.isfinite([*scene.bounds, xmax - xmin, ymax - ymin]).all():
+        raise CliError(2, "bounds and their spans must be finite")
     try:
-        return validate_scene(Scene(anchors, bounds=bounds))
+        return validate_scene(scene)
     except SceneError as exc:
         raise CliError(2, f"{type(exc).__name__}: {exc}") from exc
 

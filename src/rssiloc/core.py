@@ -126,8 +126,9 @@ class Scene:
         pts = self.anchor_positions()
         if len(pts) < 2:
             return 0.0
-        diff = pts[:, None, :] - pts[None, :, :]
-        return float(np.sqrt((diff ** 2).sum(axis=2)).max())
+        scale = float(np.abs(pts).max()) or 1.0  # no square of pts / scale overflows
+        diff = pts[:, None, :] / scale - pts[None, :, :] / scale
+        return scale * float(np.sqrt((diff ** 2).sum(axis=2)).max())
 
 
 @dataclass(frozen=True)
@@ -162,7 +163,7 @@ def validate_scene(scene: Scene) -> Scene:
 
     Requires at least three anchors whose positions span two dimensions:
     the smallest singular value of the centered coordinate matrix must
-    exceed GEOMETRY_TOL times the scene diameter.
+    exceed GEOMETRY_TOL times the diameter, both of the coordinates over max |coordinate|.
 
     Raises:
         TooFewAnchors: fewer than 3 anchors.
@@ -174,12 +175,12 @@ def validate_scene(scene: Scene) -> Scene:
     ids = [a.id for a in scene.anchors]
     if len(set(ids)) != len(ids):
         raise ValueError(f"duplicate anchor ids in scene: {ids}")
-    pts = scene.anchor_positions()
-    centered = pts - pts.mean(axis=0)
-    smin = np.linalg.svd(centered, compute_uv=False).min()
-    if smin <= GEOMETRY_TOL * scene.diameter():
+    scale = float(np.abs(scene.anchor_positions()).max()) or 1.0
+    pts = scene.anchor_positions() / scale
+    smin = float(np.linalg.svd(pts - pts.mean(axis=0), compute_uv=False).min())
+    if smin <= GEOMETRY_TOL * np.sqrt(((pts[:, None] - pts) ** 2).sum(axis=2)).max():
         raise DegenerateGeometry(
-            f"anchors span less than 2 dimensions (sigma_min={smin:.3g})")
+            f"anchors span less than 2 dimensions (sigma_min={smin * scale:.3g})")
     return scene
 
 

@@ -561,9 +561,9 @@ def knn_classify(train_features, train_labels, query, k: int,
 
     Distances are Euclidean; the vote yields a class-probability vector
     (counts / k) and the returned label is its argmax, with ties going to
-    the smallest class index. The distance sort is stable, so equidistant
-    training rows keep their file order. A one-row view of
-    ``fit_knn(...).predict_proba``.
+    the smallest class index. The k nearest rows are those closer than the
+    k-th smallest distance, then rows at that distance in file order. A
+    one-row view of ``fit_knn(...).predict_proba``.
     """
     probs = fit_knn(train_features, train_labels, k, n_classes).predict_proba(query)
     return int(np.argmax(probs)), probs
@@ -577,9 +577,9 @@ def _labels(probs: np.ndarray):
 
 @dataclass(frozen=True)
 class KnnModel:
-    """Stored training set plus k, packaged like the other models. The
-    training set must be non-empty and 1 <= k <= its rows, whether the
-    model is fitted, loaded or built directly."""
+    """Stored training set plus k, packaged like the other models: finite 2-D
+    float features, one int label in [0, n_classes) per row and 1 <= k <= the
+    rows, whether the model is fitted, loaded or built directly."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -587,19 +587,30 @@ class KnnModel:
     n_classes: int
 
     def __post_init__(self):
-        if len(self.features) == 0:
+        f, y = self.features, self.labels
+        if len(f) == 0:
             raise EmptyTrainingSet("no training samples")
+        if not (f.ndim == 2 and f.dtype.kind == "f" and np.isfinite(f).all()
+                and y.shape == (len(f),) and y.dtype.kind == "i"
+                and 0 <= y.min() and y.max() < self.n_classes):
+            raise ValueError(f"kNN rows must be finite floats labelled in [0, {self.n_classes})")
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if self.k > len(self.features):
             raise KTooLarge(f"k={self.k} exceeds training size {len(self.features)}")
 
     def predict_proba(self, queries) -> np.ndarray:
+        """Vote of each query's k nearest rows: all rows closer than the k-th
+        smallest distance, then rows at that distance in file order. A NaN
+        query is at +inf from every (finite) row: it votes with the first k."""
         q, single = _as_rows(queries)
+        q = np.where(np.isnan(q), np.inf, q)
         probs = np.empty((len(q), self.n_classes))
         for i, row in enumerate(q):
             dist = np.sqrt(((self.features - row) ** 2).sum(axis=1))
-            nearest = np.argsort(dist, kind="stable")[:self.k]
+            kth = np.partition(dist, self.k - 1)[self.k - 1]
+            nearest = dist < kth
+            nearest[np.flatnonzero(dist == kth)[:self.k - np.count_nonzero(nearest)]] = True
             probs[i] = np.bincount(self.labels[nearest], minlength=self.n_classes) / self.k
         return probs[0] if single else probs
 
@@ -676,13 +687,9 @@ class MlpModel:
 def _mlp_layers(model: MlpModel, x: np.ndarray):
     """Forward pass keeping pre-activations; returns (zs, activations)."""
     zs, acts = [], [x]
-    a = x
-    last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ w.T + b
-        zs.append(z)
-        a = softmax(z) if i == last else relu(z)
-        acts.append(a)
+        zs.append(acts[-1] @ w.T + b)
+        acts.append(softmax(zs[-1]) if i == len(model.weights) - 1 else relu(zs[-1]))
     return zs, acts
 
 
@@ -696,33 +703,41 @@ def mlp_forward(model: MlpModel, x) -> np.ndarray:
     return acts[-1][0] if single else acts[-1]
 
 
-def mlp_backprop(model: MlpModel, x, y_onehot):
-    """Cross-entropy loss and its gradients for a batch.
-
-    Returns (loss, weight grads, bias grads, input grad). The loss is the
-    mean cross-entropy over the batch; the softmax/cross-entropy pair makes
-    the output-layer delta simply (probs - y) / N.
-    """
+def _batch(model: MlpModel, x, y_onehot) -> Tuple[np.ndarray, np.ndarray]:
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y_onehot, dtype=float))
     if x.shape[1] != model.sizes[0] or y.shape[1] != model.sizes[-1]:
         raise ShapeMismatch("batch shapes do not match the network")
-    n = len(x)
-    zs, acts = _mlp_layers(model, x)
-    probs = acts[-1]
-    logp = zs[-1] - zs[-1].max(axis=1, keepdims=True)
-    logp = logp - np.log(np.exp(logp).sum(axis=1, keepdims=True))
-    loss = float(-(y * logp).sum() / n)
+    return x, y
 
+
+def _backprop(model: MlpModel, x: np.ndarray, y: np.ndarray):
+    """The one forward and backward pass of a checked batch: the output
+    pre-activations, the gradients of the mean cross-entropy and the first
+    layer's delta, which softmax/cross-entropy starts at (probs - y) / N."""
+    zs, acts = _mlp_layers(model, x)
     grad_w, grad_b = [None] * len(model.weights), [None] * len(model.biases)
-    delta = (probs - y) / n
+    delta = (acts[-1] - y) / len(x)
     for layer in range(len(model.weights) - 1, -1, -1):
         grad_w[layer] = delta.T @ acts[layer]
         grad_b[layer] = delta.sum(axis=0)
         if layer > 0:
             delta = (delta @ model.weights[layer]) * (zs[layer - 1] > 0)
-    grad_x = delta @ model.weights[0]
-    return loss, grad_w, grad_b, grad_x
+    return zs[-1], grad_w, grad_b, delta
+
+
+def mlp_backprop(model: MlpModel, x, y_onehot):
+    """Cross-entropy loss and its gradients for a batch.
+
+    Returns (loss, weight grads, bias grads, input grad). The loss is the
+    mean cross-entropy over the batch, added here to the gradients of
+    :func:`_backprop`, the core that :func:`mlp_train` runs per batch.
+    """
+    x, y = _batch(model, x, y_onehot)
+    logits, grad_w, grad_b, delta = _backprop(model, x, y)
+    logp = logits - logits.max(axis=1, keepdims=True)
+    logp = logp - np.log(np.exp(logp).sum(axis=1, keepdims=True))
+    return float(-(y * logp).sum() / len(x)), grad_w, grad_b, delta @ model.weights[0]
 
 
 @dataclass(frozen=True)
@@ -742,13 +757,14 @@ def mlp_train(model: MlpModel, features, labels_onehot, lr: float = 0.01,
 
     The dataset is split once into train/held-out parts (test_fraction of
     the rows, 0 disables the holdout), then reshuffled every epoch, all
-    under the given seed. Returns the trained network and the per-epoch
+    under the given seed. Each batch runs :func:`_backprop`, the gradient
+    core of :func:`mlp_backprop`, without the loss, and updates a copy of
+    the weights in place. Returns the trained network and the per-epoch
     accuracy trace on both parts.
     """
-    x = np.asarray(features, dtype=float)
-    y = np.asarray(labels_onehot, dtype=float)
-    if len(x) == 0:
+    if len(np.asarray(features)) == 0:
         raise EmptyDataset("no training samples")
+    x, y = _batch(model, features, labels_onehot)
     if lr < 0:
         raise ValueError("learning rate must be >= 0")
     if batch_size < 1:
@@ -758,26 +774,22 @@ def mlp_train(model: MlpModel, features, labels_onehot, lr: float = 0.01,
     if len(train_idx) == 0:
         raise EmptyDataset("test_fraction leaves no training samples")
     x_train, y_train = x[train_idx], y[train_idx]
-
-    weights = [w.copy() for w in model.weights]
-    biases = [b.copy() for b in model.biases]
+    net = MlpModel(weights=tuple(w.copy() for w in model.weights),
+                   biases=tuple(b.copy() for b in model.biases))
     train_acc, test_acc = [], []
     for _ in range(epochs):
         perm = rng.permutation(len(x_train))
-        for start in range(0, len(perm), batch_size):
-            batch = perm[start:start + batch_size]
-            current = MlpModel(weights=tuple(weights), biases=tuple(biases))
-            _, gw, gb, _ = mlp_backprop(current, x_train[batch], y_train[batch])
-            for layer in range(len(weights)):
-                weights[layer] -= lr * gw[layer]
-                biases[layer] -= lr * gb[layer]
-        current = MlpModel(weights=tuple(weights), biases=tuple(biases))
-        train_acc.append(_accuracy(current, x_train, y_train))
+        xs, ys = x_train[perm], y_train[perm]
+        for i in range(0, len(perm), batch_size):
+            _, gw, gb, _ = _backprop(net, xs[i:i + batch_size], ys[i:i + batch_size])
+            for w, b, dw, db in zip(net.weights, net.biases, gw, gb):
+                w -= lr * dw
+                b -= lr * db
+        train_acc.append(_accuracy(net, x_train, y_train))
         if len(test_idx):
-            test_acc.append(_accuracy(current, x[test_idx], y[test_idx]))
-    final = MlpModel(weights=tuple(weights), biases=tuple(biases))
-    return final, MlpHistory(train_accuracy=tuple(train_acc),
-                             test_accuracy=tuple(test_acc))
+            test_acc.append(_accuracy(net, x[test_idx], y[test_idx]))
+    return net, MlpHistory(train_accuracy=tuple(train_acc),
+                           test_accuracy=tuple(test_acc))
 
 
 # --- portable model serialization ----------------------------------------------------

@@ -304,6 +304,22 @@ class TestOwners:
                                     files["beacons"], "-o", tmp_path / "p.csv"])
         assert code == 3 and not (tmp_path / "p.csv").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("labels", -1), ("labels", 4), ("features", float("nan"))])
+    def test_knn_file_with_bad_row_fails_at_load(self, files, tmp_path, key, value):
+        record = copy.deepcopy(RECORDS[5][0])
+        assert record["hyperparameters"]["n_classes"] == 4
+        cells = record["parameters"][key]
+        (cells[0] if key == "features" else cells)[0] = value
+        path = tmp_path / "knn.json"
+        path.write_text(json.dumps(record))  # json writes and reads NaN
+        with pytest.raises(ValueError, match="kNN"):
+            learners.load_model(path)
+        code, err = check_contract(["predict", "--model-file", path, "-i",
+                                    files["beacons"], "-o", tmp_path / "p.csv"])
+        assert code == 3 and "bad model file" in err
+        assert not (tmp_path / "p.csv").exists()
+
     def test_tree_model_on_a_narrower_file_exits_3(self, tmp_path):
         # RSSI4 tracks x, so the root splits on it; predicting a 3-column
         # file used to index past its last column

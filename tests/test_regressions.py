@@ -1,7 +1,10 @@
 """Regression tests for defects that once escaped their documented contract."""
 
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,9 +12,10 @@ from hypothesis import given, settings, strategies as st
 
 from _synth import beacon_dataset, regression_testbed
 from rssiloc.cli import main
-from rssiloc.core import Anchor, PathLossParams, Position
+from rssiloc.core import Anchor, PathLossParams, Position, Scene, validate_scene
 from rssiloc import ensemble
-from rssiloc.exceptions import MalformedNumber, NonPositiveSigma, ShapeMismatch
+from rssiloc.exceptions import (DegenerateGeometry, MalformedNumber, NonPositiveSigma,
+                                ShapeMismatch)
 from rssiloc.filters import KalmanState, gaussian_filter, gaussian_kernel
 from rssiloc.ingest import (BEACON_COLUMNS, load_all_columns, load_ibeacon_csv,
                             load_regression_csv, load_series_csv, write_csv)
@@ -263,3 +267,38 @@ class TestTreelocTargets:
         x = np.random.default_rng(0).normal(size=(30, 3))
         with pytest.raises(ShapeMismatch, match=str(shape).replace("(", r"\(").replace(")", r"\)")):
             ensemble.treeloc_fit(x, np.zeros(shape))
+
+
+class TestHugeAnchorCoordinates:
+    """Anchors near +-1e308: the scene diameter squared their differences,
+    so numpy warned of an overflow, and a wide triangle whose squares
+    overflowed was rejected as collinear. The test run turns warnings into
+    errors."""
+
+    @staticmethod
+    def scene(points):
+        return Scene(Anchor(f"A{i}", Position(x, y)) for i, (x, y) in enumerate(points))
+
+    def test_wide_triangle_is_valid(self):
+        wide = self.scene([(-1e308, 0.0), (1e308, 0.0), (0.0, 1e308)])
+        assert validate_scene(wide) is wide
+        assert wide.diameter() == math.inf  # 2e308 is past the float range
+        corner = self.scene([(0.0, 0.0), (1e308, 0.0), (0.0, 1e308)])
+        assert validate_scene(corner) is corner
+        assert corner.diameter() == pytest.approx(math.sqrt(2) * 1e308)
+
+    def test_thin_triangle_is_degenerate(self):
+        with pytest.raises(DegenerateGeometry, match="sigma_min=70.7"):
+            validate_scene(self.scene([(0.0, 0.0), (1e308, 0.0), (0.0, 100.0)]))
+
+    @pytest.mark.parametrize("anchors", ["0,0;1e308,0;0,100", "-1e308,0;1e308,0;0,1e308",
+                                         "0,0;1.5e308,0;0,1.5e308"])
+    def test_simulate_exits_without_traceback_or_warning(self, tmp_path, anchors):
+        src = os.path.dirname(os.path.dirname(ensemble.__file__))
+        done = subprocess.run(
+            [sys.executable, "-m", "rssiloc.cli", "simulate", f"--anchors={anchors}",
+             "-o", "out.csv"], cwd=tmp_path, capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert done.returncode in (2, 4), done.stderr
+        assert "Traceback" not in done.stderr and "Warning" not in done.stderr
+        assert not (tmp_path / "out.csv").exists()
