@@ -209,7 +209,8 @@ def cmd_locate(args) -> None:
     # One solve per anchor mask, over all the rows that share it.
     masks, group = np.unique(in_range, axis=0, return_inverse=True)
     estimates = np.empty((len(ds), 2))
-    with warnings.catch_warnings(record=True) as caught:
+    with (warnings.catch_warnings(record=True) as caught,
+          np.errstate(over="ignore", invalid="ignore")):  # checked below
         warnings.simplefilter("always", DegenerateWeightsWarning)
         for g, mask in enumerate(masks):
             idx = np.flatnonzero(group == g)
@@ -220,6 +221,10 @@ def cmd_locate(args) -> None:
                 include_cross_term=args.include_cross_term)
         fallbacks = sum(issubclass(w.category, DegenerateWeightsWarning)
                         for w in caught)
+    bad = np.flatnonzero(~np.isfinite(estimates).all(axis=1))
+    if bad.size:
+        line = ingest._read_rows(args.input)[2][bad[0]]
+        raise NumericalError(f"row {line}: {args.solver} gave a non-finite estimate")
 
     _finish(args, [("solver", args.solver), ("eta", args.eta),
                    ("sigma_p", args.sigma_p), ("sigma_a", args.sigma_a),

@@ -14,13 +14,18 @@ and ``right`` child indices (-1 at a leaf), ``value`` (mean training
 target) and ``n`` (training rows). A fit grows all its trees together,
 level by level, a few numpy calls per depth, and then renumbers the nodes
 depth-first; predict walks all rows through all trees at once, one numpy
-step per level. Saved files (version 2) hold each tree or forest as flat
-preorder arrays (see :func:`_trees_from_arrays`); version-1 files, with a
-nested dict per node, still load.
+step per level. Saved files (version 3) hold each tree or forest as flat
+preorder arrays (see :func:`_trees_from_arrays`): ``node_counts`` is a JSON
+list of ints, and ``feature``, ``threshold``, ``value`` and ``n`` are base64
+strings of little-endian ``<i8``/``<f8`` bytes, so a record is written and
+read without turning each number into text. Version-2 files, which hold
+the same arrays as JSON number lists, and version-1 files, with a nested
+dict per node, still load to the same trees.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -34,7 +39,11 @@ from .exceptions import (EmptyDataset, EmptyTrainingSet, KTooLarge,
 ZONE_LABELS = ("A", "B", "C", "D")
 
 MODEL_FORMAT = "rssiloc-model"
-MODEL_VERSION = 2  # of tree and forest records; other kinds are unchanged at 1
+MODEL_VERSION = 3  # of tree and forest records; other kinds are unchanged at 1
+# The record versions each kind loads; kinds not named here load version 1 only.
+_KIND_VERSIONS = {"tree": (1, 2, MODEL_VERSION), "forest": (1, 2, MODEL_VERSION)}
+# The little-endian item type of each base64 array of a version-3 tree record.
+_ARRAY_DTYPES = {"feature": "<i8", "threshold": "<f8", "value": "<f8", "n": "<i8"}
 
 MLP_DEFAULT_SIZES = (13, 20, 17, 4)
 
@@ -404,7 +413,7 @@ class RegressionTree:
     of the module docstring plus its hyperparameters. ``root`` is a
     read-only :class:`TreeNode` view of node 0; predict walks all rows
     down together, one vectorized step per level; to_dict writes the
-    version-2 arrays."""
+    version-3 record of :func:`_trees_from_arrays`."""
 
     feature: np.ndarray
     threshold: np.ndarray
@@ -479,7 +488,7 @@ class Forest:
     predict walks the rows down all trees in one concatenated node block,
     then averages the tree-major (T, N) leaf values over axis 0, in tree
     order, exactly as averaging the member trees' predictions does. The
-    version-2 record concatenates the trees' arrays."""
+    version-3 record concatenates the trees' arrays before encoding them."""
 
     trees: Tuple[RegressionTree, ...]
     bootstrap: bool = True
@@ -800,20 +809,23 @@ def _wrap(kind: str, hyperparameters: dict, parameters: dict, version: int = 1) 
 
 
 def _trees_to_arrays(trees) -> dict:
-    """Version-2 parameters of trees in preorder; see _trees_from_arrays."""
-    cat = {name: np.concatenate([getattr(t, name) for t in trees])
-           for name in ("feature", "threshold", "value", "n")}
+    """Version-3 parameters of trees in preorder; see _trees_from_arrays."""
+    cat = {name: np.concatenate([getattr(t, name) for t in trees]) for name in _ARRAY_DTYPES}
+    cat["threshold"] = cat["threshold"][cat["feature"] >= 0]
     return {"node_counts": [len(t.feature) for t in trees],
-            "feature": cat["feature"].tolist(),
-            "threshold": cat["threshold"][cat["feature"] >= 0].tolist(),
-            "value": cat["value"].tolist(), "n": cat["n"].tolist()}
+            **{name: base64.b64encode(a.astype(_ARRAY_DTYPES[name]).tobytes()).decode("ascii")
+               for name, a in cat.items()}}
 
 
 def _trees_from_arrays(p: dict, h: dict) -> Tuple[RegressionTree, ...]:
-    """Trees with hyperparameters h from version-2 arrays: node_counts, then
-    all trees' nodes in preorder: feature (-1 at a leaf), threshold (internal
-    nodes only), value and n. Child indices follow from the preorder, so none
-    can form a cycle; arrays that encode no preorder trees raise ValueError."""
+    """Trees with hyperparameters h from flat arrays: node_counts, then all
+    trees' nodes in preorder: feature (-1 at a leaf), threshold (internal
+    nodes only), value and n. A version-3 record stores the last four as
+    base64 strings of little-endian bytes, ``<i8`` for feature and n and
+    ``<f8`` for threshold and value, which _trees_from_dict decodes first;
+    version 2 stores them as JSON number lists. Child indices follow from
+    the preorder, so none can form a cycle; arrays that encode no preorder
+    trees raise ValueError."""
     def ints(key):
         a = np.asarray(p[key])
         if a.ndim != 1 or (a.size and a.dtype.kind != "i"):
@@ -847,10 +859,15 @@ def _trees_from_arrays(p: dict, h: dict) -> Tuple[RegressionTree, ...]:
 
 
 def _trees_from_dict(d: dict) -> Tuple[RegressionTree, ...]:
-    """The trees of a tree or forest record; version 1 nests a dict per node,
-    read here in preorder into the version-2 arrays."""
+    """The trees of a tree or forest record. Version 3's base64 arrays are
+    decoded into native, owned int64/float64 arrays; version 1 nests a dict
+    per node, read here in preorder into the flat arrays."""
     p = d["parameters"]
-    if d["version"] == 1:
+    if d["version"] == 3:
+        p = {"node_counts": p["node_counts"], **{
+            key: np.frombuffer(base64.b64decode(p[key], validate=True), dtype).astype(dtype[1:])
+            for key, dtype in _ARRAY_DTYPES.items()}}
+    elif d["version"] == 1:
         roots, p = [p["root"]] if d["kind"] == "tree" else p["trees"], {
             "node_counts": [], "feature": [], "threshold": [], "value": [], "n": []}
         for stack in ([root] for root in roots):
@@ -930,11 +947,11 @@ def model_from_dict(data: dict):
     or whose kind's fields are missing or mistyped, raises ValueError."""
     if not isinstance(data, dict) or data.get("format") != MODEL_FORMAT:
         raise ValueError("not a model record")
-    if data.get("version") not in (1, MODEL_VERSION):
-        raise ValueError(f"unsupported model version {data.get('version')}")
-    kind = data.get("kind")
+    kind, version = data.get("kind"), data.get("version")
     if not isinstance(kind, str) or kind not in _MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
+    if type(version) is not int or version not in _KIND_VERSIONS.get(kind, (1,)):
+        raise ValueError(f"unsupported model version {version!r} of a {kind} record")
     try:
         return _MODEL_KINDS[kind](data)
     except (KeyError, TypeError, AttributeError, IndexError) as exc:

@@ -4,6 +4,7 @@ no traceback. Also direct tests of the single owners behind it: atomic
 writes, zone resolution, model-record checks, kNN validation and
 ``--min-leaf``."""
 
+import base64
 import contextlib
 import copy
 import functools
@@ -113,6 +114,27 @@ def treeloc_with_linear_component():
     record = copy.deepcopy(treeloc)
     record["parameters"]["components"][0] = linear
     return json.dumps(record), "regression"
+
+
+def broken_v3_tree(key, edit):
+    """The saved paired-tree record with one version-3 array of its first
+    tree edited."""
+    record = copy.deepcopy(RECORDS[2][0])
+    tree = record["parameters"]["components"][0]
+    assert (record["kind"], tree["kind"], tree["version"]) == ("paired", "tree", 3)
+    tree["parameters"][key] = edit(tree["parameters"][key])
+    return json.dumps(record), "regression"
+
+
+BROKEN_V3 = {
+    # a lenient decoder would skip the "*" and load the tree
+    "bad base64": ("feature", lambda text: text[:4] + "*" + text[4:]),
+    "ragged bytes": ("threshold", lambda text: base64.b64encode(
+        base64.b64decode(text)[:-3]).decode("ascii")),
+    "value count": ("value", lambda text: base64.b64encode(
+        base64.b64decode(text)[:-8]).decode("ascii")),
+    "list array": ("n", lambda text: np.frombuffer(base64.b64decode(text), "<i8").tolist()),
+}
 
 
 @st.composite
@@ -226,12 +248,25 @@ class TestContract:
                                "parameters": {}}), "regression"))
     @example(case=("[1, 2]", "regression"))
     @example(case=treeloc_with_linear_component())
+    @example(case=broken_v3_tree(*BROKEN_V3["bad base64"]))
+    @example(case=broken_v3_tree(*BROKEN_V3["ragged bytes"]))
+    @example(case=broken_v3_tree(*BROKEN_V3["value count"]))
+    @example(case=broken_v3_tree(*BROKEN_V3["list array"]))
     def test_malformed_model_file(self, files, case):
         text, layout = case
         path = files["root"] / "model.json"
         path.write_text(text, encoding="utf-8")
         check_contract(["predict", "--model-file", path, "-i", files[layout],
                         "-o", files["root"] / "pred.csv"])
+
+    @pytest.mark.parametrize("key, edit", BROKEN_V3.values(), ids=BROKEN_V3.keys())
+    def test_broken_v3_tree_arrays_exit_3(self, files, key, edit):
+        path, out = files["root"] / "model.json", files["root"] / "pred.csv"
+        out.unlink(missing_ok=True)
+        path.write_text(broken_v3_tree(key, edit)[0], encoding="utf-8")
+        code, err = check_contract(["predict", "--model-file", path,
+                                    "-i", files["regression"], "-o", out])
+        assert code == 3 and "bad model file" in err and not out.exists()
 
     @FUZZ
     @given(where=st.sampled_from(["missing/dir/out", "", "blocker/out"]),

@@ -90,6 +90,7 @@ def test_library_check_raises(call, error, message):
 
 
 ANCHORS = "0,0;400,0;200,300"
+FAR = "0,0;1e150,0;0,1e150"  # wls-bc's rhs variances overflow there
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +112,8 @@ def paths(tmp_path_factory):
     out["bad_bool"].write_text("include-cross-term = maybe\n")
     learners.save_model(learners.fit_tree(rssi, targets[:, 0], max_depth=2), out["tree1d"])
     learners.save_model(learners.fit_knn(features, labels, k=3, n_classes=4), out["knn"])
+    out["far"] = root / "far.csv"
+    assert main(["simulate", f"--anchors={FAR}", "--positions", "3", "-o", str(out["far"])]) == 0
     return out
 
 
@@ -134,6 +137,9 @@ CLI_CASES = {
                      "-o", "{out}"], 2, "bounds and their spans must be finite"),
     "simulated rssi": (["simulate", "--anchors", ANCHORS, "--bounds=0,0,1e308,5",
                         "-o", "{out}"], 4, "simulated RSSI is not finite"),
+    "locate non-finite": (["locate", "--solver", "wls-bc", f"--anchors={FAR}",
+                           "-i", "{far}", "-o", "{out}"], 4,
+                          "row 2: wls-bc gave a non-finite estimate"),
     "treeloc shuffle": (["treeloc", "--shuffle", "-i", "{reg}"], 2,
                         "unrecognized arguments: --shuffle"),
     "treeloc holdout": (["treeloc", "--combiner-holdout", "0.2", "-i", "{reg}"], 2,

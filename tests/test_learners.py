@@ -437,3 +437,24 @@ class TestSerialization:
         with pytest.raises(ValueError):
             model_from_dict({"format": "rssiloc-model", "version": 1,
                              "kind": "nope"})
+
+    def test_versions_are_checked_per_kind(self):
+        # Only tree and forest records have had versions 2 and 3; a bool
+        # version was accepted as 1 because True == 1.
+        x = np.array([[0.0], [1.0], [2.0], [3.0]])
+        records = {
+            "linear": model_to_dict(fit_linear(x, x[:, 0])),
+            "paired": model_to_dict(fit_tree(x, np.hstack([x, x]), max_depth=1)),
+            "tree": model_to_dict(fit_tree(x, x[:, 0], max_depth=1)),
+            "forest": model_to_dict(fit_forest(x, x[:, 0], n_trees=2, max_depth=1)),
+        }
+        for kind, record in records.items():
+            assert record["kind"] == kind
+            accepted = (1, 2, 3) if kind in ("tree", "forest") else (1,)
+            assert record["version"] == accepted[-1]
+            model_from_dict(record)
+            for version in (0, 2, 3, 4, True, False, 1.0, 3.0, "1", "3", None):
+                if version in accepted and type(version) is int:
+                    continue
+                with pytest.raises(ValueError, match="unsupported model version"):
+                    model_from_dict({**record, "version": version})

@@ -10,9 +10,16 @@ bit.
 
 ``data/treeloc_v2.json`` and ``data/treeloc_v2_predictions.json`` are the
 same fit saved with version-2 tree and forest records, which hold flat
-preorder arrays. Version 2 also draws the extra trees' thresholds level by
-level, so those trees differ from version 1's. Regenerate the version-2
-files only together with a ``MODEL_VERSION`` bump:
+preorder arrays as JSON number lists. Version 2 also draws the extra
+trees' thresholds level by level, so those trees differ from version 1's.
+They too stay as they are and pin the version-2 reader.
+
+``data/treeloc_v3.json`` and ``data/treeloc_v3_predictions.json`` are the
+same fit saved with version-3 tree and forest records: the same preorder
+arrays, with ``feature``, ``threshold``, ``value`` and ``n`` stored as
+base64 strings of little-endian ``<i8``/``<f8`` bytes and ``node_counts``
+kept a JSON list. Running this file writes the version-3 files and no
+others; regenerate them only together with a ``MODEL_VERSION`` bump:
 
     PYTHONPATH=src python tests/test_model_golden.py
 """
@@ -32,6 +39,8 @@ MODEL = DATA / "treeloc_v1.json"
 PREDICTIONS = DATA / "treeloc_v1_predictions.json"
 MODEL_V2 = DATA / "treeloc_v2.json"
 PREDICTIONS_V2 = DATA / "treeloc_v2_predictions.json"
+MODEL_V3 = DATA / "treeloc_v3.json"
+PREDICTIONS_V3 = DATA / "treeloc_v3_predictions.json"
 SEED = 11
 EXHAUSTIVE = ("decision_tree", "random_forest")
 
@@ -78,14 +87,19 @@ def test_load_v2_reproduces_predictions():
     assert np.array_equal(load_model(MODEL_V2).predict(rows), expected)
 
 
+def test_load_v3_reproduces_predictions():
+    rows, expected = golden_rows(PREDICTIONS_V3)
+    assert np.array_equal(load_model(MODEL_V3).predict(rows), expected)
+
+
 def test_resave_is_byte_identical(tmp_path):
     path = tmp_path / "resaved.json"
-    save_model(load_model(MODEL_V2), path)
-    assert path.read_bytes() == MODEL_V2.read_bytes()
+    save_model(load_model(MODEL_V3), path)
+    assert path.read_bytes() == MODEL_V3.read_bytes()
 
 
 def test_fresh_fit_gives_same_record():
-    assert model_to_dict(fit_golden()) == json.loads(MODEL_V2.read_text())
+    assert model_to_dict(fit_golden()) == json.loads(MODEL_V3.read_text())
 
 
 def test_exhaustive_tree_arrays_match_v1():
@@ -98,10 +112,15 @@ def test_loaded_tree_arrays_match_fit():
                        tree_arrays(fit_golden()), 14)
 
 
+def test_v2_and_v3_files_load_the_same_arrays():
+    assert_same_arrays(tree_arrays(load_model(MODEL_V3)),
+                       tree_arrays(load_model(MODEL_V2)), 14)
+
+
 if __name__ == "__main__":
     model = fit_golden()
     rows = regression_testbed(SEED + 1, n=20)[0]
     DATA.mkdir(exist_ok=True)
-    save_model(model, MODEL_V2)
-    PREDICTIONS_V2.write_text(json.dumps(
+    save_model(model, MODEL_V3)
+    PREDICTIONS_V3.write_text(json.dumps(
         {"rows": rows.tolist(), "predictions": model.predict(rows).tolist()}))

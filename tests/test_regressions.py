@@ -302,3 +302,26 @@ class TestHugeAnchorCoordinates:
         assert done.returncode in (2, 4), done.stderr
         assert "Traceback" not in done.stderr and "Warning" not in done.stderr
         assert not (tmp_path / "out.csv").exists()
+
+
+class TestLocateNonFiniteEstimates:
+    """Anchors far from the origin overflow the wls and wls-bc weights:
+    locate wrote nan estimates for every row and exited 0."""
+
+    ANCHORS = "--anchors=0,0;1e150,0;0,1e150"
+
+    @pytest.mark.parametrize("solver", ["wls", "wls-bc"])
+    def test_exits_4_without_output(self, tmp_path, capsys, solver):
+        sim, out = tmp_path / "sim.csv", tmp_path / "loc.csv"
+        assert main(["simulate", self.ANCHORS, "--positions", "5", "-o", str(sim)]) == 0
+        code = main(["locate", "--solver", solver, self.ANCHORS, "-i", str(sim),
+                     "-o", str(out), "--report", str(tmp_path / "report.txt")])
+        err = capsys.readouterr().err
+        assert code == 4 and f"row 2: {solver} gave a non-finite estimate" in err
+        assert "Traceback" not in err and not out.exists()
+        assert not (tmp_path / "report.txt").exists()
+        # the unweighted solvers stay finite on the same file
+        assert main(["locate", "--solver", "lls", self.ANCHORS, "-i", str(sim),
+                     "-o", str(out)]) == 0
+        columns = load_all_columns(out)
+        assert np.isfinite(np.array(columns["X_Pred"] + columns["Y_Pred"], dtype=float)).all()

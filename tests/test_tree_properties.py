@@ -1,6 +1,7 @@
 """Property tests for the tree learners on small datasets with tied values,
-and for their saved version-1 and version-2 records."""
+and for their saved version-1, version-2 and version-3 records."""
 
+import base64
 import copy
 import dataclasses
 import json
@@ -144,7 +145,7 @@ def check_block_walk(model, x, monkeypatch):
         assert np.array_equal(tree.predict(x), [walk(tree, row) for row in x])
 
 
-@pytest.mark.parametrize("name", ["treeloc_v1", "treeloc_v2"])
+@pytest.mark.parametrize("name", ["treeloc_v1", "treeloc_v2", "treeloc_v3"])
 def test_block_walk_on_golden_models(name, monkeypatch):
     data = Path(__file__).parent / "data"
     model = load_model(data / f"{name}.json")
@@ -256,10 +257,10 @@ def v1_node(tree, i=0):
 
 def check_v1_round_trip(v1_record, x):
     from_v1 = model_from_dict(json.loads(json.dumps(v1_record)))
-    from_v2 = model_from_dict(json.loads(json.dumps(model_to_dict(from_v1))))
-    assert len(trees_of(from_v1)) == len(trees_of(from_v2))
-    assert all(same_arrays(a, b) for a, b in zip(trees_of(from_v1), trees_of(from_v2)))
-    assert np.array_equal(from_v1.predict(x), from_v2.predict(x))
+    resaved = model_from_dict(json.loads(json.dumps(model_to_dict(from_v1))))
+    assert len(trees_of(from_v1)) == len(trees_of(resaved))
+    assert all(same_arrays(a, b) for a, b in zip(trees_of(from_v1), trees_of(resaved)))
+    assert np.array_equal(from_v1.predict(x), resaved.predict(x))
     return from_v1
 
 
@@ -271,7 +272,7 @@ def test_v1_file_saved_as_v2_loads_the_same_trees(data, max_depth, n_trees,
     x, y = data
     forest = fit_forest(x, y, n_trees=n_trees, max_depth=max_depth, rng_seed=seed,
                         split_mode="random" if random else "exhaustive")
-    assert model_to_dict(forest)["version"] == MODEL_VERSION == 2
+    assert model_to_dict(forest)["version"] == MODEL_VERSION == 3
     v1 = {**model_to_dict(forest), "version": 1,
           "parameters": {"trees": [v1_node(t) for t in forest.trees]}}
     loaded = check_v1_round_trip(v1, x)
@@ -288,25 +289,67 @@ def test_v1_golden_file_saved_as_v2_loads_the_same_trees():
 
 
 ARRAY_KEYS = ("node_counts", "feature", "threshold", "value", "n")
-BASE_RECORD = model_to_dict(fit_forest(
-    np.arange(24.0).reshape(12, 2) % 5, np.arange(12.0) % 4, n_trees=3, max_depth=3))
+# The version-3 byte layout: little-endian int64 or float64 items, base64.
+V3_DTYPES = {"feature": "<i8", "threshold": "<f8", "value": "<f8", "n": "<i8"}
+
+
+def v2_parameters(trees):
+    """The version-2 parameters of trees, JSON number lists (the old writer)."""
+    feature = np.concatenate([t.feature for t in trees])
+    return {"node_counts": [len(t.feature) for t in trees], "feature": feature.tolist(),
+            "threshold": np.concatenate([t.threshold for t in trees])[feature >= 0].tolist(),
+            "value": np.concatenate([t.value for t in trees]).tolist(),
+            "n": np.concatenate([t.n for t in trees]).tolist()}
+
+
+def v3_parameters(p):
+    """Version-3 parameters of list arrays p, each encoded as its key's items."""
+    return {"node_counts": p["node_counts"], **{
+        key: base64.b64encode(np.array(p[key], dtype=dtype).tobytes()).decode("ascii")
+        for key, dtype in V3_DTYPES.items()}}
+
+
+def decoded(p):
+    """Version-3 parameters p with the base64 arrays decoded into lists."""
+    return {"node_counts": p["node_counts"], **{
+        key: np.frombuffer(base64.b64decode(p[key]), dtype).tolist()
+        for key, dtype in V3_DTYPES.items()}}
+
+
+BASE_FOREST = fit_forest(np.arange(24.0).reshape(12, 2) % 5, np.arange(12.0) % 4,
+                         n_trees=3, max_depth=3)
+BASE_RECORD = {**model_to_dict(BASE_FOREST), "version": 2,
+               "parameters": v2_parameters(BASE_FOREST.trees)}
 ITEMS = (st.integers(-3, 3) | st.integers(-3, 40) | st.none() | st.booleans()
          | st.floats() | st.text(max_size=3) | st.lists(st.integers(0, 3), max_size=2))
+# Items that a version-3 array of each key can hold; node_counts stays JSON.
+V3_ITEMS = {"node_counts": ITEMS, "feature": st.integers(-3, 3) | st.integers(-3, 40),
+            "threshold": st.floats(), "value": st.floats()}
+V3_ITEMS["n"] = V3_ITEMS["feature"]
+
+
+def test_v3_writer_encodes_the_v2_arrays():
+    record = model_to_dict(BASE_FOREST)
+    assert record["version"] == 3 and record["parameters"] == v3_parameters(
+        BASE_RECORD["parameters"])
+    assert decoded(record["parameters"]) == BASE_RECORD["parameters"]
 
 
 @st.composite
-def edited_arrays(draw):
-    """Version-2 forest arrays with items replaced, deleted or inserted."""
+def edited_arrays(draw, items_of=lambda key: ITEMS):
+    """Version-2 forest arrays with items replaced, deleted or inserted;
+    items_of(key) draws the items that array may take."""
     p = copy.deepcopy(BASE_RECORD["parameters"])
     for _ in range(draw(st.integers(1, 3))):
-        items = p[draw(st.sampled_from(ARRAY_KEYS))]
+        key = draw(st.sampled_from(ARRAY_KEYS))
+        items, new = p[key], items_of(key)
         i = draw(st.integers(0, len(items)))
         how = draw(st.sampled_from(["replace", "delete", "insert"]))
         if how == "insert":
-            items.insert(i, draw(ITEMS))
+            items.insert(i, draw(new))
         elif i < len(items):
             if how == "replace":
-                items[i] = draw(ITEMS)
+                items[i] = draw(new)
             else:
                 del items[i]
     return p
@@ -351,6 +394,22 @@ def test_arrays_that_encode_no_preorder_trees_raise(p):
     except ValueError:
         assert not numbers
         return
+    assert_every_node_reached_once(forest)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(p=edited_arrays(V3_ITEMS.get))
+def test_v3_arrays_that_encode_no_preorder_trees_raise(p):
+    # the same edits, made to the decoded arrays and encoded again
+    record = {**BASE_RECORD, "version": 3, "parameters": v3_parameters(p)}
+    if not encodes_preorder_trees(p):
+        with pytest.raises(ValueError):
+            model_from_dict(record)
+        return
+    assert_every_node_reached_once(model_from_dict(record))
+
+
+def assert_every_node_reached_once(forest):
     for tree in forest.trees:  # every node is reached once from the root
         seen, stack = np.zeros(len(tree.feature), dtype=bool), [0]
         while stack:
@@ -364,8 +423,10 @@ def test_arrays_that_encode_no_preorder_trees_raise(p):
 
 def test_tree_record_with_too_few_leaves_exits_3(tmp_path, capsys):
     record = model_to_dict(fit_tree(np.arange(6.0), np.arange(6.0) % 3, max_depth=2))
-    record["parameters"]["feature"][-1] = 0  # a leaf becomes an internal node
-    record["parameters"]["threshold"].append(0.5)
+    p = decoded(record["parameters"])
+    p["feature"][-1] = 0  # a leaf becomes an internal node
+    p["threshold"].append(0.5)
+    record["parameters"] = v3_parameters(p)
     path = tmp_path / "model.json"
     path.write_text(json.dumps(record))
     data = tmp_path / "data.csv"
