@@ -6,8 +6,12 @@ solvers, ``fit``/``predict`` train and apply the learners, ``treeloc``
 runs the stacking ensemble, and ``evaluate`` scores prediction files.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
-failure. Every command is deterministic under a fixed --seed. --threads
-is accepted for compatibility, echoed in reports, and has no effect.
+failure (numpy's LinAlgError included), never a traceback. ``main`` runs
+every command in one float-error scope, so an overflow gives inf or nan,
+not a warning, and ``_finish`` writes nothing when a float data column
+holds one (exit 4). Every command is deterministic under a fixed --seed.
+--threads is accepted for compatibility, echoed in reports, and has no
+effect.
 
 Outputs are computed first, then written in one place in the order data
 CSV (-o), saved model (--save-model), report (--report), each atomically
@@ -52,9 +56,13 @@ class CliError(RssilocError):
 
 
 def _finish(args, lines: List[tuple], table="", data=None, model=None) -> None:
-    """Write the run's outputs (data, model, report), then print the report.
-
-    A failed write removes the files written before it and raises."""
+    """Check that data is finite, write the run's outputs (data, model,
+    report), then print the report. A failed write removes the files
+    written before it and raises."""
+    for name, column in (data or {}).items():
+        if (isinstance(column, np.ndarray) and column.dtype.kind == "f"
+                and not np.isfinite(column).all()):
+            raise NumericalError(f"{args.command} gave non-finite values in {name}")
     lines = [("command", args.command), ("seed", args.seed),
              ("threads", args.threads), *lines]
     body = "".join(f"{key}\t{value}\n" for key, value in lines)
@@ -136,10 +144,7 @@ def _parse_anchors(args) -> Scene:
     xmin, ymin, xmax, ymax = scene.bounds
     if not np.isfinite([*scene.bounds, xmax - xmin, ymax - ymin]).all():
         raise CliError(2, "bounds and their spans must be finite")
-    try:
-        return validate_scene(scene)
-    except SceneError as exc:
-        raise CliError(2, f"{type(exc).__name__}: {exc}") from exc
+    return validate_scene(scene)
 
 
 def _path_loss(args) -> PathLossParams:
@@ -158,10 +163,7 @@ def cmd_simulate(args) -> None:
     xmin, ymin, xmax, ymax = scene.bounds
     positions, samples = max(args.positions, 0), max(args.samples, 0)  # < 1: no rows
     targets = pos_rng.uniform((xmin, ymin), (xmax, ymax), size=(positions, 2))
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        rssi = measure_targets(scene, targets, params, noise, samples)
-    if not np.isfinite(rssi).all():
-        raise NumericalError("simulated RSSI is not finite")
+    rssi = measure_targets(scene, targets, params, noise, samples)
     m = len(scene.anchors)
     columns: Dict[str, np.ndarray] = {f"RSSI{i + 1}": rssi[:, i] for i in range(m)}
     columns["X_Actual"], columns["Y_Actual"] = np.repeat(targets, samples, axis=0).T
@@ -182,12 +184,8 @@ def _apply_filter(args, values: np.ndarray) -> np.ndarray:
 
 def cmd_filter(args) -> None:
     out, names = ingest.load_rssi_columns(args.input)
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
-        for name in names:
-            out[name] = _apply_filter(args, out[name])
-    bad = [name for name in names if not np.isfinite(out[name]).all()]
-    if bad:
-        raise NumericalError(f"{args.filter} filter left non-finite values in {bad[0]}")
+    for name in names:
+        out[name] = _apply_filter(args, out[name])
     _finish(args, [("filter", args.filter), ("columns_filtered", len(names)),
                    ("output", args.output)], data=out)
 
@@ -209,8 +207,7 @@ def cmd_locate(args) -> None:
     # One solve per anchor mask, over all the rows that share it.
     masks, group = np.unique(in_range, axis=0, return_inverse=True)
     estimates = np.empty((len(ds), 2))
-    with (warnings.catch_warnings(record=True) as caught,
-          np.errstate(over="ignore", invalid="ignore")):  # checked below
+    with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", DegenerateWeightsWarning)
         for g, mask in enumerate(masks):
             idx = np.flatnonzero(group == g)
@@ -552,20 +549,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         argv = _merge_config(argv, parser)
         args = parser.parse_args(argv)
-        args.func(args)
+        with np.errstate(over="ignore", invalid="ignore"):  # _finish checks the data
+            args.func(args)
         return 0
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except (NumericalError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
+        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
     except (IngestError, EmptySignal, MetricError, LearnerError) as exc:
         print(f"data error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except (SignalError, SceneError, ValueError) as exc:
         print(f"config error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except (NumericalError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 4
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@
 
 Grouped by the failure class they report so callers (and the CLI) can map
 them to a coarse category: configuration, data, or numerical failure.
+numpy's ``LinAlgError`` counts as a numerical failure too.
 """
 
 

@@ -34,7 +34,7 @@ from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .exceptions import (EmptyDataset, EmptyTrainingSet, KTooLarge,
-                         ShapeMismatch)
+                         NumericalError, ShapeMismatch)
 
 ZONE_LABELS = ("A", "B", "C", "D")
 
@@ -642,11 +642,6 @@ def fit_knn(features, labels, k: int, n_classes: Optional[int] = None) -> KnnMod
 
 # --- feed-forward network -------------------------------------------------------------
 
-def sigmoid(z):
-    """Logistic activation 1 / (1 + exp(-z))."""
-    return 1.0 / (1.0 + np.exp(-np.asarray(z, dtype=float)))
-
-
 def relu(z):
     return np.maximum(np.asarray(z, dtype=float), 0.0)
 
@@ -769,13 +764,14 @@ def mlp_train(model: MlpModel, features, labels_onehot, lr: float = 0.01,
     under the given seed. Each batch runs :func:`_backprop`, the gradient
     core of :func:`mlp_backprop`, without the loss, and updates a copy of
     the weights in place. Returns the trained network and the per-epoch
-    accuracy trace on both parts.
+    accuracy trace on both parts. Raises NumericalError if training leaves
+    a weight or bias non-finite.
     """
     if len(np.asarray(features)) == 0:
         raise EmptyDataset("no training samples")
     x, y = _batch(model, features, labels_onehot)
-    if lr < 0:
-        raise ValueError("learning rate must be >= 0")
+    if not 0.0 <= lr < np.inf:  # also false for nan
+        raise ValueError("learning rate must be finite and >= 0")
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     rng = np.random.default_rng(rng_seed)
@@ -797,6 +793,8 @@ def mlp_train(model: MlpModel, features, labels_onehot, lr: float = 0.01,
         train_acc.append(_accuracy(net, x_train, y_train))
         if len(test_idx):
             test_acc.append(_accuracy(net, x[test_idx], y[test_idx]))
+    if not all(np.isfinite(a).all() for a in (*net.weights, *net.biases)):
+        raise NumericalError(f"training at learning rate {lr} left non-finite weights")
     return net, MlpHistory(train_accuracy=tuple(train_acc),
                            test_accuracy=tuple(test_acc))
 

@@ -7,10 +7,13 @@ writes, zone resolution, model-record checks, kNN validation and
 import base64
 import contextlib
 import copy
+import csv
 import functools
 import io
 import json
+import math
 import operator
+import re
 from pathlib import Path
 
 import numpy as np
@@ -51,9 +54,20 @@ def run(argv):
 
 
 def check_contract(argv):
+    """Exit code and stderr of a run that honours the contract: a known
+    exit code, no traceback, and on success no non-finite computed cell in
+    the -o file."""
     code, err = run(argv)
     assert code in (0, 2, 3, 4), (code, err)
     assert "Traceback" not in err
+    if code == 0 and "-o" in argv:
+        # filter copies every column but RSSI<k>/b<k> through as raw text
+        computed = re.compile(r"RSSI\d+|b\d+" + ("" if argv[0] == "filter" else "|[XY]_Pred"))
+        with open(argv[argv.index("-o") + 1], newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        for j, name in enumerate(header):
+            if computed.fullmatch(name):
+                assert all(math.isfinite(float(row[j])) for row in rows), (argv, name)
     return code, err
 
 
@@ -113,6 +127,15 @@ def treeloc_with_linear_component():
     assert (treeloc["kind"], linear["kind"]) == ("treeloc", "linear")
     record = copy.deepcopy(treeloc)
     record["parameters"]["components"][0] = linear
+    return json.dumps(record), "regression"
+
+
+def linear_with_theta(value):
+    """The saved linear record with every theta entry set to value; it
+    predicts nan, or overflows to -inf, on every row."""
+    record = copy.deepcopy(RECORDS[0][0])
+    theta = record["parameters"]["theta"]
+    record["parameters"]["theta"] = [[value] * len(row) for row in theta]
     return json.dumps(record), "regression"
 
 
@@ -248,6 +271,8 @@ class TestContract:
                                "parameters": {}}), "regression"))
     @example(case=("[1, 2]", "regression"))
     @example(case=treeloc_with_linear_component())
+    @example(case=linear_with_theta(float("nan")))
+    @example(case=linear_with_theta(1e308))
     @example(case=broken_v3_tree(*BROKEN_V3["bad base64"]))
     @example(case=broken_v3_tree(*BROKEN_V3["ragged bytes"]))
     @example(case=broken_v3_tree(*BROKEN_V3["value count"]))

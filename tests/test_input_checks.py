@@ -32,6 +32,8 @@ LIBRARY_CHECKS = {
     "forest size": (lambda: learners.fit_forest(X, X[:, 0], n_trees=0),
                     ValueError, "n_trees"),
     "mlp rate": (lambda: mlp_train(lr=-0.1), ValueError, "learning rate"),
+    "mlp rate nan": (lambda: mlp_train(lr=np.nan), ValueError, "learning rate"),
+    "mlp rate inf": (lambda: mlp_train(lr=np.inf), ValueError, "learning rate"),
     "mlp batch": (lambda: mlp_train(batch_size=0), ValueError, "batch_size"),
     "mlp holdout": (lambda: mlp_train(test_fraction=1.0), EmptyDataset,
                     "no training samples"),
@@ -136,7 +138,7 @@ CLI_CASES = {
     "bounds span": (["simulate", "--anchors", ANCHORS, "--bounds=-1e308,0,1e308,5",
                      "-o", "{out}"], 2, "bounds and their spans must be finite"),
     "simulated rssi": (["simulate", "--anchors", ANCHORS, "--bounds=0,0,1e308,5",
-                        "-o", "{out}"], 4, "simulated RSSI is not finite"),
+                        "-o", "{out}"], 4, "simulate gave non-finite values in RSSI1"),
     "locate non-finite": (["locate", "--solver", "wls-bc", f"--anchors={FAR}",
                            "-i", "{far}", "-o", "{out}"], 4,
                           "row 2: wls-bc gave a non-finite estimate"),
@@ -154,6 +156,10 @@ CLI_CASES = {
     "poly fit with config": (["fit", "--model", "poly", "--degree", "2", "-i", "{reg}",
                               "--config", "{cfg}"], 0, ""),
     "mlp fit": (["fit", "--model", "mlp", "--epochs", "1", "-i", "{beacons}"], 0, ""),
+    "mlp rate nan": (["fit", "--model", "mlp", "--lr", "nan", "-i", "{beacons}",
+                      "-o", "{out}"], 2, "learning rate must be finite"),
+    "mlp rate overflow": (["fit", "--model", "mlp", "--lr", "1e308", "-i", "{beacons}",
+                           "-o", "{out}"], 4, "left non-finite weights"),
     "evaluate inputs": (["evaluate", "--actual", "{reg}"], 2, "evaluate needs"),
     "config path": ([*LOCATE, "--config"], 2, "requires a file path"),
     "config subcommand": (["--config", "{cfg}"], 2, "needs a subcommand"),

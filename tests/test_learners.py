@@ -10,8 +10,8 @@ from rssiloc.learners import (Forest, KnnModel, MlpModel, PairedRegressor,
                               knn_classify, load_model, mlp_backprop,
                               mlp_forward, mlp_train, model_from_dict,
                               model_to_dict, one_hot_encode,
-                              polynomial_features, save_model, sigmoid,
-                              softmax, train_test_split_indices)
+                              polynomial_features, save_model, softmax,
+                              train_test_split_indices)
 
 
 class TestLinear:
@@ -280,10 +280,6 @@ class TestMlp:
         probs = softmax(z)
         assert np.all(probs > 0)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
-
-    def test_sigmoid_logistic_values(self):
-        assert sigmoid(0.0) == 0.5
-        assert sigmoid(np.log(3.0)) == pytest.approx(0.75)
 
     def test_shape_mismatch(self):
         model = MlpModel.create(rng_seed=0)

@@ -1,5 +1,6 @@
 """Regression tests for defects that once escaped their documented contract."""
 
+import json
 import math
 import os
 import re
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from _synth import beacon_dataset, regression_testbed
 from rssiloc.cli import main
 from rssiloc.core import Anchor, PathLossParams, Position, Scene, validate_scene
-from rssiloc import ensemble
+from rssiloc import ensemble, learners
 from rssiloc.exceptions import (DegenerateGeometry, MalformedNumber, NonPositiveSigma,
                                 ShapeMismatch)
 from rssiloc.filters import KalmanState, gaussian_filter, gaussian_kernel
@@ -325,3 +326,43 @@ class TestLocateNonFiniteEstimates:
                      "-o", str(out)]) == 0
         columns = load_all_columns(out)
         assert np.isfinite(np.array(columns["X_Pred"] + columns["Y_Pred"], dtype=float)).all()
+
+
+class TestNonFiniteFitAndPredict:
+    """fit and predict had no float-error scope and no finite check: a
+    saved linear record with a nan in theta predicted nan cells and exited
+    0, one whose theta overflowed raised a RuntimeWarning (a traceback
+    under -W error), and a singular polynomial fit's LinAlgError exited 2
+    as a config error."""
+
+    RSSI, TARGETS, _, _ = regression_testbed(5, n=30)
+
+    def write_testbed(self, tmp_path):
+        path = tmp_path / "testbed.csv"
+        write_csv(learners.RegressionDataset(self.RSSI, self.TARGETS), path)
+        return path
+
+    @pytest.mark.parametrize("rows, value", [(1, float("nan")), (slice(None), 1e308)])
+    def test_predict_exits_4_without_output(self, tmp_path, capsys, rows, value):
+        record = learners.model_to_dict(learners.fit_linear(self.RSSI, self.TARGETS))
+        theta = np.array(record["parameters"]["theta"])
+        theta[rows] = value
+        record["parameters"]["theta"] = theta.tolist()
+        saved, out, report = (tmp_path / "model.json", tmp_path / "out.csv",
+                              tmp_path / "report.txt")
+        saved.write_text(json.dumps(record))  # json writes and reads NaN
+        data = self.write_testbed(tmp_path)
+        code = main(["predict", "--model-file", str(saved), "-i", str(data),
+                     "-o", str(out), "--report", str(report)])
+        err = capsys.readouterr().err
+        assert code == 4 and "predict gave non-finite values in X_Pred" in err
+        assert "Traceback" not in err
+        assert not out.exists() and not report.exists()
+
+    def test_singular_polynomial_fit_exits_4(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        code = main(["fit", "--model", "poly", "--degree", "400",
+                     "-i", str(self.write_testbed(tmp_path)), "-o", str(out)])
+        err = capsys.readouterr().err
+        assert code == 4 and "numerical failure: LinAlgError" in err
+        assert "Traceback" not in err and not out.exists()
