@@ -3,15 +3,17 @@
 Subcommands cover the full flow: ``simulate`` writes synthetic testbed
 CSVs, ``filter`` conditions RSSI columns, ``locate`` runs the closed-form
 solvers, ``fit``/``predict`` train and apply the learners, ``treeloc``
-runs the stacking ensemble, and ``evaluate`` scores prediction files.
+runs the stacking ensemble, and ``evaluate`` scores prediction files. Only
+``fit``, ``treeloc`` and ``predict`` import ``learners``, and only a treeloc
+fit or record imports ``ensemble``; the other commands load neither.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
 failure (numpy's LinAlgError included), never a traceback. ``main`` runs
 every command in one float-error scope, so an overflow gives inf or nan,
-not a warning, and ``_finish`` writes nothing when a float data column
-holds one (exit 4). Every command is deterministic under a fixed --seed.
---threads is accepted for compatibility, echoed in reports, and has no
-effect.
+not a warning, and ``_finish`` writes nothing when a float data column or
+a regression metric holds one (exit 4). Every command is deterministic
+under a fixed --seed. --threads is accepted for compatibility, echoed in
+reports, and has no effect.
 
 Outputs are computed first, then written in one place in the order data
 CSV (-o), saved model (--save-model), report (--report), each atomically
@@ -35,7 +37,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from . import ensemble, filters, ingest, learners, metrics, solvers
+from . import filters, ingest, metrics, solvers
 from .core import Anchor, PathLossParams, Position, Scene, validate_scene
 from .exceptions import (DegenerateWeightsWarning, EmptySignal, IngestError,
                          KTooLarge, LearnerError, MetricError, NumericalError,
@@ -56,13 +58,18 @@ class CliError(RssilocError):
 
 
 def _finish(args, lines: List[tuple], table="", data=None, model=None) -> None:
-    """Check that data is finite, write the run's outputs (data, model,
-    report), then print the report. A failed write removes the files
-    written before it and raises."""
+    """Refuse non-finite data or metrics, write the run's outputs (data,
+    model, report), then print the report; table is text or regression
+    metrics. A failed write removes the files written before it and raises."""
     for name, column in (data or {}).items():
         if (isinstance(column, np.ndarray) and column.dtype.kind == "f"
                 and not np.isfinite(column).all()):
             raise NumericalError(f"{args.command} gave non-finite values in {name}")
+    if isinstance(table, dict):
+        for name, m in table.items():
+            if not np.isfinite([m.rmse, m.mae, m.std_err, m.r2 or 0.0]).all():
+                raise NumericalError(f"{args.command} gave non-finite {name} metrics")
+        table = metrics.format_regression_table(table)
     lines = [("command", args.command), ("seed", args.seed),
              ("threads", args.threads), *lines]
     body = "".join(f"{key}\t{value}\n" for key, value in lines)
@@ -87,6 +94,7 @@ def _finish(args, lines: List[tuple], table="", data=None, model=None) -> None:
 
 
 def _model_json(model) -> str:
+    from . import learners
     return json.dumps(learners.model_to_dict(model))
 
 
@@ -96,12 +104,11 @@ def _xy_columns(predicted: np.ndarray, actual: np.ndarray) -> Dict[str, np.ndarr
             "X_Actual": actual[:, 0], "Y_Actual": actual[:, 1]}
 
 
-def _regression_table(actual, predicted, parts=(("", slice(None)),)) -> str:
+def _regression_metrics(actual, predicted, parts=(("", slice(None)),)) -> dict:
     """x, y and pos2d metrics for each (name suffix, row index) part."""
-    return metrics.format_regression_table({
-        f"{name}{suffix}": metrics.regression_metrics(actual[i, c], predicted[i, c])
-        for suffix, i in parts
-        for name, c in (("x", 0), ("y", 1), ("pos2d", slice(None)))})
+    return {f"{name}{suffix}": metrics.regression_metrics(actual[i, c], predicted[i, c])
+            for suffix, i in parts
+            for name, c in (("x", 0), ("y", 1), ("pos2d", slice(None)))}
 
 
 # --- scene and model-parameter helpers -------------------------------------------
@@ -227,11 +234,12 @@ def cmd_locate(args) -> None:
                    ("sigma_p", args.sigma_p), ("sigma_a", args.sigma_a),
                    ("rows", len(ds)), ("weight_fallbacks", fallbacks),
                    ("output", args.output)],
-            _regression_table(ds.targets, estimates),
+            _regression_metrics(ds.targets, estimates),
             data=_xy_columns(estimates, ds.targets))
 
 
 def _fit_model(args, ds, train_idx):
+    from . import learners
     x = ds.features[train_idx]
     if args.model == "knn":
         try:
@@ -247,6 +255,7 @@ def _fit_model(args, ds, train_idx):
             epochs=args.epochs, rng_seed=args.seed, test_fraction=0.0)[0]
     y = ds.targets[train_idx]
     if args.model == "treeloc":
+        from . import ensemble
         model = ensemble.treeloc_fit(
             x, y, rng_seed=args.seed, tree_depth=args.max_depth,
             forest_trees=args.n_trees, extra_trees=args.n_trees,
@@ -270,6 +279,7 @@ def _fit_model(args, ds, train_idx):
 
 def _tree_shape(model) -> List[tuple]:
     """Report lines on the trees inside a tree-based model; none for others."""
+    from . import learners
     def trees(m):
         parts = getattr(m, "trees", getattr(m, "models", getattr(m, "components", ())))
         return [m] if isinstance(m, learners.RegressionTree) else [
@@ -282,6 +292,7 @@ def _tree_shape(model) -> List[tuple]:
 
 
 def cmd_fit(args) -> None:
+    from . import learners
     if not 0.0 <= args.test_size < 1.0:
         raise CliError(2, f"--test-size must be in [0, 1), got {args.test_size}")
     classifier = args.model in ("knn", "mlp")
@@ -312,14 +323,15 @@ def cmd_fit(args) -> None:
     else:
         predicted = np.atleast_2d(predicted)
         data = _xy_columns(predicted, ds.targets)
-        table = _regression_table(ds.targets, predicted,
-                                  [(f"_{name}", idx) for name, idx in
-                                   (("train", train_idx), ("test", test_idx))
-                                   if len(idx)])
+        table = _regression_metrics(ds.targets, predicted,
+                                    [(f"_{name}", idx) for name, idx in
+                                     (("train", train_idx), ("test", test_idx))
+                                     if len(idx)])
     _finish(args, header, table, data=data, model=model)
 
 
 def cmd_predict(args) -> None:
+    from . import learners
     try:
         model = learners.load_model(args.model_file)
     except OSError as exc:
@@ -341,7 +353,7 @@ def cmd_predict(args) -> None:
         raise CliError(3, f"model does not predict x and y for each row of {args.input}")
     else:
         data = _xy_columns(predicted, ds.targets)
-        table = _regression_table(ds.targets, predicted)
+        table = _regression_metrics(ds.targets, predicted)
     _finish(args, [("rows", len(ds)), ("output", args.output)], table, data=data)
 
 
@@ -364,7 +376,7 @@ def cmd_evaluate(args) -> None:
             predicted, = _load_xy(args.predicted, "Actual")
     else:
         raise CliError(2, "evaluate needs -i FILE or --actual and --predicted")
-    _finish(args, [("rows", len(actual))], _regression_table(actual, predicted))
+    _finish(args, [("rows", len(actual))], _regression_metrics(actual, predicted))
 
 
 # --- parser -----------------------------------------------------------------------------

@@ -23,7 +23,7 @@ import numpy as np
 from .exceptions import ShapeMismatch, TooFewSamples
 from .learners import (Forest, RegressionTree, fit_extra_trees, fit_forest,
                        fit_linear, fit_tree, model_from_dict, model_to_dict,
-                       register_model_kind, _leaf_values, _stack_trees, _wrap)
+                       _leaf_values, _stack_trees, _wrap)
 
 COMPONENT_NAMES = ("extra_trees", "decision_tree", "random_forest")
 
@@ -111,9 +111,6 @@ def _treeloc_from_dict(data: dict) -> TreeLocModel:
                         combiner_x=tuple(p["combiner_x"]),
                         combiner_y=tuple(p["combiner_y"]),
                         mode=h["mode"], rng_seed=h.get("rng_seed", 0))
-
-
-register_model_kind("treeloc", _treeloc_from_dict)
 
 
 def _thirds(n: int) -> Tuple[slice, slice, slice]:

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .exceptions import EmptySignal, NonPositiveSigma, ZeroWindow
+from .exceptions import EmptySignal, NonPositiveSigma, NumericalError, ZeroWindow
 
 KALMAN_DEFAULT_Q = 1e-4
 KALMAN_FALLBACK_R = 4.0
@@ -137,10 +137,13 @@ def kalman_step(state: KalmanState, z: float) -> KalmanState:
 
     p' = p + q, K = p' / (p' + r), then the estimate moves by K times the
     innovation and the variance contracts to (1 - K) * p', computed as
-    p' * r / (p' + r) to stay exact under a diffuse prior.
+    p' * r / (p' + r) to stay exact under a diffuse prior. A next estimate or
+    variance that is not finite (an overflow) raises NumericalError.
     """
-    return KalmanState(*_update(state.x_hat, state.p, state.q, state.r, z),
-                       state.q, state.r)
+    x_hat, p = _update(state.x_hat, state.p, state.q, state.r, z)
+    if not (math.isfinite(x_hat) and math.isfinite(p)):
+        raise NumericalError("Kalman state is not finite")
+    return KalmanState(x_hat, p, state.q, state.r)
 
 
 def kalman_filter(signal: Sequence[float], q: float = KALMAN_DEFAULT_Q,
@@ -154,7 +157,7 @@ def kalman_filter(signal: Sequence[float], q: float = KALMAN_DEFAULT_Q,
 
     The state is checked once, at the start, and the output equals iterating
     kalman_step bit for bit. A non-finite estimate or final variance raises
-    kalman_step's ValueError: once x_hat or p is not finite, later x_hat are nan.
+    kalman_step's NumericalError: once x_hat or p is not finite, later x_hat are nan.
     """
     arr = _as_signal(signal)
     if r is None:
@@ -171,5 +174,5 @@ def kalman_filter(signal: Sequence[float], q: float = KALMAN_DEFAULT_Q,
         out.append(x_hat)
     est = np.array(out)
     if not (math.isfinite(p) and np.isfinite(est).all()):
-        raise ValueError("Kalman state must be finite")
+        raise NumericalError("Kalman state is not finite")
     return est

@@ -1,4 +1,5 @@
-"""CSV dataset loading and writing.
+"""CSV dataset loading and writing. The dataset types live here too, where
+they are built and written; ``learners`` imports them from this module.
 
 Two formats are supported: the testbed regression layout
 (RSSI1..RSSIk, X_Actual, Y_Actual) and the beacon classification layout
@@ -34,20 +35,72 @@ import io
 import math
 import os
 import re
+from dataclasses import dataclass
 from typing import Dict, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
 from .core import OUT_OF_RANGE_DBM
-from .exceptions import (IoFailure, MalformedNumber, MissingColumn,
-                         UnmappedLocation)
-from .learners import (ClassificationDataset, RegressionDataset, ZONE_LABELS,
-                       one_hot_encode)
+from .exceptions import (EmptyDataset, IoFailure, MalformedNumber,
+                         MissingColumn, ShapeMismatch, UnmappedLocation)
 
 BEACON_COLUMNS = tuple(f"b{3000 + i}" for i in range(1, 14))
+ZONE_LABELS = ("A", "B", "C", "D")
 
 _GRID_LABEL = re.compile(r"^([A-Za-z]+)(\d+)$")
 _RSSI_COLUMN = re.compile(r"^(RSSI\d+|b\d+)$")
+
+
+@dataclass(frozen=True)
+class RegressionDataset:
+    """RSSI feature matrix (N, F) with coordinate targets (N, 2), in cm."""
+
+    features: np.ndarray
+    targets: np.ndarray
+    feature_names: Tuple[str, ...] = ()
+
+    def __post_init__(self):
+        if len(self.features) == 0:
+            raise EmptyDataset("regression dataset is empty")
+        if len(self.features) != len(self.targets):
+            raise ShapeMismatch("features and targets disagree on N")
+        if not (np.all(np.isfinite(self.features))
+                and np.all(np.isfinite(self.targets))):
+            raise ValueError("dataset contains non-finite entries")
+
+    def __len__(self) -> int:
+        return len(self.features)
+
+
+@dataclass(frozen=True)
+class ClassificationDataset:
+    """Beacon RSSI vectors with zone labels.
+
+    features keeps raw readings including the -200 out-of-range sentinel;
+    labels are zone indices into zone_names and one_hot the matching
+    indicator rows.
+    """
+
+    features: np.ndarray
+    labels: np.ndarray
+    one_hot: np.ndarray
+    locations: Tuple[str, ...] = ()
+    zone_names: Tuple[str, ...] = ZONE_LABELS
+
+    def __post_init__(self):
+        if len(self.features) == 0:
+            raise EmptyDataset("classification dataset is empty")
+        if not np.all(self.one_hot.sum(axis=1) == 1):
+            raise ValueError("one-hot rows must sum to 1")
+
+    def __len__(self) -> int:
+        return len(self.features)
+
+
+def one_hot_encode(labels: Sequence[int], n_classes: int) -> np.ndarray:
+    out = np.zeros((len(labels), n_classes), dtype=float)
+    out[np.arange(len(labels)), np.asarray(labels, dtype=int)] = 1.0
+    return out
 
 
 def format_number(value: float) -> str:

@@ -26,6 +26,7 @@ dict per node, still load to the same trees.
 from __future__ import annotations
 
 import base64
+import importlib
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -35,8 +36,8 @@ import numpy as np
 
 from .exceptions import (EmptyDataset, EmptyTrainingSet, KTooLarge,
                          NumericalError, ShapeMismatch)
-
-ZONE_LABELS = ("A", "B", "C", "D")
+from .ingest import (ClassificationDataset, RegressionDataset, ZONE_LABELS,
+                     one_hot_encode, write_text)
 
 MODEL_FORMAT = "rssiloc-model"
 MODEL_VERSION = 3  # of tree and forest records; other kinds are unchanged at 1
@@ -49,60 +50,6 @@ MLP_DEFAULT_SIZES = (13, 20, 17, 4)
 
 # Tree-rows per step of a batched tree walk: keeps its arrays in cache.
 WALK_NODES = 1 << 16
-
-
-# --- datasets -----------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RegressionDataset:
-    """RSSI feature matrix (N, F) with coordinate targets (N, 2), in cm."""
-
-    features: np.ndarray
-    targets: np.ndarray
-    feature_names: Tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if len(self.features) == 0:
-            raise EmptyDataset("regression dataset is empty")
-        if len(self.features) != len(self.targets):
-            raise ShapeMismatch("features and targets disagree on N")
-        if not (np.all(np.isfinite(self.features))
-                and np.all(np.isfinite(self.targets))):
-            raise ValueError("dataset contains non-finite entries")
-
-    def __len__(self) -> int:
-        return len(self.features)
-
-
-@dataclass(frozen=True)
-class ClassificationDataset:
-    """Beacon RSSI vectors with zone labels.
-
-    features keeps raw readings including the -200 out-of-range sentinel;
-    labels are zone indices into zone_names and one_hot the matching
-    indicator rows.
-    """
-
-    features: np.ndarray
-    labels: np.ndarray
-    one_hot: np.ndarray
-    locations: Tuple[str, ...] = ()
-    zone_names: Tuple[str, ...] = ZONE_LABELS
-
-    def __post_init__(self):
-        if len(self.features) == 0:
-            raise EmptyDataset("classification dataset is empty")
-        if not np.all(self.one_hot.sum(axis=1) == 1):
-            raise ValueError("one-hot rows must sum to 1")
-
-    def __len__(self) -> int:
-        return len(self.features)
-
-
-def one_hot_encode(labels: Sequence[int], n_classes: int) -> np.ndarray:
-    out = np.zeros((len(labels), n_classes), dtype=float)
-    out[np.arange(len(labels)), np.asarray(labels, dtype=int)] = 1.0
-    return out
 
 
 def train_test_split_indices(n: int, test_fraction: float,
@@ -201,11 +148,15 @@ class PolynomialModel:
 
 def fit_polynomial(features, targets, degree: int,
                    cross_terms: bool = False) -> PolynomialModel:
-    """Polynomial regression: expand features, then fit linearly."""
+    """Polynomial regression: expand features, then fit linearly. Overflowing
+    terms raise NumericalError (LAPACK would print to stdout on them)."""
     x = np.asarray(features, dtype=float)
     if x.size == 0:
         raise EmptyDataset("no training samples")
-    linear = fit_linear(polynomial_features(x, degree, cross_terms), targets)
+    terms = polynomial_features(x, degree, cross_terms)
+    if not np.isfinite(terms).all():
+        raise NumericalError(f"degree-{degree} polynomial terms of the features are not finite")
+    linear = fit_linear(terms, targets)
     return PolynomialModel(theta=linear.theta, degree=degree,
                            cross_terms=cross_terms, squeeze=linear.squeeze)
 
@@ -888,51 +839,26 @@ def _tree_from_dict(d: dict) -> RegressionTree:
     return tree
 
 
-def _linear_from_dict(d: dict) -> LinearModel:
-    p = d["parameters"]
-    return LinearModel(theta=np.asarray(p["theta"]), squeeze=p["squeeze"])
-
-
-def _polynomial_from_dict(d: dict) -> PolynomialModel:
-    p, h = d["parameters"], d["hyperparameters"]
-    return PolynomialModel(theta=np.asarray(p["theta"]), degree=h["degree"],
-                           cross_terms=h["cross_terms"], squeeze=p["squeeze"])
-
-
-def _forest_from_dict(d: dict) -> Forest:
-    h = d["hyperparameters"]
-    return Forest(trees=_trees_from_dict(d), bootstrap=h["bootstrap"],
-                  rng_seed=h.get("rng_seed", 0))
-
-
-def _knn_from_dict(d: dict) -> KnnModel:
-    p, h = d["parameters"], d["hyperparameters"]
-    return KnnModel(features=np.asarray(p["features"], dtype=float),
-                    labels=np.asarray(p["labels"], dtype=int),
-                    k=h["k"], n_classes=h["n_classes"])
-
-
-def _mlp_from_dict(d: dict) -> MlpModel:
-    p = d["parameters"]
-    return MlpModel(weights=tuple(np.asarray(w) for w in p["weights"]),
-                    biases=tuple(np.asarray(b) for b in p["biases"]))
-
-
+# The loader of each kind's record. ensemble imports this module, so it is
+# imported only when a treeloc record is loaded.
 _MODEL_KINDS: Dict[str, Callable[[dict], object]] = {
-    "linear": _linear_from_dict,
-    "polynomial": _polynomial_from_dict,
+    "linear": lambda d: LinearModel(np.asarray(d["parameters"]["theta"]),
+                                    d["parameters"]["squeeze"]),
+    "polynomial": lambda d: PolynomialModel(
+        np.asarray(d["parameters"]["theta"]), d["hyperparameters"]["degree"],
+        d["hyperparameters"]["cross_terms"], d["parameters"]["squeeze"]),
     "tree": _tree_from_dict,
-    "forest": _forest_from_dict,
+    "forest": lambda d: Forest(_trees_from_dict(d), d["hyperparameters"]["bootstrap"],
+                               d["hyperparameters"].get("rng_seed", 0)),
     "paired": lambda d: PairedRegressor(models=tuple(
         model_from_dict(c) for c in d["parameters"]["components"])),
-    "knn": _knn_from_dict,
-    "mlp": _mlp_from_dict,
+    "knn": lambda d: KnnModel(np.asarray(d["parameters"]["features"], dtype=float),
+                              np.asarray(d["parameters"]["labels"], dtype=int),
+                              d["hyperparameters"]["k"], d["hyperparameters"]["n_classes"]),
+    "mlp": lambda d: MlpModel(tuple(np.asarray(w) for w in d["parameters"]["weights"]),
+                              tuple(np.asarray(b) for b in d["parameters"]["biases"])),
+    "treeloc": lambda d: importlib.import_module(".ensemble", __package__)._treeloc_from_dict(d),
 }
-
-
-def register_model_kind(kind: str, from_dict: Callable[[dict], object]):
-    """Let other modules plug their model kinds into the portable format."""
-    _MODEL_KINDS[kind] = from_dict
 
 
 def model_to_dict(model) -> dict:
@@ -959,7 +885,6 @@ def model_from_dict(data: dict):
 def save_model(model, path):
     """Write the model's JSON record to path atomically; an unwritable path
     raises IoFailure and leaves no file behind."""
-    from .ingest import write_text  # ingest imports this module
     write_text(json.dumps(model_to_dict(model)), path)
 
 

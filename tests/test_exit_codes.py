@@ -41,25 +41,34 @@ JSON = st.recursive(
     | st.dictionaries(TEXT, inner, max_size=3), max_leaves=6)
 
 
-def run(argv):
-    """Exit code and stderr of one in-process run; argparse's usage errors
-    arrive as SystemExit."""
-    err = io.StringIO()
+def run_main(argv):
+    """Exit code and stderr of one in-process run, and whether it ended in
+    argparse's usage error (SystemExit) rather than in one of main's
+    handlers."""
+    err, usage = io.StringIO(), False
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         try:
             code = main([str(a) for a in argv])
         except SystemExit as exc:
-            code = exc.code
-    return code, err.getvalue()
+            code, usage = exc.code, True
+    return code, err.getvalue(), usage
+
+
+def run(argv):
+    """Exit code and stderr of one in-process run."""
+    return run_main(argv)[:2]
 
 
 def check_contract(argv):
     """Exit code and stderr of a run that honours the contract: a known
-    exit code, no traceback, and on success no non-finite computed cell in
-    the -o file."""
-    code, err = run(argv)
+    exit code, no traceback, exactly one stderr line when one of main's
+    handlers ends the run (argparse's usage exits print usage and an error
+    line), and on success no non-finite computed cell in the -o file."""
+    code, err, usage = run_main(argv)
     assert code in (0, 2, 3, 4), (code, err)
     assert "Traceback" not in err
+    if code and not usage:  # library text leaking to stderr fails here
+        assert err.count("\n") == 1 and err.endswith("\n"), (argv, err)
     if code == 0 and "-o" in argv:
         # filter copies every column but RSSI<k>/b<k> through as raw text
         computed = re.compile(r"RSSI\d+|b\d+" + ("" if argv[0] == "filter" else "|[XY]_Pred"))

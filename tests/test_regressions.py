@@ -364,5 +364,64 @@ class TestNonFiniteFitAndPredict:
         code = main(["fit", "--model", "poly", "--degree", "400",
                      "-i", str(self.write_testbed(tmp_path)), "-o", str(out)])
         err = capsys.readouterr().err
-        assert code == 4 and "numerical failure: LinAlgError" in err
+        # the terms overflow: refused before lstsq, which failed with LinAlgError
+        assert code == 4 and "numerical failure: NumericalError" in err
+        assert "polynomial terms of the features are not finite" in err
         assert "Traceback" not in err and not out.exists()
+
+    def test_overflowing_polynomial_terms_print_one_line(self, tmp_path):
+        # LAPACK printed "** On entry to DLASCL parameter number 4 had an
+        # illegal value" twice to file descriptor 1, which only a separate
+        # process sees
+        src = os.path.dirname(os.path.dirname(ensemble.__file__))
+        done = subprocess.run(
+            [sys.executable, "-m", "rssiloc.cli", "fit", "--model", "poly", "--degree",
+             "400", "-i", str(self.write_testbed(tmp_path)), "-o", "out.csv"],
+            cwd=tmp_path, capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+        assert done.returncode == 4 and done.stdout == ""
+        assert done.stderr.count("\n") == 1 and done.stderr.endswith("\n"), done.stderr
+        assert done.stderr.startswith("numerical failure: NumericalError")
+        assert not (tmp_path / "out.csv").exists()
+
+
+class TestNonFiniteMetrics:
+    """evaluate printed rmse inf, std nan and r2 nan for rows whose error
+    overflows, and exited 0."""
+
+    def test_evaluate_exits_4_without_report(self, tmp_path, capsys):
+        path, report = tmp_path / "pred.csv", tmp_path / "report.txt"
+        path.write_text("X_Actual,Y_Actual,X_Pred,Y_Pred\n1e308,0,-1e308,0\n1,2,3,4\n")
+        code = main(["evaluate", "-i", str(path), "--report", str(report)])
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == ""
+        assert captured.err == ("numerical failure: NumericalError: "
+                                "evaluate gave non-finite x metrics\n")
+        assert not report.exists()
+
+
+class TestKalmanOverflow:
+    """A Kalman overflow exited 2 as a config error; the other three
+    filters' overflows exit 4."""
+
+    def write(self, tmp_path):
+        path = tmp_path / "in.csv"
+        path.write_text("RSSI1,RSSI2,RSSI3,X_Actual,Y_Actual\n"
+                        "-60,-61,-62,10,20\n-70,-60,-63,11,21\n-50,-62,-61,12,22\n")
+        return path
+
+    def test_overflow_exits_4_without_output(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        code = main(["filter", "--filter", "kalman", "--q", "1e308",
+                     "-i", str(self.write(tmp_path)), "-o", str(out)])
+        assert code == 4 and not out.exists()
+        assert capsys.readouterr().err == \
+            "numerical failure: NumericalError: Kalman state is not finite\n"
+
+    @pytest.mark.parametrize("flags", [["--q", "-1"], ["--r", "-1"], ["--q", "0", "--r", "0"],
+                                       ["--r", "inf"]])  # TestNonFiniteParameters has the rest
+    def test_bad_start_still_exits_2(self, tmp_path, capsys, flags):
+        out = tmp_path / "out.csv"
+        code = main(["filter", "--filter", "kalman", *flags,
+                     "-i", str(self.write(tmp_path)), "-o", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("config error: ValueError") and not out.exists()
