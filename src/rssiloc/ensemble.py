@@ -62,39 +62,50 @@ class TreeLocModel:
         elementwise, so a row gives the same bits alone as in a batch.
         """
         cx, cy = (np.atleast_2d(np.asarray(c, dtype=float)) for c in (comp_x, comp_y))
-        out = np.column_stack([b[0] + (c[:, 0] * b[1] + c[:, 1] * b[2] + c[:, 2] * b[3])
-                               for c, b in ((cx, self.combiner_x), (cy, self.combiner_y))])
+        out = self._combine(np.stack([cx, cy], axis=-1))
         return out[0] if np.asarray(comp_x).ndim == 1 else out
+
+    # the combiners as (4, 2): intercepts, then one row per component
+    _combiner = cached_property(
+        lambda self: np.array([self.combiner_x, self.combiner_y], dtype=float).T)
+
+    def _combine(self, preds: np.ndarray) -> np.ndarray:
+        """Both coordinates' combiners on (N, 3, 2) component outputs in one
+        broadcast: b0 + (c_et * b1 + c_dt * b2 + c_rf * b3)."""
+        p = preds * self._combiner[1:]
+        return self._combiner[0] + (p[:, 0] + p[:, 1] + p[:, 2])
 
     @cached_property
     def _block(self):
         """One node block with the trees of the six per-coordinate component
-        models, and the tree index where each model's trees start."""
+        models, the tree index where each model's trees start, and their
+        counts."""
         pairs = [getattr(c, "models", ()) for c in self.components]
         models = [m for pair in pairs for m in pair]
         if ([len(pair) for pair in pairs] != [2, 2, 2]
                 or not all(isinstance(m, (Forest, RegressionTree)) for m in models)):
             raise TypeError("treeloc components must be three pairs of tree models")
         trees = [getattr(m, "trees", (m,)) for m in models]
-        return _stack_trees(sum(trees, ())), np.cumsum([0] + [len(t) for t in trees])
+        counts = [len(t) for t in trees]
+        return _stack_trees(sum(trees, ())), np.cumsum([0] + counts).tolist(), np.array(counts)
 
     def component_predictions(self, features) -> np.ndarray:
         """Stacked component outputs, shape (N, 3, 2). The trees are walked
         as one block; each model's mean over its own trees, in tree order,
         gives the bits of its own predict."""
         x = np.atleast_2d(np.asarray(features, dtype=float))
-        block, starts = self._block
+        block, starts, counts = self._block
         leaves = _leaf_values(block, x)
+        sums = np.empty((len(x), 6))
+        for i, (a, b) in enumerate(zip(starts, starts[1:])):
+            np.add.reduce(leaves[a:b], axis=0, out=sums[:, i])
         # sum / count is np.mean's own arithmetic, without its overhead
-        means = [leaves[a:b].sum(axis=0) / (b - a) for a, b in zip(starts[:-1], starts[1:])]
-        return np.stack(means, axis=1).reshape(len(x), 3, 2)
+        return (sums / counts).reshape(len(x), 3, 2)
 
     def predict(self, features) -> np.ndarray:
         x = np.asarray(features, dtype=float)
-        single = x.ndim == 1
-        preds = self.component_predictions(x)
-        out = self.combine(preds[:, :, 0], preds[:, :, 1])
-        return out[0] if single else out
+        out = self._combine(self.component_predictions(x))
+        return out[0] if x.ndim == 1 else out
 
     def to_dict(self) -> dict:
         return _wrap("treeloc",

@@ -311,25 +311,27 @@ def _grow(x: np.ndarray, y: np.ndarray, samples, max_depth: Optional[int],
 
 def _stack_trees(trees) -> tuple:
     """(feature, threshold, children, value, roots, steps, restore, inputs) of
-    one block holding every tree, deepest first, node indices offset.
-    children[2i] and children[2i + 1] are node i's right and left child, so
-    a row at node i steps to children[2i + (x <= threshold)]; leaves are
-    feature-0 self-loops. Level l steps the first steps[l] trees, those
-    deeper than l; restore puts the trees back in the given order; inputs
-    is the number of features the splits read."""
+    one block holding every tree, deepest first, node indices offset. Walk
+    ids are doubled: node i is 2i, feature and threshold hold node i's split
+    at 2i and 2i + 1, and children[2i] and children[2i + 1] hold 2 * its right
+    and left child, so a row at 2i steps to children[2i + (x <= threshold)]
+    with no multiply; leaves are feature-0 self-loops and value[2i >> 1] is
+    node i's value. Level l steps the first steps[l] trees, those deeper than
+    l; restore puts the trees back in the given order; inputs is the number
+    of features the splits read."""
     depths = np.array([t.depth() for t in trees])
     order = np.argsort(-depths, kind="stable")
     trees = [trees[i] for i in order]
     roots = np.cumsum([0] + [len(t.feature) for t in trees[:-1]])
     children = np.empty(2 * sum(len(t.feature) for t in trees), dtype=np.int64)
     for slot, side in enumerate(("right", "left")):  # built tree by tree: small temporaries
-        children[slot::2] = np.concatenate([root + np.where(
-            t.feature < 0, np.arange(len(t.feature)), getattr(t, side))
+        children[slot::2] = np.concatenate([2 * (root + np.where(
+            t.feature < 0, np.arange(len(t.feature)), getattr(t, side)))
             for t, root in zip(trees, roots)])
     steps = [int(np.count_nonzero(depths > level)) for level in range(depths.max())]
-    return (np.concatenate([np.maximum(t.feature, 0) for t in trees]),
-            np.concatenate([t.threshold for t in trees]), children,
-            np.concatenate([t.value for t in trees]), roots, steps, np.argsort(order),
+    return (np.repeat(np.concatenate([np.maximum(t.feature, 0) for t in trees]), 2),
+            np.repeat(np.concatenate([t.threshold for t in trees]), 2), children,
+            np.concatenate([t.value for t in trees]), 2 * roots, steps, np.argsort(order),
             max(int(t.feature.max()) for t in trees) + 1)
 
 
@@ -347,15 +349,16 @@ def _leaf_values(block: tuple, x: np.ndarray) -> np.ndarray:
         return np.concatenate([_leaf_values(block, x[i:i + chunk])
                                for i in range(0, len(x), chunk)], axis=1)
     flat, offset = x.ravel(), np.arange(len(x)) * x.shape[1]
-    node = np.repeat(roots[:, None], len(x), axis=1)
+    node = roots[:, None].repeat(len(x), axis=1)
     finished = []
     for k in steps:
         if k < len(node):
             node, done = node[:k], node[k:]
             finished.append(done)
-        go_left = flat.take(feature.take(node) + offset) <= threshold.take(node)
-        node = children.take(2 * node + go_left)
-    return value[np.concatenate([node] + finished[::-1])[restore]]
+        at = feature.take(node)  # where in flat each row reads its split feature
+        at += offset
+        node = children.take(node + (flat.take(at) <= threshold.take(node)))
+    return value[np.concatenate([node] + finished[::-1])[restore] >> 1]
 
 
 @dataclass(frozen=True, eq=False)

@@ -51,15 +51,24 @@ def regression_metrics(actual, predicted) -> RegressionMetrics:
     if len(a) == 0:
         raise LengthMismatch("empty series")
 
-    err = np.linalg.norm(p - a, axis=1)
-    rmse = float(np.sqrt(np.mean(err ** 2)))
-    mae = float(np.mean(err))
-    std = float(np.sqrt(np.mean((err - err.mean()) ** 2)))
+    (diff, e), (truth, f) = _scaled(p - a), _scaled(a)
+    err, dev = np.linalg.norm(diff, axis=1), truth - truth.mean(axis=0)
+    rmse = float(np.ldexp(np.sqrt(np.mean(err ** 2)), e))
+    mae = float(np.ldexp(np.mean(err), e))
+    std = float(np.ldexp(np.sqrt(np.mean((err - err.mean()) ** 2)), e))
 
     ss_res = float((err ** 2).sum())
-    ss_tot = float(((a - a.mean(axis=0)) ** 2).sum())
-    r2 = None if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    ss_tot = float((dev ** 2).sum())
+    r2 = None if ss_tot == 0.0 else 1.0 - float(np.ldexp(ss_res / ss_tot, 2 * (e - f)))
     return RegressionMetrics(rmse=rmse, mae=mae, std_err=std, r2=r2, n=len(a))
+
+
+def _scaled(x: np.ndarray):
+    """(x * 2**-e, e): e > 0 only when max|x| >= 2**500, so that sums,
+    differences and squares cannot overflow. Scaling by a power of two is
+    exact, and the metrics of smaller values are the plain formulas' bits."""
+    e = max(int(np.frexp(np.max(np.abs(x)))[1]) - 500, 0)
+    return np.ldexp(x, -e), e
 
 
 @dataclass(frozen=True)

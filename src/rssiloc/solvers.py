@@ -20,6 +20,11 @@ uniformly, W+ = P: ordinary LS. The weighted hyperbolic estimator is this
 weighted LS with exact anchors: differencing against the first anchor
 instead of the centroid removes the same unknown |s|^2 and leaves the
 weighted estimate unchanged.
+
+estimate_position does each piece of a call's work once: k_i, d_i^2 and
+the design come from one _linearize, and the public helpers share its
+internals. A locator solves against the same anchors and stds fix after
+fix, so anchor rank tests and the noise terms of scalar stds are kept.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,6 +45,11 @@ SOLVER_NAMES = ("trilateration", "lls", "wls", "wls-bc",
                 "hyperbolic", "hyperbolic-w")
 
 COLLINEAR = "anchors are collinear; design matrix rank < 2"
+_EYE2, _EPS = np.eye(2), np.finfo(float).eps
+
+
+# 1 - I of size m, read-only: the j != i mask of q_diag's sums
+_off_diagonal = lru_cache(maxsize=64)(lambda m: np.broadcast_to(1.0 - np.eye(m), (m, m)))
 
 
 @dataclass(frozen=True)
@@ -48,19 +59,35 @@ class LinearSystem:
     design rows are (x_i - x_c, y_i - y_c); rhs entries are
     d_c - d_i^2 + k_i - k_c with k_i = x_i^2 + y_i^2, where (x_c, y_c) is
     the anchor centroid and d_c and k_c are the means of d_i^2 and k_i.
-    A (N, M) rhs shares the one design; its d_c is then (N,).
+    A (N, M) rhs shares the one design; its d_c is then (N,). linearize's
+    systems of one anchor set share one read-only design.
     """
 
     design: np.ndarray
     rhs: np.ndarray
 
     def __post_init__(self):
-        col_sums = np.abs(self.design.sum(axis=0))
-        scale = max(np.abs(self.design).max(), 1.0)
-        if col_sums.max() > 1e-9 * scale * len(self.design):
-            raise ValueError("design matrix is not centered")
-        if not np.all(np.isfinite(self.rhs)):
-            raise ValueError("non-finite rhs entries")
+        _require_centered(self.design)
+        _require_finite(self.rhs)
+
+
+def _system(design: np.ndarray, rhs: np.ndarray) -> LinearSystem:
+    """A LinearSystem of parts already checked, not validated again."""
+    out = object.__new__(LinearSystem)
+    out.__dict__.update(design=design, rhs=rhs)
+    return out
+
+
+def _require_centered(design: np.ndarray):
+    col_sums = np.abs(np.add.reduce(design, axis=0))
+    scale = max(np.maximum.reduce(np.abs(design), axis=None), 1.0)
+    if np.maximum.reduce(col_sums) > 1e-9 * scale * len(design):
+        raise ValueError("design matrix is not centered")
+
+
+def _require_finite(rhs: np.ndarray):
+    if not np.logical_and.reduce(np.isfinite(rhs), axis=None):
+        raise ValueError("non-finite rhs entries")
 
 
 @dataclass(frozen=True)
@@ -77,9 +104,10 @@ class DiagonalWeights:
 
     def __post_init__(self):
         w = np.asarray(self.w, dtype=float)
-        unweighted = ~((w > 0.0).all(axis=-1) & (w.sum(axis=-1) < np.inf))
+        unweighted = ~((w > 0.0).all(axis=-1) & (np.add.reduce(w, axis=-1) < np.inf))
         object.__setattr__(self, "w", np.where(unweighted[..., None], 1.0, w))
         object.__setattr__(self, "unweighted", unweighted)
+        object.__setattr__(self, "_total", np.add.reduce(self.w, axis=-1, keepdims=True))
 
     def normal_equations(self, design, rhs):
         """A^T W+ A and A^T W+ rhs as sum_i w_i (a_i - a_w)(a_i - a_w)^T and
@@ -90,18 +118,17 @@ class DiagonalWeights:
             warnings.warn("no usable rhs variances; using ordinary LS",
                           DegenerateWeightsWarning, stacklevel=3)
         w = self.w[..., None, :]
-        v = np.empty(np.broadcast_shapes(w.shape[:-2], rhs.shape[:-1]) + (3, len(design)))
+        v = np.empty(np.broadcast(self.w[..., 0], rhs[..., 0]).shape + (3, len(design)))
         v[..., :2, :], v[..., 2, :] = design.T, rhs  # rows a_x, a_y, b
-        v -= (w * v).sum(axis=-1, keepdims=True) / w.sum(axis=-1, keepdims=True)
-        s = ((w * v[..., :2, :])[..., None, :] * v[..., None, :, :]).sum(axis=-1)
+        v -= np.add.reduce(w * v, axis=-1, keepdims=True) / self._total[..., None]
+        s = np.add.reduce((w * v[..., :2, :])[..., None, :] * v[..., None, :, :], axis=-1)
         return s[..., :2], s[..., 2]
 
     def q_diag(self) -> np.ndarray:
         """diag(P W+ P) = w_i * sum_{j != i} w_j / sum(w). The sum over j != i
         is taken directly: sum(w) - w_i cancels when w_i dominates."""
-        m = self.w.shape[-1]
-        others = (self.w[..., None, :] * (1.0 - np.eye(m))).sum(axis=-1)
-        return self.w * others / self.w.sum(axis=-1, keepdims=True)
+        others = np.add.reduce(self.w[..., None, :] * _off_diagonal(self.w.shape[-1]), axis=-1)
+        return self.w * others / self._total
 
 
 @dataclass(frozen=True)
@@ -178,30 +205,57 @@ def trilaterate(anchors, radii, clamp_to_plane: bool = False) -> np.ndarray:
 
 def linearize(anchors, distances) -> LinearSystem:
     """Build the centered pseudo-linear system from anchors and ranges."""
-    pts = np.asarray(anchors, dtype=float)
-    d = np.asarray(distances, dtype=float)
+    return _linearize(np.asarray(anchors, dtype=float),
+                      np.asarray(distances, dtype=float))[0]
+
+
+def _linearize(pts: np.ndarray, d: np.ndarray):
+    """(system, k, d2): the centered system and the k_i and d_i^2 it is
+    built from, which the weights and the bias terms reuse."""
     m = len(pts)
     if m < 3:
         raise TooFewAnchors(f"need at least 3 anchors, got {m}")
-    if np.shape(d)[-1:] != (m,):
+    if d.shape[-1:] != (m,):
         raise ValueError("distances length must match anchor count")
-    # sum / m is np.mean's own arithmetic, without its overhead
-    centroid = pts.sum(axis=0) / m
-    k = (pts ** 2).sum(axis=1)
-    k_c = k.sum() / m
+    design, k, k_c = _anchor_terms(pts.shape, pts.tobytes())
     d2 = d ** 2
-    d_c = d2.sum(axis=-1) / m
-    design = pts - centroid
+    d_c = np.add.reduce(d2, axis=-1) / m  # sum / m is np.mean's own arithmetic
     rhs = d_c[..., None] - d2 + k - k_c
-    return LinearSystem(design=design, rhs=rhs)
+    _require_finite(rhs)
+    return _system(design, rhs), k, d2
 
 
-def _require_rank_2(mat: np.ndarray, message: str):
+@lru_cache(maxsize=256)  # an 8-anchor scene has 219 subsets of 3 or more anchors
+def _anchor_terms(shape: tuple, raw: bytes) -> tuple:
+    """(design, k, k_c) of the anchors with these float64 bytes, read-only:
+    the centroid-centered design, checked centered, k_i = x_i^2 + y_i^2
+    and their mean."""
+    pts = np.frombuffer(raw).reshape(shape)
+    m = len(pts)
+    centroid = np.add.reduce(pts, axis=0) / m
+    k = np.add.reduce(pts ** 2, axis=1)
+    design = pts - centroid
+    _require_centered(design)
+    design.flags.writeable = k.flags.writeable = False
+    return design, k, np.add.reduce(k) / m
+
+
+def _require_rank_2(mat: np.ndarray, message: str, anchors_only: bool = False):
     """RankDeficient(message) if np.linalg.matrix_rank of a (.., K, 2)
-    matrix is below 2, with its tolerance on the singular values."""
-    s = np.linalg.svd(mat, compute_uv=False)
-    if (s[..., 1] <= s[..., 0] * max(mat.shape[-2:]) * np.finfo(float).eps).any():
+    matrix is below 2, with its tolerance on the singular values; kept per
+    distinct matrix for a matrix of anchors alone."""
+    if not (_anchor_rank_2(mat.shape, mat.tobytes()) if anchors_only else _rank_2(mat)):
         raise RankDeficient(message)
+
+
+def _rank_2(mat: np.ndarray) -> bool:
+    s = np.linalg.svd(mat, compute_uv=False)
+    return not (s[..., 1] <= s[..., 0] * max(mat.shape[-2:]) * _EPS).any()
+
+
+@lru_cache(maxsize=256)
+def _anchor_rank_2(shape: tuple, raw: bytes) -> bool:
+    return _rank_2(np.frombuffer(raw).reshape(shape))
 
 
 def _apply_pinv(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -213,21 +267,49 @@ def _apply_pinv(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def lls_solve(sys: LinearSystem) -> np.ndarray:
     """Ordinary least squares minimizer of ||b - 2*A*s||^2, one per rhs row."""
-    _require_rank_2(sys.design, COLLINEAR)
+    _require_rank_2(sys.design, COLLINEAR, anchors_only=True)
     return _apply_pinv(2.0 * sys.design, sys.rhs)
 
 
-def _rhs_variance(pts: np.ndarray, d: np.ndarray, sigmas_a, sigmas_p,
+@lru_cache(maxsize=64)
+def _noise_terms(m: int, sigmas_a, sigmas_p, eta: float) -> tuple:
+    """(sigma_a^2, 4*sigma_a^2, exp(8*sb^2) - exp(4*sb^2), c, 2*(sigma_a^2 -
+    mean sigma_a^2), u): the terms of build_weights and build_bias_terms
+    that depend on the stds and eta alone, read-only (M,) arrays and u."""
+    u = math.log(10.0) / (5.0 * math.sqrt(2.0) * eta)
+    var_a = np.full(m, sigmas_a, dtype=float) ** 2
+    sp = np.full(m, sigmas_p, dtype=float)
+    sb2 = shadowing_scale(sp, eta) ** 2
+    terms = (var_a, 4.0 * var_a, np.exp(8.0 * sb2) - np.exp(4.0 * sb2),
+             u ** 2 * sp ** 2 + 0.5 * u ** 4 * sp ** 4, 2.0 * (var_a - np.add.reduce(var_a) / m))
+    for a in terms:
+        a.flags.writeable = False
+    return terms + (u,)
+
+
+def _noise(m: int, sigmas_a, sigmas_p, eta: float) -> tuple:
+    """_noise_terms, kept for scalar stds."""
+    try:
+        return _noise_terms(m, sigmas_a, sigmas_p, eta)
+    except TypeError:  # per-anchor std arrays are not hashable
+        return _noise_terms.__wrapped__(m, sigmas_a, sigmas_p, eta)
+
+
+def _rhs_variance(k: np.ndarray, d: np.ndarray, sigmas_a, sigmas_p,
                   eta: float) -> np.ndarray:
-    """Var(k_i) + Var(d_i^2) per anchor (see build_weights)."""
-    if np.any(d <= 0):
+    """Var(k_i) + Var(d_i^2) per anchor (see build_weights), from
+    k_i = x_i^2 + y_i^2."""
+    if (d <= 0).any():
         raise NonPositiveDistance("distances must be > 0")
     if eta <= 0:
         raise ValueError("eta must be > 0")
-    sa, sp = (np.full(len(pts), s, dtype=float) for s in (sigmas_a, sigmas_p))
-    var_k = 4.0 * sa ** 2 * (sa ** 2 + (pts ** 2).sum(axis=1))
-    sb2 = shadowing_scale(sp, eta) ** 2
-    return var_k + np.exp(4.0 * np.log(d)) * (np.exp(8.0 * sb2) - np.exp(4.0 * sb2))
+    var_a, four_var_a, spread = _noise(len(k), sigmas_a, sigmas_p, eta)[:3]
+    return four_var_a * (var_a + k) + np.exp(4.0 * np.log(d)) * spread
+
+
+def _weights(var: np.ndarray) -> DiagonalWeights:
+    with np.errstate(divide="ignore", over="ignore"):
+        return DiagonalWeights(1.0 / var)
 
 
 def build_weights(anchors, distances, sigmas_a, sigmas_p, eta: float) -> DiagonalWeights:
@@ -241,10 +323,9 @@ def build_weights(anchors, distances, sigmas_a, sigmas_p, eta: float) -> Diagona
     A row with a zero variance (no noise, or d^4 underflow) or a
     non-finite one is left unweighted.
     """
-    var = _rhs_variance(np.asarray(anchors, dtype=float),
-                        np.asarray(distances, dtype=float), sigmas_a, sigmas_p, eta)
-    with np.errstate(divide="ignore", over="ignore"):
-        return DiagonalWeights(1.0 / var)
+    pts = np.asarray(anchors, dtype=float)
+    return _weights(_rhs_variance(np.add.reduce(pts ** 2, axis=1),
+                                  np.asarray(distances, dtype=float), sigmas_a, sigmas_p, eta))
 
 
 def _positive_definite(normal: np.ndarray) -> np.ndarray:
@@ -263,7 +344,7 @@ def wls_solve(sys: LinearSystem, weights: DiagonalWeights) -> np.ndarray:
     DegenerateWeightsWarning (once per such row) and returns the ordinary
     LS estimate.
     """
-    _require_rank_2(sys.design, COLLINEAR)
+    _require_rank_2(sys.design, COLLINEAR, anchors_only=True)
     normal, rhs = weights.normal_equations(sys.design, sys.rhs)
     _require_rank_2(normal, "weighted normal matrix is singular")
     return 0.5 * np.linalg.solve(normal, rhs[..., None])[..., 0]
@@ -281,21 +362,20 @@ def build_bias_terms(anchors, distances, sigmas_a, sigmas_p, eta: float,
     the lognormal mean of d_i^2.
     """
     pts = np.asarray(anchors, dtype=float)
-    d = np.asarray(distances, dtype=float)
-    m = len(pts)
-    sa, sp = (np.full(m, s, dtype=float) for s in (sigmas_a, sigmas_p))
-    u = math.log(10.0) / (5.0 * math.sqrt(2.0) * eta)
+    return _bias_terms(pts, np.asarray(distances, dtype=float) ** 2,
+                       _noise(len(pts), sigmas_a, sigmas_p, eta), weights, True)
 
+
+def _bias_terms(pts: np.ndarray, d2: np.ndarray, noise: tuple,
+                weights: DiagonalWeights, cross: bool) -> BiasTerms:
+    """build_bias_terms from d_i^2 and _noise's terms; g is None unless
+    cross, for a solve without the cross term."""
+    var_a, _, _, c, t0, u = noise
     q_diag = weights.q_diag()
-    var_a = sa ** 2
-    l_diag = (q_diag * var_a).sum(axis=-1)
-    big_l = l_diag[..., None, None] * np.eye(2)
-
-    c = u ** 2 * sp ** 2 + 0.5 * u ** 4 * sp ** 4
-    cd2 = c * d ** 2
-    t = -cd2 + cd2.sum(axis=-1, keepdims=True) / m + 2.0 * (var_a - var_a.sum() / m)
-
-    g = 2.0 * (q_diag[..., None, :] * pts.T * var_a).sum(axis=-1)
+    big_l = np.add.reduce(q_diag * var_a, axis=-1)[..., None, None] * _EYE2
+    cd2 = c * d2
+    t = -cd2 + np.add.reduce(cd2, axis=-1, keepdims=True) / len(pts) + t0
+    g = 2.0 * np.add.reduce(q_diag[..., None, :] * pts.T * var_a, axis=-1) if cross else None
     return BiasTerms(L=big_l, t=t, g=g, u=u)
 
 
@@ -313,7 +393,7 @@ def bias_compensated_solve(sys: LinearSystem, weights, bias: BiasTerms,
             information available; callers should fall back to wls_solve
             on the exception's rows. Its estimate holds the other rows.
     """
-    _require_rank_2(sys.design, COLLINEAR)
+    _require_rank_2(sys.design, COLLINEAR, anchors_only=True)
     normal, rhs = weights.normal_equations(sys.design, sys.rhs - bias.t)
     normal = normal - bias.L
     if include_cross_term:
@@ -345,7 +425,7 @@ def hyperbolic_solve(anchors, distances) -> np.ndarray:
     origin = pts[0]
     rel = pts - origin
     mat = 2.0 * rel[1:]
-    _require_rank_2(mat, "anchors are collinear")
+    _require_rank_2(mat, "anchors are collinear", anchors_only=True)
     d2 = d * d
     rhs = (rel[1:] ** 2).sum(axis=1) - d2[..., 1:] + d2[..., :1]
     return origin + _apply_pinv(mat, rhs)
@@ -380,21 +460,21 @@ def estimate_position(solver: str, anchors, distances, *, sigmas_a=0.0,
     if solver == "hyperbolic-w":
         sigmas_a, sigmas_p = 0.0, float(np.mean(sigmas_p))
 
-    system = linearize(anchors, distances)
+    system, k, d2 = _linearize(anchors, distances)
     if solver == "lls":
         return lls_solve(system)
-    weights = build_weights(anchors, distances, sigmas_a, sigmas_p, eta)
+    weights = _weights(_rhs_variance(k, distances, sigmas_a, sigmas_p, eta))
     if solver == "hyperbolic-w" and sigmas_p == 0.0:  # d > 0 and eta > 0 checked
         return hyperbolic_solve(anchors, distances)
     if solver != "wls-bc":
         return wls_solve(system, weights)
-    bias = build_bias_terms(anchors, distances, sigmas_a, sigmas_p, eta, weights)
+    bias = _bias_terms(anchors, d2, _noise(len(k), sigmas_a, sigmas_p, eta), weights,
+                       include_cross_term)
     try:
         return bias_compensated_solve(system, weights, bias,
                                       include_cross_term=include_cross_term)
     except NotPositiveDefinite as exc:
         est, bad = exc.estimate, exc.rows
     # the failing rows' weights, already uniform where unweighted: no second warning
-    est[bad] = wls_solve(LinearSystem(system.design, system.rhs[bad]),
-                         DiagonalWeights(weights.w[bad]))
+    est[bad] = wls_solve(_system(system.design, system.rhs[bad]), DiagonalWeights(weights.w[bad]))
     return est

@@ -109,6 +109,65 @@ class TestBatchEqualsRows:
         assert len(caught) == 7
 
 
+class TestAnchorWorkOnce:
+    """estimate_position tests an anchor set's design for rank and for
+    centering once, however many fixes and fallback rows use it, and builds
+    its systems without validating them again."""
+
+    def count(self, monkeypatch):
+        seen = {"rank": 0, "centered": 0, "validated": 0}
+        svd, centered = np.linalg.svd, solvers._require_centered
+
+        def svd_spy(a, *args, **kwargs):
+            seen["rank"] += np.shape(a)[-2:] == (5, 2)
+            return svd(a, *args, **kwargs)
+
+        def centered_spy(design):
+            seen["centered"] += 1
+            centered(design)
+
+        monkeypatch.setattr(np.linalg, "svd", svd_spy)
+        monkeypatch.setattr(solvers, "_require_centered", centered_spy)
+        monkeypatch.setattr(solvers.LinearSystem, "__post_init__",
+                            lambda system: seen.update(validated=seen["validated"] + 1))
+        solvers._anchor_rank_2.cache_clear()
+        solvers._anchor_terms.cache_clear()
+        return seen
+
+    @pytest.mark.parametrize("solver", ["wls", "wls-bc"])
+    @pytest.mark.parametrize("rows", [None, 7])
+    def test_once_per_anchor_set(self, solver, rows, monkeypatch):
+        anchors, d = noisy_batch(np.random.default_rng(17), 5, rows or 1)
+        d = d[0] if rows is None else d
+        seen = self.count(monkeypatch)
+        first = estimate_position(solver, anchors, d, sigmas_a=1.0, sigmas_p=2.0)
+        assert seen == {"rank": 1, "centered": 1, "validated": 0}
+        # the next fix against the same anchors does neither again
+        estimate_position(solver, anchors, d * 1.01, sigmas_a=1.0, sigmas_p=2.0)
+        assert seen == {"rank": 1, "centered": 1, "validated": 0}
+        np.testing.assert_array_equal(
+            estimate_position(solver, anchors, d, sigmas_a=1.0, sigmas_p=2.0), first)
+
+    def test_fallback_rows_reuse_the_system(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        anchors = np.array([[0.0, 0.0], [400.0, 0.0], [400.0, 400.0],
+                            [0.0, 400.0], [200.0, 200.0]])
+        d = np.array([exact_distances(anchors, t) for t in rng.uniform(20.0, 380.0, (40, 2))])
+        d *= rng.uniform(0.9, 1.1, d.shape)
+        ok = bias_compensated_rows(anchors, d, 150.0, 2.0)
+        assert 0 < ok.sum() < len(ok)
+        seen = self.count(monkeypatch)
+        estimate_position("wls-bc", anchors, d, sigmas_a=150.0, sigmas_p=2.0)
+        assert seen == {"rank": 1, "centered": 1, "validated": 0}
+
+    def test_kept_anchor_sets_are_checked_centered(self):
+        # far anchors with a tiny spread: centering cancels, every call raises
+        anchors = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.3]]) + 1e9
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not centered"):
+                estimate_position("wls-bc", anchors, [1.0, 2.0, 3.0], sigmas_p=2.0)
+
+
 def cholesky_holds(matrix):
     try:
         np.linalg.cholesky(matrix)

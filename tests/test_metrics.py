@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rssiloc.exceptions import EmptyMatrix, LengthMismatch
 from rssiloc.metrics import (ConfusionMatrix, classification_metrics,
@@ -7,7 +10,40 @@ from rssiloc.metrics import (ConfusionMatrix, classification_metrics,
                              format_regression_table, regression_metrics)
 
 
+def plain_regression_metrics(a, p):
+    """The unscaled formulas: (rmse, mae, std, r2)."""
+    a, p = (np.asarray(v, dtype=float) for v in (a, p))
+    a, p = (v[:, None] if v.ndim == 1 else v for v in (a, p))
+    err = np.linalg.norm(p - a, axis=1)
+    ss_tot = float(((a - a.mean(axis=0)) ** 2).sum())
+    return (float(np.sqrt(np.mean(err ** 2))), float(np.mean(err)),
+            float(np.sqrt(np.mean((err - err.mean()) ** 2))),
+            None if ss_tot == 0.0 else 1.0 - float((err ** 2).sum()) / ss_tot)
+
+
 class TestRegressionMetrics:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), n=st.integers(1, 30), k=st.sampled_from([None, 1, 2]),
+           scale=st.sampled_from([1e-150, 1e-3, 1.0, 1e6, 1e100, 1e150, 1e152]))
+    def test_bits_equal_the_plain_formulas(self, data, n, k, scale):
+        # at 1e152 the errors are scaled before squaring; below they are not
+        shape = (n,) if k is None else (n, k)
+        values = st.floats(-1.0, 1.0, allow_subnormal=False)
+        a, p = (scale * np.array(data.draw(st.lists(values, min_size=n * (k or 1),
+                                                    max_size=n * (k or 1)))).reshape(shape)
+                for _ in range(2))
+        m = regression_metrics(a, p)
+        assert (m.rmse, m.mae, m.std_err, m.r2) == plain_regression_metrics(a, p)
+
+    def test_values_past_the_square_root_of_the_float_range(self):
+        # errors of 2e307 square to inf; the metrics themselves are finite
+        m = regression_metrics([1e307, 1.0, -1e307], [-1e307, 3.0, 0.0])
+        assert np.isfinite([m.rmse, m.mae, m.std_err, m.r2]).all()
+        assert m.rmse == pytest.approx(math.sqrt(5.0 / 3.0) * 1e307, rel=1e-15)
+        assert m.mae == pytest.approx(1e307, rel=1e-15)
+        # a truth of 1e308 twice has no variance: its mean overflowed to inf
+        assert regression_metrics([1e308, 1e308], [1e308, 1e308]).r2 is None
+
     def test_perfect_predictions(self):
         m = regression_metrics([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
         assert m.rmse == 0.0

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from _synth import beacon_dataset, regression_testbed
 from rssiloc.cli import main
 from rssiloc.core import Anchor, PathLossParams, Position, Scene, validate_scene
-from rssiloc import ensemble, learners
+from rssiloc import ensemble, learners, metrics
 from rssiloc.exceptions import (DegenerateGeometry, MalformedNumber, NonPositiveSigma,
                                 ShapeMismatch)
 from rssiloc.filters import KalmanState, gaussian_filter, gaussian_kernel
@@ -397,6 +397,21 @@ class TestNonFiniteMetrics:
         assert captured.err == ("numerical failure: NumericalError: "
                                 "evaluate gave non-finite x metrics\n")
         assert not report.exists()
+
+
+class TestLargeErrorMetrics:
+    """Errors above ~1.3e154 squared to inf, so evaluate exited 4 ("non-finite
+    x metrics") on metrics that are representable."""
+
+    def test_evaluate_reports_them(self, tmp_path, capsys):
+        path, report = tmp_path / "pred.csv", tmp_path / "report.txt"
+        path.write_text("X_Actual,Y_Actual,X_Pred,Y_Pred\n1e307,1,-1e307,2\n1,2,3,4\n")
+        code = main(["evaluate", "-i", str(path), "--report", str(report)])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == "" and report.read_text() == captured.out
+        x = metrics.regression_metrics([1e307, 1.0], [-1e307, 3.0])
+        assert x.rmse == pytest.approx(math.sqrt(2.0) * 1e307, rel=1e-15)
+        assert x.mae == pytest.approx(1e307, rel=1e-15) and x.r2 == pytest.approx(-7.0)
 
 
 class TestKalmanOverflow:

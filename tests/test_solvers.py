@@ -269,7 +269,8 @@ class TestBiasTerms:
         sigma_a = 3.0
         w = build_weights(pts, d, sigma_a, 2.0, 2.0)
         bias = build_bias_terms(pts, d, sigma_a, 2.0, 2.0, w)
-        w_inv = pseudo_inverse_weights(solvers._rhs_variance(pts, d, sigma_a, 2.0, 2.0))
+        k = (pts ** 2).sum(axis=1)
+        w_inv = pseudo_inverse_weights(solvers._rhs_variance(k, d, sigma_a, 2.0, 2.0))
         var = sigma_a ** 2
         ones = np.ones(m)
         t1 = var * np.trace(w_inv)                     # E[N1' W+ N1]
@@ -287,7 +288,8 @@ class TestBiasTerms:
         sigma_a = 3.0
         w = build_weights(pts, d, sigma_a, 2.0, 2.0)
         bias = build_bias_terms(pts, d, sigma_a, 2.0, 2.0, w)
-        w_inv = pseudo_inverse_weights(solvers._rhs_variance(pts, d, sigma_a, 2.0, 2.0))
+        k = (pts ** 2).sum(axis=1)
+        w_inv = pseudo_inverse_weights(solvers._rhs_variance(k, d, sigma_a, 2.0, 2.0))
         proj = centering_projector(m)
         q = proj @ w_inv @ proj
         trials = 200_000
@@ -500,7 +502,7 @@ def exact_estimates(anchors, d, sigma_a, sigma_p):
     """Exact wls and wls-bc estimates from the solver's float inputs, and
     the exact compensated normal matrix as floats."""
     system = linearize(anchors, d)
-    var = solvers._rhs_variance(anchors, d, sigma_a, sigma_p, 2.0)
+    var = solvers._rhs_variance((anchors ** 2).sum(axis=1), d, sigma_a, sigma_p, 2.0)
     t = build_bias_terms(anchors, d, sigma_a, sigma_p, 2.0, DiagonalWeights(1.0 / var)).t
     wls, _ = exact_weighted_position(system.design, system.rhs, var)
     bc, normal = exact_weighted_position(system.design, system.rhs, var, t,
@@ -596,7 +598,7 @@ class TestDiagonalWeights:
         rng = np.random.default_rng(73)
         anchors = random_scene_points(rng, 6)
         d = rng.uniform(50.0, 500.0, (20, 6))
-        var = solvers._rhs_variance(anchors, d, 1.5, 2.0, 2.0)
+        var = solvers._rhs_variance((anchors ** 2).sum(axis=1), d, 1.5, 2.0, 2.0)
         system = linearize(anchors, d)
         closed = build_weights(anchors, d, 1.5, 2.0, 2.0)
         assert not closed.unweighted.any()

@@ -196,6 +196,37 @@ def test_components_other_than_tree_pairs_are_rejected(tmp_path, capsys):
     assert reference.combine([1.0, 1.0, 1.0], [0.0, 0.0, 0.0]).shape == (2,)
 
 
+def test_walk_block_holds_doubled_ids():
+    # trees of depths 0 to 6; the block's walk ids are 2 * node
+    x, y = np.random.default_rng(3).uniform(-1.0, 1.0, (40, 3)), np.arange(40.0) % 7
+    trees = [fit_tree(x, y, max_depth=d) for d in (2, 0, 6, 4)]
+    assert [t.depth() for t in trees] == [2, 0, 6, 4]
+    feature, threshold, children, value, roots, *_ = learners._stack_trees(trees)
+    assert len(feature) == len(threshold) == len(children) == 2 * len(value)
+    assert np.array_equal(feature[0::2], feature[1::2])
+    assert np.array_equal(threshold[0::2], threshold[1::2])
+    assert not (children % 2).any() and not (roots % 2).any()
+    # one row, one chunk, and the first row past a full chunk
+    past_chunk = learners.WALK_NODES // len(trees) + 1
+    for rows in (x[:1], x, np.resize(x, (past_chunk, 3))):
+        want = [[walk(tree, row) for row in rows] for tree in trees]
+        assert np.array_equal(learners._leaf_values(learners._stack_trees(trees), rows), want)
+        for tree, values in zip(trees, want):
+            assert np.array_equal(tree.predict(rows), values)
+
+
+def test_nan_features_take_the_right_branch():
+    # x <= threshold is false for NaN, so a NaN row goes right at every split
+    x, y = np.random.default_rng(4).uniform(-1.0, 1.0, (60, 4)), np.arange(120.0).reshape(60, 2)
+    model = treeloc_fit(x, y, tree_depth=5, forest_trees=3, extra_trees=3)
+    rows = np.array([[np.nan] * 4, [0.1, np.nan, -0.2, np.nan]])
+    comps = np.array([[[np.mean([walk(t, row) for t in trees_of(m)]) for m in c.models]
+                       for c in model.components] for row in rows])
+    assert np.array_equal(model.component_predictions(rows), comps)
+    for row, want in zip(rows, model.combine(comps[:, :, 0], comps[:, :, 1])):
+        assert np.array_equal(model.predict(row), want)
+
+
 def test_block_walk_rejects_rows_too_short_for_the_splits():
     x = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0], [3.0, 1.0]])
     tree = fit_tree(x, x[:, 1] * 2.0)
