@@ -29,7 +29,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import json
 import os
 import sys
 import warnings
@@ -81,7 +80,8 @@ def _finish(args, lines: List[tuple], table="", data=None, model=None) -> None:
             ingest.write_csv(data, args.output)
             written.append(args.output)
         if model is not None and args.save_model:
-            ingest.write_text(_model_json(model), args.save_model)
+            from . import learners
+            learners.save_model(model, args.save_model)
             written.append(args.save_model)
         if getattr(args, "report", None):
             ingest.write_text(body, args.report)
@@ -91,11 +91,6 @@ def _finish(args, lines: List[tuple], table="", data=None, model=None) -> None:
                 os.unlink(path)
         raise
     print(body, end="")
-
-
-def _model_json(model) -> str:
-    from . import learners
-    return json.dumps(learners.model_to_dict(model))
 
 
 def _xy_columns(predicted: np.ndarray, actual: np.ndarray) -> Dict[str, np.ndarray]:
@@ -280,15 +275,12 @@ def _fit_model(args, ds, train_idx):
 def _tree_shape(model) -> List[tuple]:
     """Report lines on the trees inside a tree-based model; none for others."""
     from . import learners
-    def trees(m):
-        parts = getattr(m, "trees", getattr(m, "models", getattr(m, "components", ())))
-        return [m] if isinstance(m, learners.RegressionTree) else [
-            t for part in parts for t in trees(part)]
-    found = trees(model)
-    depths = [t.depth() for t in found]
-    return [("trees", len(found)), ("tree_nodes", sum(len(t.feature) for t in found)),
-            ("tree_depth_max", max(depths)), ("tree_depth_mean", f"{np.mean(depths):.6f}")
-            ] if found else []
+    trees = [t for m in learners.tree_models(model) for t in m.trees]
+    if not trees:
+        return []
+    depths = learners.tree_depths(trees)
+    return [("trees", len(trees)), ("tree_nodes", sum(len(t.feature) for t in trees)),
+            ("tree_depth_max", int(depths.max())), ("tree_depth_mean", f"{np.mean(depths):.6f}")]
 
 
 def cmd_fit(args) -> None:
@@ -507,52 +499,61 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _merge_config(argv: List[str], parser: argparse.ArgumentParser) -> List[str]:
-    """Expand --config FILE into CLI tokens placed before explicit flags.
+    """Expand each --config FILE, in every spelling argparse reads as it,
+    into CLI tokens placed right after the subcommand, in the order given.
 
     Explicit flags win because argparse lets later occurrences override
     earlier ones. Unknown config keys are a configuration error.
     """
-    if "--config" not in argv:
-        return argv
-    at = argv.index("--config")
-    if at + 1 >= len(argv):
-        raise CliError(2, "--config requires a file path")
-    path = argv[at + 1]
-    rest = argv[:at] + argv[at + 2:]
-    if not rest:
-        raise CliError(2, "--config needs a subcommand")
-    command = rest[0]
-
     subs = next(a for a in parser._actions
                 if isinstance(a, argparse._SubParsersAction))
-    if command not in subs.choices:
-        raise CliError(2, f"unknown subcommand {command!r}")
-    by_dest = {a.dest: a for a in subs.choices[command]._actions}
+    paths, rest, by_dest, options, at = [], [], {}, ["--config"], 0
+    while at < len(argv):
+        token, at = argv[at], at + 1
+        # argparse reads as --config the flag and each prefix of it that names no other option
+        name = token.split("=", 1)[0]
+        matches = [o for o in options if o.startswith(name)] if len(name) > 2 else []
+        if name != "--config" and matches != ["--config"]:
+            if not rest and token in subs.choices:  # the subcommand: its options from here
+                by_dest = {a.dest: a for a in subs.choices[token]._actions}
+                options = [o for a in by_dest.values() for o in a.option_strings]
+            rest.append(token)
+        elif "=" in token:
+            paths.append(token.split("=", 1)[1])
+        elif at < len(argv):
+            paths.append(argv[at])
+            at += 1
+        else:
+            raise CliError(2, "--config requires a file path")
+    if paths and not rest:
+        raise CliError(2, "--config needs a subcommand")
+    if paths and not by_dest:
+        raise CliError(2, f"unknown subcommand {rest[0]!r}")
 
     tokens: List[str] = []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise CliError(2, f"{path}:{lineno}: expected key=value")
-                key, value = (part.strip() for part in line.split("=", 1))
-                dest = key.replace("-", "_")
-                action = by_dest.get(dest)
-                if action is None or not action.option_strings:
-                    raise CliError(2, f"{path}:{lineno}: unknown key {key!r}")
-                if isinstance(action, argparse._StoreTrueAction):
-                    if value.lower() in ("1", "true", "yes"):
-                        tokens.append(action.option_strings[-1])
-                    elif value.lower() not in ("0", "false", "no"):
-                        raise CliError(2, f"{path}:{lineno}: {key} must be boolean")
-                else:
-                    tokens.extend([action.option_strings[-1], value])
-    except OSError as exc:
-        raise CliError(2, f"cannot read config {path}: {exc}") from exc
-    return [command] + tokens + rest[1:]
+    for path in paths:
+        try:
+            with open(path, encoding="utf-8") as fh:
+                lines = [line.strip() for line in fh]
+        except OSError as exc:
+            raise CliError(2, f"cannot read config {path}: {exc}") from exc
+        for lineno, line in enumerate(lines, start=1):
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise CliError(2, f"{path}:{lineno}: expected key=value")
+            key, value = (part.strip() for part in line.split("=", 1))
+            action = by_dest.get(key.replace("-", "_"))
+            if action is None or not action.option_strings:
+                raise CliError(2, f"{path}:{lineno}: unknown key {key!r}")
+            if isinstance(action, argparse._StoreTrueAction):
+                if value.lower() in ("1", "true", "yes"):
+                    tokens.append(action.option_strings[-1])
+                elif value.lower() not in ("0", "false", "no"):
+                    raise CliError(2, f"{path}:{lineno}: {key} must be boolean")
+            else:  # one token, so a value such as "-1,0,5,5" is not read as a flag
+                tokens.append(f"{action.option_strings[-1]}={value}")
+    return rest[:1] + tokens + rest[1:]
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

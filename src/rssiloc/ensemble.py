@@ -21,9 +21,9 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .exceptions import ShapeMismatch, TooFewSamples
-from .learners import (Forest, RegressionTree, fit_extra_trees, fit_forest,
-                       fit_linear, fit_tree, model_from_dict, model_to_dict,
-                       _leaf_values, _stack_trees, _wrap)
+from .learners import (PairedRegressor, fit_extra_trees, fit_forest, fit_linear,
+                       fit_tree, model_from_dict, model_to_dict, tree_models,
+                       _model_means, _stack_trees, _wrap)
 
 COMPONENT_NAMES = ("extra_trees", "decision_tree", "random_forest")
 
@@ -77,30 +77,18 @@ class TreeLocModel:
 
     @cached_property
     def _block(self):
-        """One node block with the trees of the six per-coordinate component
-        models, the tree index where each model's trees start, and their
-        counts."""
-        pairs = [getattr(c, "models", ()) for c in self.components]
-        models = [m for pair in pairs for m in pair]
-        if ([len(pair) for pair in pairs] != [2, 2, 2]
-                or not all(isinstance(m, (Forest, RegressionTree)) for m in models)):
+        """One node block with the trees of the six per-coordinate models."""
+        if not all(isinstance(c, PairedRegressor) and len(c.models) == 2
+                   and tree_models(c) == c.models for c in self.components):
             raise TypeError("treeloc components must be three pairs of tree models")
-        trees = [getattr(m, "trees", (m,)) for m in models]
-        counts = [len(t) for t in trees]
-        return _stack_trees(sum(trees, ())), np.cumsum([0] + counts).tolist(), np.array(counts)
+        return _stack_trees(tree_models(self))
 
     def component_predictions(self, features) -> np.ndarray:
-        """Stacked component outputs, shape (N, 3, 2). The trees are walked
-        as one block; each model's mean over its own trees, in tree order,
-        gives the bits of its own predict."""
+        """Stacked component outputs, shape (N, 3, 2): each model's mean
+        over its own trees, all walked as one block, gives the bits of its
+        own predict."""
         x = np.atleast_2d(np.asarray(features, dtype=float))
-        block, starts, counts = self._block
-        leaves = _leaf_values(block, x)
-        sums = np.empty((len(x), 6))
-        for i, (a, b) in enumerate(zip(starts, starts[1:])):
-            np.add.reduce(leaves[a:b], axis=0, out=sums[:, i])
-        # sum / count is np.mean's own arithmetic, without its overhead
-        return (sums / counts).reshape(len(x), 3, 2)
+        return _model_means(self._block, x).reshape(len(x), 3, 2)
 
     def predict(self, features) -> np.ndarray:
         x = np.asarray(features, dtype=float)

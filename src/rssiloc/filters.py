@@ -138,12 +138,16 @@ def kalman_step(state: KalmanState, z: float) -> KalmanState:
     p' = p + q, K = p' / (p' + r), then the estimate moves by K times the
     innovation and the variance contracts to (1 - K) * p', computed as
     p' * r / (p' + r) to stay exact under a diffuse prior. A next estimate or
-    variance that is not finite (an overflow) raises NumericalError.
+    variance that is not finite (an overflow) raises NumericalError. The
+    next state is not validated again: q and r are the checked state's, and
+    p' >= 0 since p, q and r are.
     """
     x_hat, p = _update(state.x_hat, state.p, state.q, state.r, z)
     if not (math.isfinite(x_hat) and math.isfinite(p)):
         raise NumericalError("Kalman state is not finite")
-    return KalmanState(x_hat, p, state.q, state.r)
+    out = object.__new__(KalmanState)
+    out.__dict__.update(x_hat=x_hat, p=p, q=state.q, r=state.r)
+    return out
 
 
 def kalman_filter(signal: Sequence[float], q: float = KALMAN_DEFAULT_Q,

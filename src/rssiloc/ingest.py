@@ -32,11 +32,12 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
+import itertools
 import math
 import os
 import re
 from dataclasses import dataclass
-from typing import Dict, Mapping, Sequence, Tuple, Union
+from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -267,6 +268,7 @@ def _column(values, alone: bool) -> Tuple[str, list]:
 
 
 _QUOTABLE = re.compile(r'[,"\r\n]')  # csv.writer may quote a field holding one
+_WRITE_ROWS = 4096  # CSV rows formatted and written at a time
 
 
 def _csv_text(cells: list, alone: bool) -> list:
@@ -319,23 +321,28 @@ def write_csv(data, path) -> None:
     parts = [_column(values, alone) for values in columns.values()]
     row = ",".join(field for field, _ in parts) + "\n"
     header = ",".join(_csv_text([str(name) for name in columns], alone)) + "\n"
-    write_text(header + "".join(row % cells for cells in zip(*(c for _, c in parts))),
-               path)
+    rows = zip(*(c for _, c in parts))  # formatted _WRITE_ROWS at a time until none is left
+    chunks = iter(lambda: "".join(
+        row % cells for cells in itertools.islice(rows, _WRITE_ROWS)), "")
+    write_text(itertools.chain([header], chunks), path)
 
 
-def write_text(text: str, path) -> None:
-    """Write text (a CSV file, a report or a saved model) to path,
-    atomically: through a temp file renamed on success. An OSError removes
-    the temp file and is raised as IoFailure."""
+def write_text(text: Union[str, Iterable[str]], path) -> None:
+    """Write text (a CSV file, a report or a saved model), a str or its
+    parts in order, to path, atomically: through a temp file renamed on
+    success. Any failure removes the temp file; an OSError is raised as
+    IoFailure."""
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w", newline="", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
-    except OSError as exc:
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+        if isinstance(exc, OSError):
+            raise IoFailure(f"cannot write {path}: {exc}") from exc
+        raise
 
 
 def load_series_csv(path, columns: Sequence[str]) -> Dict[str, np.ndarray]:

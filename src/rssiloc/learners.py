@@ -13,12 +13,15 @@ subtree first, root 0): ``feature`` (-1 at a leaf), ``threshold``, ``left``
 and ``right`` child indices (-1 at a leaf), ``value`` (mean training
 target) and ``n`` (training rows). A fit grows all its trees together,
 level by level, a few numpy calls per depth, and then renumbers the nodes
-depth-first; predict walks all rows through all trees at once, one numpy
-step per level. Saved files (version 3) hold each tree or forest as flat
-preorder arrays (see :func:`_trees_from_arrays`): ``node_counts`` is a JSON
-list of ints, and ``feature``, ``threshold``, ``value`` and ``n`` are base64
-strings of little-endian ``<i8``/``<f8`` bytes, so a record is written and
-read without turning each number into text. Version-2 files, which hold
+depth-first. Trees, forests and treeloc models predict through one block
+(:func:`_stack_trees`): the trees' nodes end to end, every depth from one
+frontier pass; all rows walk all trees at once, a numpy step per level,
+and each model's mean is the sum of its trees' slice. Saved files (version
+3) hold each tree or forest as flat preorder arrays (see
+:func:`_trees_from_arrays`): ``node_counts`` is a JSON list of ints, and
+``feature``, ``threshold``, ``value`` and ``n`` are base64 strings of
+little-endian ``<i8``/``<f8`` bytes, so a record is written and read
+without turning each number into text. Version-2 files, which hold
 the same arrays as JSON number lists, and version-1 files, with a nested
 dict per node, still load to the same trees.
 """
@@ -309,30 +312,53 @@ def _grow(x: np.ndarray, y: np.ndarray, samples, max_depth: Optional[int],
                  for o, c in zip(offset, size[0]))
 
 
-def _stack_trees(trees) -> tuple:
-    """(feature, threshold, children, value, roots, steps, restore, inputs) of
-    one block holding every tree, deepest first, node indices offset. Walk
-    ids are doubled: node i is 2i, feature and threshold hold node i's split
-    at 2i and 2i + 1, and children[2i] and children[2i + 1] hold 2 * its right
-    and left child, so a row at 2i steps to children[2i + (x <= threshold)]
-    with no multiply; leaves are feature-0 self-loops and value[2i >> 1] is
-    node i's value. Level l steps the first steps[l] trees, those deeper than
-    l; restore puts the trees back in the given order; inputs is the number
-    of features the splits read."""
-    depths = np.array([t.depth() for t in trees])
+def _link(trees) -> tuple:
+    """(feature, children, roots, depths) of trees laid end to end in order:
+    children[i] holds node i's right and left child as indices into the
+    whole, a leaf's both its own; roots[t] is tree t's node 0 and depths[t]
+    its depth, from one frontier pass, a numpy step per level."""
+    counts = np.array([len(t.feature) for t in trees])
+    roots = np.cumsum(counts) - counts
+    feature = np.concatenate([t.feature for t in trees])
+    children = np.empty((len(feature), 2), dtype=np.int64)
+    for j, side in enumerate(("right", "left")):  # filled in place: no temporaries
+        np.concatenate([getattr(t, side) for t in trees], out=children[:, j])
+    children += np.repeat(roots, counts)[:, None]
+    leaf = np.flatnonzero(feature < 0)
+    children[leaf] = leaf[:, None]
+    split, level, node, depth = feature >= 0, np.zeros(len(feature), dtype=np.int64), roots, 0
+    while len(node):
+        node, depth = children.take(node.compress(split.take(node)), axis=0).ravel(), depth + 1
+        level[node] = depth
+    return feature, children, roots, np.maximum.reduceat(level, roots)
+
+
+def tree_depths(trees) -> np.ndarray:
+    """Edges on the longest root-to-leaf path of each tree."""
+    return _link(trees)[3]
+
+
+def _stack_trees(models) -> tuple:
+    """(feature, threshold, children, value, roots, steps, restore, inputs,
+    starts, counts): one block of the trees of tree and forest models, node
+    arrays in the given order. Walk ids are doubled: node i is 2i, feature
+    and threshold hold its split at 2i and 2i + 1, children[2i] and
+    children[2i + 1] 2 * its right and left child, so a row at 2i steps to
+    children[2i + (x <= threshold)]; leaves are feature-0 self-loops and
+    value[2i >> 1] is node i's value. roots lists the trees deepest first:
+    level l steps the first steps[l], those deeper than l, and restore puts
+    them back in order. inputs is the number of features the splits read;
+    model m owns the counts[m] trees from starts[m]."""
+    trees = [t for m in models for t in m.trees]
+    feature, children, roots, depths = _link(trees)
     order = np.argsort(-depths, kind="stable")
-    trees = [trees[i] for i in order]
-    roots = np.cumsum([0] + [len(t.feature) for t in trees[:-1]])
-    children = np.empty(2 * sum(len(t.feature) for t in trees), dtype=np.int64)
-    for slot, side in enumerate(("right", "left")):  # built tree by tree: small temporaries
-        children[slot::2] = np.concatenate([2 * (root + np.where(
-            t.feature < 0, np.arange(len(t.feature)), getattr(t, side)))
-            for t, root in zip(trees, roots)])
-    steps = [int(np.count_nonzero(depths > level)) for level in range(depths.max())]
-    return (np.repeat(np.concatenate([np.maximum(t.feature, 0) for t in trees]), 2),
-            np.repeat(np.concatenate([t.threshold for t in trees]), 2), children,
-            np.concatenate([t.value for t in trees]), 2 * roots, steps, np.argsort(order),
-            max(int(t.feature.max()) for t in trees) + 1)
+    starts = np.cumsum([0] + [len(m.trees) for m in models])
+    children *= 2
+    return (np.repeat(np.maximum(feature, 0), 2),
+            np.repeat(np.concatenate([t.threshold for t in trees]), 2), children.ravel(),
+            np.concatenate([t.value for t in trees]), 2 * roots[order],
+            np.cumsum(np.bincount(depths)[::-1])[::-1][1:].tolist(), np.argsort(order),
+            int(feature.max()) + 1, starts.tolist(), np.diff(starts))
 
 
 def _leaf_values(block: tuple, x: np.ndarray) -> np.ndarray:
@@ -341,7 +367,7 @@ def _leaf_values(block: tuple, x: np.ndarray) -> np.ndarray:
     (each row's walk is its own, so the chunking changes no bit); each
     level steps only the trees still deeper and sets aside the rest, and
     reads x as one flat array."""
-    feature, threshold, children, value, roots, steps, restore, inputs = block
+    feature, threshold, children, value, roots, steps, restore, inputs, *_ = block
     if x.shape[1] < inputs:
         raise IndexError(f"the trees split on {inputs} inputs, rows have {x.shape[1]}")
     chunk = max(1, WALK_NODES // len(roots))
@@ -361,13 +387,35 @@ def _leaf_values(block: tuple, x: np.ndarray) -> np.ndarray:
     return value[np.concatenate([node] + finished[::-1])[restore] >> 1]
 
 
+def _model_means(block: tuple, x: np.ndarray) -> np.ndarray:
+    """Each model's mean leaf value per row, shape (N, models): the sum of
+    its trees' rows of the walk, in tree order, divided by its tree count,
+    which is np.mean's own arithmetic and so each model's own bits."""
+    leaves, starts, counts = _leaf_values(block, x), *block[8:]
+    sums = np.empty((len(x), len(counts)))
+    for i, (a, b) in enumerate(zip(starts, starts[1:])):
+        np.add.reduce(leaves[a:b], axis=0, out=sums[:, i])
+    return sums / counts
+
+
+class _Averaged:
+    """predict of a tree or forest: the mean of its trees' leaf values."""
+
+    _block = cached_property(lambda self: _stack_trees((self,)))
+
+    def predict(self, features) -> np.ndarray:
+        x, single = _as_rows(features)
+        out = _model_means(self._block, x)[:, 0]
+        return float(out[0]) if single else out
+
+
 @dataclass(frozen=True, eq=False)
-class RegressionTree:
+class RegressionTree(_Averaged):
     """Single CART regression tree for a scalar target: the six node arrays
     of the module docstring plus its hyperparameters. ``root`` is a
-    read-only :class:`TreeNode` view of node 0; predict walks all rows
-    down together, one vectorized step per level; to_dict writes the
-    version-3 record of :func:`_trees_from_arrays`."""
+    read-only :class:`TreeNode` view of node 0 and ``trees`` the tree
+    itself, as a one-tree forest; to_dict writes the version-3 record of
+    :func:`_trees_from_arrays`."""
 
     feature: np.ndarray
     threshold: np.ndarray
@@ -380,24 +428,11 @@ class RegressionTree:
     split_mode: str = "exhaustive"
 
     root = property(TreeNode)  # read-only view of node 0
-    _block = cached_property(lambda self: _stack_trees((self,)))
-
-    def predict(self, features) -> np.ndarray:
-        x, single = _as_rows(features)
-        out = _leaf_values(self._block, x)[0]
-        return float(out[0]) if single else out
+    trees = property(lambda self: (self,))
 
     def depth(self) -> int:
         """Edges on the longest root-to-leaf path."""
-        return self._depth
-
-    @cached_property  # counted level by level, once: the arrays never change
-    def _depth(self) -> int:
-        level, depth = np.zeros(1, dtype=np.int64), -1
-        while len(level):
-            level = level[self.feature[level] >= 0]
-            level, depth = np.concatenate([self.left[level], self.right[level]]), depth + 1
-        return depth
+        return int(tree_depths((self,))[0])
 
     def to_dict(self) -> dict:
         return _wrap("tree",
@@ -437,23 +472,14 @@ def fit_tree(features, targets, max_depth: Optional[int] = None,
 
 
 @dataclass(frozen=True)
-class Forest:
-    """Average of independently grown trees (bagging when bootstrap=True).
-    predict walks the rows down all trees in one concatenated node block,
-    then averages the tree-major (T, N) leaf values over axis 0, in tree
-    order, exactly as averaging the member trees' predictions does. The
-    version-3 record concatenates the trees' arrays before encoding them."""
+class Forest(_Averaged):
+    """Average of independently grown trees (bagging when bootstrap=True),
+    in tree order, exactly as averaging the member trees' predictions does.
+    The version-3 record concatenates the trees' arrays before encoding them."""
 
     trees: Tuple[RegressionTree, ...]
     bootstrap: bool = True
     rng_seed: int = 0
-
-    _block = cached_property(lambda self: _stack_trees(self.trees))
-
-    def predict(self, features) -> np.ndarray:
-        x, single = _as_rows(features)
-        preds = np.mean(_leaf_values(self._block, x), axis=0)
-        return float(preds[0]) if single else preds
 
     def to_dict(self) -> dict:
         first = self.trees[0]
@@ -514,6 +540,17 @@ class PairedRegressor:
     def to_dict(self) -> dict:
         return _wrap("paired", {},
                      {"components": [m.to_dict() for m in self.models]})
+
+
+def tree_models(model) -> tuple:
+    """The tree and forest models inside a model, depth first: the model
+    itself, or those of a paired model's members or a treeloc model's
+    components; none for other kinds."""
+    if isinstance(model, (RegressionTree, Forest)):
+        return (model,)
+    parts = model.models if isinstance(model, PairedRegressor) else getattr(
+        model, "components", ())
+    return tuple(m for part in parts for m in tree_models(part))
 
 
 # --- k nearest neighbors -----------------------------------------------------------
@@ -886,9 +923,10 @@ def model_from_dict(data: dict):
 
 
 def save_model(model, path):
-    """Write the model's JSON record to path atomically; an unwritable path
+    """Write the model's JSON record to path atomically, the text of
+    json.dumps encoded part by part, never held whole; an unwritable path
     raises IoFailure and leaves no file behind."""
-    write_text(json.dumps(model_to_dict(model)), path)
+    write_text(json.JSONEncoder().iterencode(model_to_dict(model)), path)
 
 
 def load_model(path):

@@ -176,14 +176,21 @@ def classification_metrics(cm: ConfusionMatrix) -> ClassificationReport:
                                 overall_accuracy=overall)
 
 
+def _cell(value: float) -> str:
+    """A metric in 4 decimals, or in 4-decimal exponent form where those
+    would not fit a 12-character column."""
+    text = f"{value:.4f}"
+    return text if len(text) <= 12 else f"{value:.4e}"
+
+
 def format_regression_table(rows: Dict[str, RegressionMetrics]) -> str:
     """Fixed-width text table of regression metrics, one row per series."""
     header = f"{'series':<12}{'rmse':>12}{'mae':>12}{'std':>12}{'r2':>12}{'n':>8}"
     lines = [header, "-" * len(header)]
     for name, m in rows.items():
-        r2 = "undefined" if m.r2 is None else f"{m.r2:.4f}"
-        lines.append(f"{name:<12}{m.rmse:>12.4f}{m.mae:>12.4f}"
-                     f"{m.std_err:>12.4f}{r2:>12}{m.n:>8d}")
+        r2 = "undefined" if m.r2 is None else _cell(m.r2)
+        lines.append(f"{name:<12}{_cell(m.rmse):>12}{_cell(m.mae):>12}"
+                     f"{_cell(m.std_err):>12}{r2:>12}{m.n:>8d}")
     return "\n".join(lines)
 
 

@@ -252,6 +252,16 @@ class TestConfigMerge:
                    "--samples", "3", "-o", str(out2)) == 0
         assert len(load_regression_csv(out2)) == 12
 
+    def test_config_value_may_start_with_a_dash(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("bounds = -100,-50,500,400\npositions=3\n")
+        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run("simulate", "--config", str(cfg), "--anchors", ANCHORS,
+                   "-o", str(out1)) == 0
+        assert run("simulate", "--bounds=-100,-50,500,400", "--positions", "3",
+                   "--anchors", ANCHORS, "-o", str(out2)) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+
     def test_unknown_config_key_exit_2(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("nonsense=1\n")

@@ -190,6 +190,21 @@ class TestKalmanFilterEqualsSteps:
         assert kalman_filter(signal, q=q, r=r).tobytes() == want.tobytes()
 
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(signal=kalman_signals(), q=VARIANCES, r=VARIANCES)
+    def test_step_returns_the_state_the_constructor_builds(self, signal, q, r):
+        # kalman_step builds its state unchecked; the checked constructor
+        # accepts the same fields and gives an equal state
+        try:
+            state = KalmanState(signal[0], 1.0, q, r)
+            for z in signal:
+                state = kalman_step(state, z)
+                rebuilt = KalmanState(state.x_hat, state.p, state.q, state.r)
+                assert type(state) is KalmanState and vars(state) == vars(rebuilt)
+        except (ValueError, NumericalError):
+            pass
+
+
 class TestVarianceReduction:
     def test_all_filters_reduce_noise_variance(self):
         rng = np.random.default_rng(4)

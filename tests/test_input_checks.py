@@ -196,3 +196,28 @@ def test_boolean_config_keys_equal_their_flag(paths, capsys):
                         ("false", without), ("no", without), ("0", without)]:
         cfg.write_text(f"include-cross-term = {value}\n")
         assert locate("--config", str(cfg)) == want
+
+
+def test_every_config_spelling_merges_the_file(paths, capsys):
+    # argparse reads --config=FILE and unique abbreviations as --config: each
+    # spelling merges the file, or exits 2 when it cannot be merged
+    def run(argv):
+        code = main([arg.format(**paths) for arg in argv])
+        out = paths["out"].read_bytes() if code == 0 else None
+        paths["out"].unlink(missing_ok=True)
+        return code, out, capsys.readouterr()
+
+    cfg, bad = paths["root"] / "cross.cfg", paths["root"] / "bogus.cfg"
+    cfg.write_text("include-cross-term = true\n")
+    bad.write_text("bogus=1\n")
+    code, want, captured = run(LOCATE + ["--include-cross-term"])
+    assert code == 0
+    for spelling in ([f"--config={cfg}"], ["--conf", str(cfg)], [f"--co={cfg}"]):
+        code, out, got = run(LOCATE + spelling)
+        assert (code, out, got.out) == (0, want, captured.out)
+    for spelling, message in (([f"--config={bad}"], "unknown key 'bogus'"),
+                              (["--conf", str(bad)], "unknown key 'bogus'"),
+                              ([f"--config={paths['root']}/missing.txt"], "cannot read config")):
+        for argv in (LOCATE, ["filter", "--filter", "ma", "-i", "{reg}", "-o", "{out}"]):
+            code, out, got = run(argv + spelling)
+            assert code == 2 and message in got.err and out is None

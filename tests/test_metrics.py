@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rssiloc.exceptions import EmptyMatrix, LengthMismatch
-from rssiloc.metrics import (ConfusionMatrix, classification_metrics,
+from rssiloc.cli import main
+from rssiloc.metrics import (ConfusionMatrix, RegressionMetrics, classification_metrics,
                              confusion_matrix, format_classification_table,
                              format_regression_table, regression_metrics)
 
@@ -181,3 +182,42 @@ class TestTables:
         text = format_classification_table(classification_metrics(cm))
         assert "macro" in text
         assert "overall accuracy" in text
+
+
+def fixed_point_table(rows) -> str:
+    """The table as every metric was printed before: always .4f."""
+    header = f"{'series':<12}{'rmse':>12}{'mae':>12}{'std':>12}{'r2':>12}{'n':>8}"
+    lines = [header, "-" * len(header)]
+    for name, m in rows.items():
+        r2 = "undefined" if m.r2 is None else f"{m.r2:.4f}"
+        lines.append(f"{name:<12}{m.rmse:>12.4f}{m.mae:>12.4f}"
+                     f"{m.std_err:>12.4f}{r2:>12}{m.n:>8d}")
+    return "\n".join(lines)
+
+
+UNDER_A_MILLION = (st.floats(-1e6, 1e6, exclude_min=True, exclude_max=True)
+                   | st.sampled_from([0.0, -0.0, 999999.99994, 999999.99996,
+                                      -999999.99994, -999999.99996]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(values=st.lists(UNDER_A_MILLION, min_size=4, max_size=4),
+       undefined=st.booleans(), n=st.integers(1, 10 ** 7))
+def test_metrics_under_a_million_print_as_before(values, undefined, n):
+    rmse, mae, std, r2 = values
+    rows = {"x": RegressionMetrics(rmse, mae, std, None if undefined else r2, n)}
+    table = format_regression_table(rows)
+    assert len({len(line) for line in table.splitlines()}) == 1
+    # only a value that rounds to -1000000.0000 (13 characters) never fit
+    if all(len(f"{v:.4f}") <= 12 for v in values):
+        assert table == fixed_point_table(rows)
+
+
+def test_wide_metrics_keep_the_table_columns(tmp_path, capsys):
+    path = tmp_path / "wide.csv"
+    path.write_text("X_Actual,Y_Actual,X_Pred,Y_Pred\n1e307,1,-1e307,2\n1,2,3,4\n")
+    assert main(["evaluate", "-i", str(path)]) == 0
+    table = capsys.readouterr().out.split("\n\n", 1)[1].splitlines()
+    assert len({len(line) for line in table}) == 1
+    assert table[2].split() == ["x", "1.4142e+307", "1.0000e+307", "1.0000e+307",
+                                "-7.0000", "2"]

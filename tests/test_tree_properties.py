@@ -215,6 +215,59 @@ def test_walk_block_holds_doubled_ids():
             assert np.array_equal(tree.predict(rows), values)
 
 
+VALUES = [-1.0, -0.5, 0.0, 0.5, 1.0]  # thresholds; rows also take NaN
+
+
+@st.composite
+def random_trees(draw):
+    """A tree of depth at most 0-8 with random splits on three features,
+    preorder node arrays, as the grower and the loader lay them out."""
+    limit = draw(st.integers(0, 8))
+    feature, threshold, left, right = [], [], [], []
+
+    def grow(depth):
+        i, split = len(feature), depth < limit and draw(st.booleans())
+        feature.append(draw(st.integers(0, 2)) if split else -1)
+        threshold.append(draw(st.sampled_from(VALUES)) if split else 0.0)
+        left.append(-1)
+        right.append(-1)
+        if split:
+            left[i] = grow(depth + 1)
+            right[i] = grow(depth + 1)
+        return i
+
+    grow(0)
+    n = len(feature)
+    return RegressionTree(np.array(feature), np.array(threshold), np.array(left),
+                          np.array(right), np.arange(n) * 1.5 - 7.0, np.ones(n, dtype=np.int64))
+
+
+def reference_depth(tree, i=0):
+    if tree.feature[i] < 0:
+        return 0
+    return 1 + max(reference_depth(tree, tree.left[i]), reference_depth(tree, tree.right[i]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(trees=st.lists(random_trees(), min_size=1, max_size=6), data=st.data())
+def test_depth_pass_and_block_walk_equal_per_tree_references(trees, data):
+    want = [reference_depth(tree) for tree in trees]
+    assert learners.tree_depths(trees).tolist() == want
+    assert [tree.depth() for tree in trees] == want
+    block = learners._stack_trees(trees)  # level l steps the trees deeper than l
+    assert block[5] == [sum(d > level for d in want) for level in range(max(want))]
+    # one row, one chunk, and one row past a chunk of WALK_NODES tree-rows
+    chunk = 3
+    rows = np.array(data.draw(st.lists(st.lists(st.sampled_from(VALUES + [np.nan]),
+                                                min_size=3, max_size=3),
+                                       min_size=chunk + 1, max_size=chunk + 1)))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(learners, "WALK_NODES", chunk * len(trees))
+        for x in (rows[:1], rows[:chunk], rows):
+            leaves = [[walk(tree, row) for row in x] for tree in trees]
+            assert np.array_equal(learners._leaf_values(block, x), leaves)
+
+
 def test_nan_features_take_the_right_branch():
     # x <= threshold is false for NaN, so a NaN row goes right at every split
     x, y = np.random.default_rng(4).uniform(-1.0, 1.0, (60, 4)), np.arange(120.0).reshape(60, 2)

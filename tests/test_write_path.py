@@ -5,6 +5,7 @@ writer and the float-block loader also match per-cell references: the
 
 import csv
 import io
+import json
 import math
 
 import numpy as np
@@ -12,9 +13,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rssiloc.exceptions import IoFailure, MalformedNumber
-from rssiloc.ingest import load_regression_csv, load_series_csv, write_csv
-from rssiloc.learners import (MlpModel, fit_knn, fit_linear, fit_polynomial,
-                              load_model, mlp_train, one_hot_encode, save_model)
+from rssiloc.ingest import (_WRITE_ROWS, load_regression_csv, load_series_csv, write_csv,
+                            write_text)
+from rssiloc.ensemble import treeloc_fit
+from rssiloc.learners import (LinearModel, MlpModel, fit_forest, fit_knn, fit_linear,
+                              fit_polynomial, load_model, mlp_train, model_to_dict,
+                              one_hot_encode, save_model)
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
@@ -101,6 +105,25 @@ def test_write_csv_matches_csv_writer(tmp_path_factory, columns):
     path = tmp_path_factory.getbasetemp() / "writer.csv"
     write_csv(columns, path)
     assert path.read_bytes() == reference_csv(columns)
+
+
+@pytest.mark.parametrize("n", [0, 1, _WRITE_ROWS - 1, _WRITE_ROWS, _WRITE_ROWS + 1])
+def test_rows_written_in_chunks_match_csv_writer(tmp_path, n):
+    words = ["plain", "", "x,y", 'say "hi"', "a\nb", "é"]
+    columns = {"f": np.random.default_rng(n).normal(size=n) * 1e3, "i": np.arange(n) - 7,
+               "t": [words[i % len(words)] for i in range(n)], 'q,"': [f"{i}," for i in range(n)]}
+    for cols in (columns, {"t": columns["t"]}):  # a lone column quotes an empty cell
+        write_csv(cols, tmp_path / "rows.csv")
+        assert (tmp_path / "rows.csv").read_bytes() == reference_csv(cols)
+
+
+def test_failed_part_leaves_no_file(tmp_path):
+    def parts():
+        yield "a,b\n"
+        raise KeyboardInterrupt
+    with pytest.raises(KeyboardInterrupt):
+        write_text(parts(), tmp_path / "out.csv")
+    assert not list(tmp_path.iterdir())
 
 
 HEADER = ["RSSI1", "RSSI2", "RSSI3", "X_Actual", "Y_Actual"]
@@ -201,3 +224,14 @@ def test_unwritable_model_path_raises_io_failure(tmp_path, where):
     with pytest.raises(IoFailure):
         save_model(model, tmp_path / where)
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["adir"]
+
+
+def test_saved_record_is_the_json_dumps_text(tmp_path):
+    # the record is encoded part by part; the file holds json.dumps's text
+    x = np.random.default_rng(5).uniform(-90.0, -40.0, (30, 3))
+    y = np.column_stack([x[:, 0] * 2.0, x[:, 1] - x[:, 2]])
+    for model in (LinearModel(np.array([[math.nan, 1.5], [math.inf, -0.0]])),
+                  fit_forest(x, y[:, 0], n_trees=3, max_depth=4),
+                  treeloc_fit(x, y, forest_trees=2, extra_trees=2, tree_depth=3)):
+        save_model(model, tmp_path / "model.json")
+        assert (tmp_path / "model.json").read_text() == json.dumps(model_to_dict(model))
