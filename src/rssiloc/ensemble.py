@@ -139,24 +139,20 @@ def treeloc_fit(features, targets, rng_seed: int = 0,
         raise TooFewSamples(f"need at least 6 samples, got {len(x)}")
 
     s1, s2, s3 = _thirds(len(x))
-    et = fit_extra_trees(x[s1], y[s1], n_trees=extra_trees,
-                         max_depth=tree_depth, min_leaf=min_leaf,
-                         rng_seed=rng_seed)
-    dt = fit_tree(x[s2], y[s2], max_depth=tree_depth,
-                  min_leaf=min_leaf, rng_seed=rng_seed)
-    rf = fit_forest(x[s3], y[s3], n_trees=forest_trees,
-                    max_depth=tree_depth, min_leaf=min_leaf,
-                    rng_seed=rng_seed)
+    trees = dict(max_depth=tree_depth, min_leaf=min_leaf, rng_seed=rng_seed)
+    et = fit_extra_trees(x[s1], y[s1], n_trees=extra_trees, **trees)
+    dt = fit_tree(x[s2], y[s2], **trees)
+    rf = fit_forest(x[s3], y[s3], n_trees=forest_trees, **trees)
 
-    components = (et, dt, rf)
-    # Walked as one block by a model that is then dropped: the components
-    # keep no node blocks of their own, which the fitted model would repeat.
-    preds = TreeLocModel(components, (0.0,) * 4, (0.0,) * 4).component_predictions(x)
+    # One node block walks the components for the combiner fit, then the model.
+    probe = TreeLocModel((et, dt, rf), (0.0,) * 4, (0.0,) * 4)
+    preds = probe.component_predictions(x)
     combiner_x, combiner_y = (tuple(fit_linear(preds[:, :, j], y[:, j]).theta[:, 0].tolist())
                               for j in (0, 1))
-    return TreeLocModel(components=components, combiner_x=combiner_x,
-                        combiner_y=combiner_y, mode="fitted",
-                        rng_seed=rng_seed)
+    model = TreeLocModel(components=probe.components, combiner_x=combiner_x,
+                         combiner_y=combiner_y, mode="fitted", rng_seed=rng_seed)
+    vars(model)["_block"] = probe._block  # where cached_property keeps it
+    return model
 
 
 def treeloc_reference(components: Optional[Tuple[object, object, object]] = None

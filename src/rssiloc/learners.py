@@ -14,16 +14,15 @@ and ``right`` child indices (-1 at a leaf), ``value`` (mean training
 target) and ``n`` (training rows). A fit grows all its trees together,
 level by level, a few numpy calls per depth, and then renumbers the nodes
 depth-first. Trees, forests and treeloc models predict through one block
-(:func:`_stack_trees`): the trees' nodes end to end, every depth from one
-frontier pass; all rows walk all trees at once, a numpy step per level,
-and each model's mean is the sum of its trees' slice. Saved files (version
-3) hold each tree or forest as flat preorder arrays (see
-:func:`_trees_from_arrays`): ``node_counts`` is a JSON list of ints, and
-``feature``, ``threshold``, ``value`` and ``n`` are base64 strings of
-little-endian ``<i8``/``<f8`` bytes, so a record is written and read
-without turning each number into text. Version-2 files, which hold
-the same arrays as JSON number lists, and version-1 files, with a nested
-dict per node, still load to the same trees.
+(:func:`_stack_trees`): rows walk all its trees at once, a numpy step per
+level, and each model's mean adds its trees in tree order for any number
+of rows. Saved files (version 3) hold each tree or forest as flat preorder
+arrays (see :func:`_trees_from_arrays`): ``node_counts`` is a JSON list of
+ints, and ``feature``, ``threshold``, ``value`` and ``n`` are base64
+strings of little-endian ``<i8``/``<f8`` bytes, so a record is written and
+read without turning each number into text. Version-2 files (the same
+arrays as JSON number lists) and version-1 files (a nested dict per node)
+still load to the same trees.
 """
 
 from __future__ import annotations
@@ -190,7 +189,7 @@ def _segment_sums(y: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.nd
     pairwise summation depends on n only, so the segments of one length are
     summed as the rows of one matrix."""
     out = np.empty(len(sizes))
-    for n in np.unique(sizes):
+    for n in np.flatnonzero(np.bincount(sizes)):  # ascending, as np.unique gave them
         at = sizes == n
         out[at] = y[starts[at, None] + np.arange(n)].sum(axis=1)
     return out
@@ -207,13 +206,13 @@ def _first_least(values: np.ndarray, allowed: np.ndarray) -> np.ndarray:
 
 def _exhaustive_splits(x, y, rows, sizes, least, tree, rngs):
     """(feature or -1, threshold) of each node, a run of `rows`: the least-SSE
-    midpoint between consecutive distinct sorted values, the first minimum
-    in a column and the first least across. Nodes of one size class share a
-    block, padded after their rows with x = +inf and y = 0, so the stable
-    sort and the sequential cumsums equal a lone scan of each node."""
+    midpoint of consecutive distinct sorted values lo < hi (lo where it is not
+    below hi), the first minimum in a column and the first least across. Nodes of one
+    size class share a block, padded after their rows with x = +inf and y = 0,
+    so the stable sort and the sequential cumsums equal a lone scan of each node."""
     feature, threshold = np.full(len(sizes), -1), np.zeros(len(sizes))
-    starts, bucket = np.cumsum(sizes) - sizes, np.ceil(np.log2(sizes))
-    for b in np.unique(bucket):
+    starts, bucket = np.cumsum(sizes) - sizes, np.ceil(np.log2(sizes)).astype(np.int64)
+    for b in np.flatnonzero(np.bincount(bucket)):
         k = np.flatnonzero(bucket == b)
         n, width, nodes = sizes[k], sizes[k].max(), np.arange(len(k))
         pad = np.arange(width) >= n[:, None]
@@ -234,24 +233,31 @@ def _exhaustive_splits(x, y, rows, sizes, least, tree, rngs):
         f = _first_least(np.take_along_axis(sse, best[:, None], axis=1)[:, 0], has)
         i = np.flatnonzero(has.any(axis=1))
         row, f = best[i, f[i]], f[i]
-        feature[k[i]], threshold[k[i]] = f, (xs[i, row, f] + xs[i, row + 1, f]) / 2.0
+        lo, hi = xs[i, row, f], xs[i, row + 1, f]
+        with np.errstate(over="ignore"):  # lo + hi may overflow either way
+            mid = (lo + hi) / 2.0
+        feature[k[i]], threshold[k[i]] = f, np.where((lo <= mid) & (mid < hi), mid, lo)
     return feature, threshold
 
 
 def _random_splits(x, y, rows, sizes, least, tree, rngs):
     """(feature or -1, threshold) of each node, a run of `rows`, by the
-    extra-trees rule: one uniform threshold per non-constant feature, drawn
-    by one call per tree (rngs[tree]) over its nodes in level order; the first
-    feature with the least SSE, summed about each side's mean, wins."""
+    extra-trees rule: lo + (hi - lo) * u per non-constant feature as
+    Generator.uniform draws it (where hi - lo overflows, twice the draw between
+    the halves, at most hi), u from one call per tree (rngs[tree]) over its nodes
+    in level order; the first feature with the least SSE about each side's mean wins."""
     starts, seg = np.cumsum(sizes) - sizes, np.repeat(np.arange(len(sizes)), sizes)
     xr, ys = x[rows], np.repeat(y[rows], x.shape[1])
     lo, hi = np.minimum.reduceat(xr, starts), np.maximum.reduceat(xr, starts)
     node, feat = np.nonzero(lo != hi)
+    u = np.concatenate([np.empty(0)] + [rngs[t].random(k) for t, k in enumerate(
+        np.bincount(tree[node], minlength=len(rngs))) if k])
+    a, b = lo[node, feat], hi[node, feat]
     draws = np.full(lo.shape, np.inf)
-    bounds = np.searchsorted(tree[node], np.arange(len(rngs) + 1))
-    for t in np.flatnonzero(np.diff(bounds)):
-        at = node[bounds[t]:bounds[t + 1]], feat[bounds[t]:bounds[t + 1]]
-        draws[at] = rngs[t].uniform(lo[at], hi[at])
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = b - a
+        draws[node, feat] = np.where(np.isinf(span), np.minimum(
+            2 * (a / 2 + (b / 2 - a / 2) * u), b), a + span * u)
     # a bin per node, feature and side: 2 * (node * features + feature) + right
     side = (2 * np.arange(lo.size).reshape(lo.shape)[seg] + ~(xr <= draws[seg])).ravel()
     counts = np.bincount(side, minlength=2 * lo.size)
@@ -339,44 +345,38 @@ def tree_depths(trees) -> np.ndarray:
 
 
 def _stack_trees(models) -> tuple:
-    """(feature, threshold, children, value, roots, steps, restore, inputs,
-    starts, counts): one block of the trees of tree and forest models, node
-    arrays in the given order. Walk ids are doubled: node i is 2i, feature
-    and threshold hold its split at 2i and 2i + 1, children[2i] and
-    children[2i + 1] 2 * its right and left child, so a row at 2i steps to
-    children[2i + (x <= threshold)]; leaves are feature-0 self-loops and
-    value[2i >> 1] is node i's value. roots lists the trees deepest first:
-    level l steps the first steps[l], those deeper than l, and restore puts
-    them back in order. inputs is the number of features the splits read;
-    model m owns the counts[m] trees from starts[m]."""
-    trees = [t for m in models for t in m.trees]
+    """(feature, threshold, children, value, roots, steps, slots, inputs,
+    counts): one block of the trees of tree and forest models, node arrays in
+    the given order, then a leaf of value -0.0, the pad. Walk ids are doubled:
+    node i is 2i, feature and threshold hold its split at 2i and 2i + 1,
+    children[2i] and children[2i + 1] 2 * its right and left child, so a row at
+    2i steps to children[2i + (x <= threshold)]; leaves are feature-0
+    self-loops and value[2i >> 1] is node i's value. roots lists the trees
+    deepest first: level l steps the first steps[l], those deeper than l.
+    Slot t * models + m is tree t of model m, or the pad past its counts[m]
+    trees; inputs is the number of features the splits read."""
+    pad = RegressionTree(*map(np.array, ([-1], [0.0], [-1], [-1], [-0.0], [0])))
+    trees = [t for m in models for t in m.trees] + [pad]
     feature, children, roots, depths = _link(trees)
-    order = np.argsort(-depths, kind="stable")
-    starts = np.cumsum([0] + [len(m.trees) for m in models])
+    order, counts = np.argsort(-depths, kind="stable"), np.array([len(m.trees) for m in models])
+    rank = np.arange(counts.max())[:, None]
+    given = np.where(rank < counts, np.cumsum(counts) - counts + rank, len(trees) - 1)
     children *= 2
     return (np.repeat(np.maximum(feature, 0), 2),
             np.repeat(np.concatenate([t.threshold for t in trees]), 2), children.ravel(),
             np.concatenate([t.value for t in trees]), 2 * roots[order],
-            np.cumsum(np.bincount(depths)[::-1])[::-1][1:].tolist(), np.argsort(order),
-            int(feature.max()) + 1, starts.tolist(), np.diff(starts))
+            np.cumsum(np.bincount(depths)[::-1])[::-1][1:].tolist(),
+            np.argsort(order)[given.ravel()], int(feature.max()) + 1, counts)
 
 
 def _leaf_values(block: tuple, x: np.ndarray) -> np.ndarray:
-    """Leaf value of every row in every tree of a block, shape (T, N), in
-    the trees' given order. Rows go in chunks of about WALK_NODES tree-rows
-    (each row's walk is its own, so the chunking changes no bit); each
-    level steps only the trees still deeper and sets aside the rest, and
-    reads x as one flat array."""
-    feature, threshold, children, value, roots, steps, restore, inputs, *_ = block
-    if x.shape[1] < inputs:
-        raise IndexError(f"the trees split on {inputs} inputs, rows have {x.shape[1]}")
-    chunk = max(1, WALK_NODES // len(roots))
-    if len(x) > chunk:
-        return np.concatenate([_leaf_values(block, x[i:i + chunk])
-                               for i in range(0, len(x), chunk)], axis=1)
+    """Leaf value of every row of x in every slot of a block, shape
+    (slots, N): for one-tree models, each tree's row in the given order.
+    Each level steps only the trees still deeper and sets aside the rest,
+    and reads x as one flat array."""
+    feature, threshold, children, value, roots, steps, slots = block[:7]
     flat, offset = x.ravel(), np.arange(len(x)) * x.shape[1]
-    node = roots[:, None].repeat(len(x), axis=1)
-    finished = []
+    node, finished = roots[:, None].repeat(len(x), axis=1), []
     for k in steps:
         if k < len(node):
             node, done = node[:k], node[k:]
@@ -384,18 +384,22 @@ def _leaf_values(block: tuple, x: np.ndarray) -> np.ndarray:
         at = feature.take(node)  # where in flat each row reads its split feature
         at += offset
         node = children.take(node + (flat.take(at) <= threshold.take(node)))
-    return value[np.concatenate([node] + finished[::-1])[restore] >> 1]
+    return value[np.concatenate([node] + finished[::-1])[slots] >> 1]
 
 
 def _model_means(block: tuple, x: np.ndarray) -> np.ndarray:
-    """Each model's mean leaf value per row, shape (N, models): the sum of
-    its trees' rows of the walk, in tree order, divided by its tree count,
-    which is np.mean's own arithmetic and so each model's own bits."""
-    leaves, starts, counts = _leaf_values(block, x), *block[8:]
-    sums = np.empty((len(x), len(counts)))
-    for i, (a, b) in enumerate(zip(starts, starts[1:])):
-        np.add.reduce(leaves[a:b], axis=0, out=sums[:, i])
-    return sums / counts
+    """Each model's mean leaf value per row, shape (N, models). Rows walk in
+    chunks of about WALK_NODES tree-rows; a cumsum down the slots adds each
+    model's trees in order to np.add.reduce's 0.0 (the pad's -0.0 adds no
+    bit), so a row gets the same bits alone as in any batch."""
+    inputs, counts = block[7:]
+    if x.shape[1] < inputs:
+        raise IndexError(f"the trees split on {inputs} inputs, rows have {x.shape[1]}")
+    chunk, sums = max(1, WALK_NODES // len(block[4])), np.empty((len(x), len(counts)))
+    for i in range(0, len(x), chunk):
+        leaves = _leaf_values(block, x[i:i + chunk])
+        sums[i:i + chunk] = leaves.reshape(-1, len(counts), leaves.shape[1]).cumsum(axis=0)[-1].T
+    return (0.0 + sums) / counts
 
 
 class _Averaged:

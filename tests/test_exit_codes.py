@@ -320,6 +320,49 @@ class TestContract:
         assert not Path(f"{path}.tmp").exists()
 
 
+# RSSI1 cells at the float's edges: adjacent floats, whose midpoint rounds
+# to the upper one; values whose sums overflow; a range wider than the
+# largest float. Fits on each used to end in a traceback.
+ADJACENT = ["1.0000000000000002", "1.0000000000000004"] * 6
+NEAR_MAX = [repr(1.0e308 + 0.06e308 * i) for i in range(12)]
+PLUS_MINUS_MAX = ["1e308", "-1e308"] * 15
+EDGE_FITS = {
+    "tree on adjacent floats": (ADJACENT, ["fit", "--model", "tree", "--test-size", "0"]),
+    "tree near max": (NEAR_MAX, ["fit", "--model", "tree"]),
+    "forest near max": (NEAR_MAX, ["fit", "--model", "forest", "--n-trees", "3"]),
+    "treeloc near max": (NEAR_MAX, ["treeloc", "--n-trees", "3"]),
+    "treeloc over +-max": (PLUS_MINUS_MAX, ["treeloc", "--n-trees", "3"]),
+    "extratrees over +-max": (PLUS_MINUS_MAX, ["fit", "--model", "extratrees"]),
+}
+
+
+class TestEdgeFeatures:
+    @pytest.mark.parametrize("cells, argv", EDGE_FITS.values(), ids=EDGE_FITS.keys())
+    def test_fit_exits_0_with_finite_outputs(self, tmp_path, cells, argv):
+        data = tmp_path / "edge.csv"
+        data.write_text(csv_text(["RSSI1", "RSSI2", "RSSI3", "X_Actual", "Y_Actual"],
+                                 [[cell, "-50", "-60", ("100", "300")[i % 2], "50"]
+                                  for i, cell in enumerate(cells)]))
+        code, err = check_contract([*argv, "-i", data, "-o", tmp_path / "out.csv"])
+        assert code == 0, err
+
+    @pytest.mark.parametrize("lower, upper", [
+        (1.0000000000000002, 1.0000000000000004), (1.0e308, 1.7e308), (-1.7e308, -1.0e308)])
+    def test_split_threshold_is_the_lower_value_where_the_midpoint_is_not_below(
+            self, lower, upper):
+        tree = learners.fit_tree(np.array([lower, upper] * 3), np.arange(6.0) % 2, max_depth=3)
+        assert tree.threshold[0] == lower and tree.n.tolist() == [6, 3, 3]
+
+    def test_extra_trees_draw_finite_thresholds_over_any_range(self):
+        top = np.finfo(float).max
+        for lower, upper in ((-1e308, 1e308), (-top, top), (-top, 1e308)):
+            forest = learners.fit_extra_trees(np.array([lower, upper] * 4),
+                                              np.arange(8.0) % 2, n_trees=20)
+            for tree in forest.trees:
+                assert tree.feature[0] == 0
+                assert lower <= tree.threshold[0] <= upper
+
+
 class TestOwners:
     def test_failed_write_leaves_no_temp_file(self, tmp_path):
         for write in (lambda: ingest.write_text("report\n", tmp_path),

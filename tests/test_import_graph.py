@@ -13,7 +13,7 @@ import pytest
 
 import rssiloc
 from _synth import regression_testbed
-from rssiloc import filters
+from rssiloc import filters, ingest
 
 PACKAGE = Path(rssiloc.__file__).parent
 SRC = str(PACKAGE.parent)
@@ -167,3 +167,22 @@ class TestLoadedModules:
         """ % (rssi.tolist(),)
         assert json.loads(python(code, tmp_path)) == [
             "rssiloc.ensemble", "TreeLocModel", model.predict(rssi).tolist()]
+
+    @pytest.mark.parametrize("argv", [
+        ["treeloc", "--n-trees", "3", "-i", "data.csv", "--save-model", "fitted.json"],
+        ["predict", "--model-file", "saved.json", "-i", "data.csv", "-o", "p.csv"]],
+        ids=["treeloc", "predict"])
+    def test_tree_commands_leave_out_numpy_ma(self, tmp_path, argv):
+        # np.unique imports numpy.ma, ~8 ms of each process's start-up
+        rssi, targets, _, _ = regression_testbed(3, n=60)
+        ingest.write_csv(ingest.RegressionDataset(rssi, targets), tmp_path / "data.csv")
+        model = rssiloc.treeloc_fit(rssi, targets, forest_trees=3, extra_trees=3)
+        rssiloc.save_model(model, tmp_path / "saved.json")
+        code = """if True:
+            import contextlib, io, sys
+            from rssiloc.cli import main
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(%r) == 0
+            print("numpy.ma" in sys.modules)
+        """ % (argv,)
+        assert python(code, tmp_path) == "False\n"

@@ -256,16 +256,14 @@ def test_depth_pass_and_block_walk_equal_per_tree_references(trees, data):
     assert [tree.depth() for tree in trees] == want
     block = learners._stack_trees(trees)  # level l steps the trees deeper than l
     assert block[5] == [sum(d > level for d in want) for level in range(max(want))]
-    # one row, one chunk, and one row past a chunk of WALK_NODES tree-rows
-    chunk = 3
+    # one, three and four rows; the chunks of WALK_NODES tree-rows that
+    # _model_means walks are checked in test_tree_means.py
     rows = np.array(data.draw(st.lists(st.lists(st.sampled_from(VALUES + [np.nan]),
                                                 min_size=3, max_size=3),
-                                       min_size=chunk + 1, max_size=chunk + 1)))
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(learners, "WALK_NODES", chunk * len(trees))
-        for x in (rows[:1], rows[:chunk], rows):
-            leaves = [[walk(tree, row) for row in x] for tree in trees]
-            assert np.array_equal(learners._leaf_values(block, x), leaves)
+                                       min_size=4, max_size=4)))
+    for x in (rows[:1], rows[:3], rows):
+        leaves = [[walk(tree, row) for row in x] for tree in trees]
+        assert np.array_equal(learners._leaf_values(block, x), leaves)
 
 
 def test_nan_features_take_the_right_branch():
