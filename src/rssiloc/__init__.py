@@ -26,8 +26,8 @@ _EXPORTS = {  # home module: the names exported from it
               "load_regression_csv load_zone_mapping write_csv",
     "learners": "Forest KnnModel LinearModel MlpModel PairedRegressor PolynomialModel "
                 "RegressionTree TreeNode fit_extra_trees fit_forest fit_knn fit_linear "
-                "fit_polynomial fit_tree knn_classify load_model mlp_backprop mlp_forward "
-                "mlp_train model_from_dict model_to_dict save_model",
+                "fit_polynomial fit_tree load_model mlp_backprop mlp_forward mlp_train "
+                "model_from_dict save_model",
     "metrics": "ClassificationReport ConfusionMatrix RegressionMetrics classification_metrics "
                "confusion_matrix regression_metrics",
     "radio": "NoiseSpec distance_from_rssi measure_once measure_targets rssi_from_distance "

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import os
 import sys
 import warnings
@@ -251,15 +250,10 @@ def _fit_model(args, ds, train_idx):
     y = ds.targets[train_idx]
     if args.model == "treeloc":
         from . import ensemble
-        model = ensemble.treeloc_fit(
+        return ensemble.treeloc_fit(
             x, y, rng_seed=args.seed, tree_depth=args.max_depth,
             forest_trees=args.n_trees, extra_trees=args.n_trees,
-            min_leaf=args.min_leaf)
-        if args.fixed_coefficients:
-            model = dataclasses.replace(
-                model, combiner_x=ensemble.REFERENCE_COMBINER_X,
-                combiner_y=ensemble.REFERENCE_COMBINER_Y, mode="reference")
-        return model
+            min_leaf=args.min_leaf, reference=args.fixed_coefficients)
     if args.model == "linear":
         return learners.fit_linear(x, y)
     if args.model == "poly":

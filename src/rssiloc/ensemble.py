@@ -22,7 +22,7 @@ import numpy as np
 
 from .exceptions import ShapeMismatch, TooFewSamples
 from .learners import (PairedRegressor, fit_extra_trees, fit_forest, fit_linear,
-                       fit_tree, model_from_dict, model_to_dict, tree_models,
+                       fit_tree, model_from_dict, tree_models,
                        _model_means, _stack_trees, _wrap)
 
 COMPONENT_NAMES = ("extra_trees", "decision_tree", "random_forest")
@@ -100,7 +100,7 @@ class TreeLocModel:
                      {"mode": self.mode, "rng_seed": self.rng_seed},
                      {"combiner_x": list(self.combiner_x),
                       "combiner_y": list(self.combiner_y),
-                      "components": [model_to_dict(m) for m in self.components]})
+                      "components": [m.to_dict() for m in self.components]})
 
 
 def _treeloc_from_dict(data: dict) -> TreeLocModel:
@@ -122,14 +122,15 @@ def treeloc_fit(features, targets, rng_seed: int = 0,
                 tree_depth: int = DEFAULT_TREE_DEPTH,
                 forest_trees: int = DEFAULT_FOREST_TREES,
                 extra_trees: int = DEFAULT_EXTRA_TREES,
-                min_leaf: int = 1) -> TreeLocModel:
+                min_leaf: int = 1, reference: bool = False) -> TreeLocModel:
     """Fit the stacking ensemble: contiguous thirds; combiner on all rows.
 
     Extra trees train on the first third of the rows, the CART tree on the
     second, the random forest on the third. Each component then predicts
     every row, and the per-coordinate combiners come from OLS of the actual
     coordinates on (1, components), using the pseudo-inverse so collinear
-    component outputs still yield finite coefficients.
+    component outputs still yield finite coefficients. reference=True keeps
+    the published combiners instead (mode "reference") and fits none.
     """
     x = np.asarray(features, dtype=float)
     y = np.asarray(targets, dtype=float)
@@ -143,16 +144,17 @@ def treeloc_fit(features, targets, rng_seed: int = 0,
     et = fit_extra_trees(x[s1], y[s1], n_trees=extra_trees, **trees)
     dt = fit_tree(x[s2], y[s2], **trees)
     rf = fit_forest(x[s3], y[s3], n_trees=forest_trees, **trees)
-
-    # One node block walks the components for the combiner fit, then the model.
-    probe = TreeLocModel((et, dt, rf), (0.0,) * 4, (0.0,) * 4)
-    preds = probe.component_predictions(x)
+    model = TreeLocModel((et, dt, rf), REFERENCE_COMBINER_X, REFERENCE_COMBINER_Y,
+                         mode="reference", rng_seed=rng_seed)
+    if reference:
+        return model
+    # One node block walks the components for the combiner fit, then the fitted model.
+    preds = model.component_predictions(x)
     combiner_x, combiner_y = (tuple(fit_linear(preds[:, :, j], y[:, j]).theta[:, 0].tolist())
                               for j in (0, 1))
-    model = TreeLocModel(components=probe.components, combiner_x=combiner_x,
-                         combiner_y=combiner_y, mode="fitted", rng_seed=rng_seed)
-    vars(model)["_block"] = probe._block  # where cached_property keeps it
-    return model
+    fitted = TreeLocModel(model.components, combiner_x, combiner_y, "fitted", rng_seed)
+    vars(fitted)["_block"] = model._block  # where cached_property keeps it
+    return fitted
 
 
 def treeloc_reference(components: Optional[Tuple[object, object, object]] = None

@@ -351,12 +351,6 @@ def load_series_csv(path, columns: Sequence[str]) -> Dict[str, np.ndarray]:
     return {name: block[:, j].copy() for j, name in enumerate(columns)}
 
 
-def load_all_columns(path) -> Dict[str, list]:
-    """Load every column of a CSV as raw strings, preserving order."""
-    header, rows, _ = _read_rows(path)
-    return {name: [row[i] for row in rows] for i, name in enumerate(header)}
-
-
 def load_rssi_columns(path) -> Tuple[Dict[str, object], Tuple[str, ...]]:
     """Every column of a CSV in file order, and the names of its RSSI
     columns (``RSSI<k>`` or ``b<k>``). RSSI columns come back as float

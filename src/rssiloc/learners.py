@@ -6,7 +6,7 @@ the small feed-forward network predict zone labels. Multi-output targets
 are handled by fitting one independent model per output column.
 
 All fitted models are immutable value objects with a ``predict`` method
-and a portable JSON representation (see :func:`model_to_dict`).
+and a portable JSON record (``to_dict``; see :func:`model_from_dict`).
 
 A regression tree is six parallel node arrays, numbered depth-first (left
 subtree first, root 0): ``feature`` (-1 at a leaf), ``threshold``, ``left``
@@ -102,6 +102,8 @@ def fit_linear(features, targets) -> LinearModel:
     if x.size == 0:
         raise EmptyDataset("no training samples")
     y = np.asarray(targets, dtype=float)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):  # LAPACK would print to stdout
+        raise NumericalError("least-squares features or targets are not finite")
     squeeze = y.ndim == 1
     design = np.hstack([np.ones((len(x), 1)), x])
     theta, *_ = np.linalg.lstsq(design, y[:, None] if squeeze else y, rcond=None)
@@ -559,20 +561,6 @@ def tree_models(model) -> tuple:
 
 # --- k nearest neighbors -----------------------------------------------------------
 
-def knn_classify(train_features, train_labels, query, k: int,
-                 n_classes: Optional[int] = None) -> Tuple[int, np.ndarray]:
-    """Classify one query vector by majority vote of its k nearest rows.
-
-    Distances are Euclidean; the vote yields a class-probability vector
-    (counts / k) and the returned label is its argmax, with ties going to
-    the smallest class index. The k nearest rows are those closer than the
-    k-th smallest distance, then rows at that distance in file order. A
-    one-row view of ``fit_knn(...).predict_proba``.
-    """
-    probs = fit_knn(train_features, train_labels, k, n_classes).predict_proba(query)
-    return int(np.argmax(probs)), probs
-
-
 def _labels(probs: np.ndarray):
     """Class per row of a probability matrix (ties to the smallest index);
     an int for one probability vector."""
@@ -604,9 +592,11 @@ class KnnModel:
             raise KTooLarge(f"k={self.k} exceeds training size {len(self.features)}")
 
     def predict_proba(self, queries) -> np.ndarray:
-        """Vote of each query's k nearest rows: all rows closer than the k-th
-        smallest distance, then rows at that distance in file order. A NaN
-        query is at +inf from every (finite) row: it votes with the first k."""
+        """Class probabilities (label counts / k) of each query's k nearest
+        rows by Euclidean distance: all rows closer than the k-th smallest
+        distance, then rows at that distance in file order. predict takes
+        the most probable class, ties going to the smallest class index. A
+        NaN query is at +inf from every (finite) row: it votes with the first k."""
         q, single = _as_rows(queries)
         q = np.where(np.isnan(q), np.inf, q)
         probs = np.empty((len(q), self.n_classes))
@@ -905,11 +895,6 @@ _MODEL_KINDS: Dict[str, Callable[[dict], object]] = {
 }
 
 
-def model_to_dict(model) -> dict:
-    """Portable JSON-compatible record: kind, hyperparameters, parameters."""
-    return model.to_dict()
-
-
 def model_from_dict(data: dict):
     """Model from its portable record. A record that is not a model record,
     or whose kind's fields are missing or mistyped, raises ValueError."""
@@ -930,7 +915,7 @@ def save_model(model, path):
     """Write the model's JSON record to path atomically, the text of
     json.dumps encoded part by part, never held whole; an unwritable path
     raises IoFailure and leaves no file behind."""
-    write_text(json.JSONEncoder().iterencode(model_to_dict(model)), path)
+    write_text(json.JSONEncoder().iterencode(model.to_dict()), path)
 
 
 def load_model(path):

@@ -24,7 +24,7 @@ weighted estimate unchanged.
 estimate_position does each piece of a call's work once: k_i, d_i^2 and
 the design come from one _linearize, and the public helpers share its
 internals. A locator solves against the same anchors and stds fix after
-fix, so anchor rank tests and the noise terms of scalar stds are kept.
+fix, so anchor rank tests and the noise terms of the stds are kept.
 """
 
 from __future__ import annotations
@@ -287,12 +287,10 @@ def _noise_terms(m: int, sigmas_a, sigmas_p, eta: float) -> tuple:
     return terms + (u,)
 
 
-def _noise(m: int, sigmas_a, sigmas_p, eta: float) -> tuple:
-    """_noise_terms, kept for scalar stds."""
-    try:
-        return _noise_terms(m, sigmas_a, sigmas_p, eta)
-    except TypeError:  # per-anchor std arrays are not hashable
-        return _noise_terms.__wrapped__(m, sigmas_a, sigmas_p, eta)
+def _key(std):
+    """A std argument as a _noise_terms cache key: a scalar as it is, an
+    array or list of per-anchor stds as a tuple of floats."""
+    return tuple(np.ravel(std).tolist()) if isinstance(std, (np.ndarray, list)) else std
 
 
 def _rhs_variance(k: np.ndarray, d: np.ndarray, sigmas_a, sigmas_p,
@@ -303,7 +301,7 @@ def _rhs_variance(k: np.ndarray, d: np.ndarray, sigmas_a, sigmas_p,
         raise NonPositiveDistance("distances must be > 0")
     if eta <= 0:
         raise ValueError("eta must be > 0")
-    var_a, four_var_a, spread = _noise(len(k), sigmas_a, sigmas_p, eta)[:3]
+    var_a, four_var_a, spread = _noise_terms(len(k), _key(sigmas_a), _key(sigmas_p), eta)[:3]
     return four_var_a * (var_a + k) + np.exp(4.0 * np.log(d)) * spread
 
 
@@ -363,12 +361,12 @@ def build_bias_terms(anchors, distances, sigmas_a, sigmas_p, eta: float,
     """
     pts = np.asarray(anchors, dtype=float)
     return _bias_terms(pts, np.asarray(distances, dtype=float) ** 2,
-                       _noise(len(pts), sigmas_a, sigmas_p, eta), weights, True)
+                       _noise_terms(len(pts), _key(sigmas_a), _key(sigmas_p), eta), weights, True)
 
 
 def _bias_terms(pts: np.ndarray, d2: np.ndarray, noise: tuple,
                 weights: DiagonalWeights, cross: bool) -> BiasTerms:
-    """build_bias_terms from d_i^2 and _noise's terms; g is None unless
+    """build_bias_terms from d_i^2 and the _noise_terms; g is None unless
     cross, for a solve without the cross term."""
     var_a, _, _, c, t0, u = noise
     q_diag = weights.q_diag()
@@ -468,8 +466,8 @@ def estimate_position(solver: str, anchors, distances, *, sigmas_a=0.0,
         return hyperbolic_solve(anchors, distances)
     if solver != "wls-bc":
         return wls_solve(system, weights)
-    bias = _bias_terms(anchors, d2, _noise(len(k), sigmas_a, sigmas_p, eta), weights,
-                       include_cross_term)
+    bias = _bias_terms(anchors, d2, _noise_terms(len(k), _key(sigmas_a), _key(sigmas_p), eta),
+                       weights, include_cross_term)
     try:
         return bias_compensated_solve(system, weights, bias,
                                       include_cross_term=include_cross_term)

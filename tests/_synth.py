@@ -5,6 +5,13 @@ from fractions import Fraction
 import numpy as np
 
 import rssiloc as rl
+from rssiloc import ingest
+
+
+def load_all_columns(path):
+    """Every column of a CSV as raw strings, in file order."""
+    header, rows, _ = ingest._read_rows(path)
+    return {name: [row[i] for row in rows] for i, name in enumerate(header)}
 
 
 def random_scene_points(rng, m, extent=400.0, min_spread=40.0):

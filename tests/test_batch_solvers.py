@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from _synth import exact_distances, random_scene_points
+from _synth import exact_distances, load_all_columns, random_scene_points
 from rssiloc import solvers
 from rssiloc.cli import main
 from rssiloc.core import PathLossParams
 from rssiloc.exceptions import DegenerateWeightsWarning, NotPositiveDefinite
-from rssiloc.ingest import load_all_columns, write_csv
+from rssiloc.ingest import write_csv
 from rssiloc.radio import distance_from_rssi
 from rssiloc.solvers import SOLVER_NAMES, estimate_position
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from _synth import load_all_columns
 from rssiloc.cli import main
-from rssiloc.ingest import load_all_columns, load_regression_csv, write_csv
+from rssiloc.ingest import load_regression_csv, write_csv
 from rssiloc.learners import (Forest, PairedRegressor, RegressionDataset,
                               RegressionTree, load_model)
 

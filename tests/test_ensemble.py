@@ -1,12 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from _synth import regression_testbed
+from rssiloc import ensemble, learners
+from rssiloc.cli import main
 from rssiloc.ensemble import (REFERENCE_COMBINER_X, REFERENCE_COMBINER_Y,
                               TreeLocModel, _thirds,
                               treeloc_fit, treeloc_predict, treeloc_reference)
 from rssiloc.exceptions import TooFewSamples
-from rssiloc.learners import fit_linear, load_model, model_from_dict, model_to_dict
+from rssiloc.ingest import write_csv
+from rssiloc.learners import fit_linear, load_model, model_from_dict
 
 
 def rmse(a, b):
@@ -86,7 +91,7 @@ class TestTreelocFit:
         b = treeloc_fit(rssi, targets, rng_seed=4, forest_trees=5,
                         extra_trees=5)
         np.testing.assert_array_equal(a.predict(rssi), b.predict(rssi))
-        assert model_to_dict(a) == model_to_dict(b)
+        assert a.to_dict() == b.to_dict()
 
     def test_in_sample_dominance_per_coordinate(self):
         rssi, targets, _, _ = regression_testbed(6, n=240)
@@ -125,7 +130,7 @@ class TestTreelocFit:
         rssi, targets, _, _ = regression_testbed(10, n=60)
         model = treeloc_fit(rssi, targets, rng_seed=3, forest_trees=3,
                             extra_trees=3)
-        record = model_to_dict(model)
+        record = model.to_dict()
         assert record["kind"] == "treeloc"
         loaded = model_from_dict(record)
         np.testing.assert_allclose(loaded.predict(rssi), model.predict(rssi),
@@ -135,3 +140,45 @@ class TestTreelocFit:
         path.write_text(json.dumps(record))
         np.testing.assert_allclose(load_model(path).predict(rssi),
                                    model.predict(rssi), atol=1e-15)
+
+
+class TestFixedCoefficients:
+    """--fixed-coefficients fits the three components and keeps the
+    published combiners: no combiner fit, and one node block a step."""
+
+    RSSI, TARGETS, _, _ = regression_testbed(11, n=60)
+
+    def replaced(self, x, y, seed):
+        """The model as the CLI used to build it: a fitted model with the
+        reference combiners swapped in."""
+        return dataclasses.replace(
+            treeloc_fit(x, y, rng_seed=seed, forest_trees=3, extra_trees=3),
+            combiner_x=REFERENCE_COMBINER_X, combiner_y=REFERENCE_COMBINER_Y, mode="reference")
+
+    @staticmethod
+    def refuse(*args):
+        raise AssertionError("fit_linear called")
+
+    def test_fit_equals_the_replaced_model_without_a_combiner_fit(self, monkeypatch):
+        expected = self.replaced(self.RSSI, self.TARGETS, 5)
+        monkeypatch.setattr(ensemble, "fit_linear", self.refuse)
+        model = treeloc_fit(self.RSSI, self.TARGETS, rng_seed=5, forest_trees=3,
+                            extra_trees=3, reference=True)
+        assert model.to_dict() == expected.to_dict()
+        assert np.array_equal(model.predict(self.RSSI), expected.predict(self.RSSI))
+
+    def test_cli_step_builds_one_block(self, tmp_path, monkeypatch):
+        # the step fits on the training rows of its seeded split
+        train = learners.train_test_split_indices(60, 0.2, np.random.default_rng(7))[0]
+        expected = self.replaced(self.RSSI[train], self.TARGETS[train], 7)
+        data, out, saved = (tmp_path / name for name in ("tb.csv", "out.csv", "model.json"))
+        write_csv(learners.RegressionDataset(self.RSSI, self.TARGETS), data)
+        built = []
+        stack = ensemble._stack_trees
+        monkeypatch.setattr(ensemble, "_stack_trees", lambda models: built.append(
+            len(models)) or stack(models))
+        monkeypatch.setattr(ensemble, "fit_linear", self.refuse)
+        assert main(["treeloc", "--fixed-coefficients", "--n-trees", "3", "--seed", "7",
+                     "-i", str(data), "-o", str(out), "--save-model", str(saved)]) == 0
+        assert built == [6]
+        assert load_model(saved).to_dict() == expected.to_dict()

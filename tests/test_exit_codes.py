@@ -113,8 +113,8 @@ def model_records():
         rl.treeloc_fit(rssi, targets, tree_depth=2, forest_trees=2, extra_trees=2)]
     classifiers = [learners.fit_knn(features, labels, k=3, n_classes=4),
                    learners.MlpModel.create(sizes=(13, 3, 4))]
-    return ([(learners.model_to_dict(m), "regression") for m in regressors]
-            + [(learners.model_to_dict(m), "beacons") for m in classifiers])
+    return ([(m.to_dict(), "regression") for m in regressors]
+            + [(m.to_dict(), "beacons") for m in classifiers])
 
 
 def json_paths(node, prefix=()):

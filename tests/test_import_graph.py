@@ -19,7 +19,8 @@ PACKAGE = Path(rssiloc.__file__).parent
 SRC = str(PACKAGE.parent)
 LEARNING = {"learners", "ensemble"}
 
-# Every name the package exported when its __init__ imported each module.
+# Every name the package exported when its __init__ imported each module,
+# less the pass-throughs knn_classify and model_to_dict, since deleted.
 EXPORTS = """
 Anchor MeasurementSet OUT_OF_RANGE_DBM PathLossParams Position Scene meters
 position_error validate_scene REFERENCE_COMBINER_X REFERENCE_COMBINER_Y
@@ -29,8 +30,8 @@ moving_average grid_zone load_ibeacon_csv load_regression_csv
 load_zone_mapping write_csv ClassificationDataset Forest KnnModel LinearModel
 MlpModel PairedRegressor PolynomialModel RegressionDataset RegressionTree
 TreeNode ZONE_LABELS fit_extra_trees fit_forest fit_knn fit_linear
-fit_polynomial fit_tree knn_classify load_model mlp_backprop mlp_forward
-mlp_train model_from_dict model_to_dict save_model ClassificationReport
+fit_polynomial fit_tree load_model mlp_backprop mlp_forward mlp_train
+model_from_dict save_model ClassificationReport
 ConfusionMatrix RegressionMetrics classification_metrics confusion_matrix
 regression_metrics NoiseSpec distance_from_rssi measure_once measure_targets
 rssi_from_distance synthesize_measurements BiasTerms DiagonalWeights

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from _synth import load_all_columns
 from rssiloc.exceptions import (IoFailure, MalformedNumber, MissingColumn,
                                 UnmappedLocation)
 from rssiloc.ingest import (BEACON_COLUMNS, format_number, grid_zone,
-                            load_all_columns, load_ibeacon_csv,
-                            load_regression_csv, load_series_csv,
+                            load_ibeacon_csv, load_regression_csv, load_series_csv,
                             load_zone_mapping, sentinel_mask, write_csv)
 from rssiloc.learners import ClassificationDataset, RegressionDataset
 

@@ -7,9 +7,8 @@ from rssiloc.exceptions import (EmptyDataset, EmptyTrainingSet, KTooLarge,
 from rssiloc.learners import (Forest, KnnModel, MlpModel, PairedRegressor,
                               RegressionDataset, fit_extra_trees, fit_forest,
                               fit_knn, fit_linear, fit_polynomial, fit_tree,
-                              knn_classify, load_model, mlp_backprop,
-                              mlp_forward, mlp_train, model_from_dict,
-                              model_to_dict, one_hot_encode,
+                              load_model, mlp_backprop, mlp_forward,
+                              mlp_train, model_from_dict, one_hot_encode,
                               polynomial_features, save_model, softmax,
                               train_test_split_indices)
 
@@ -214,48 +213,45 @@ class TestForest:
 class TestKnn:
     def test_exact_training_point(self):
         x = np.array([[0.0, 0.0], [5.0, 5.0], [9.0, 1.0]])
-        labels = [2, 0, 1]
-        zone, probs = knn_classify(x, labels, np.array([5.0, 5.0]), k=1)
-        assert zone == 0
-        assert probs[0] == 1.0
+        model = fit_knn(x, [2, 0, 1], k=1)
+        query = np.array([5.0, 5.0])
+        assert model.predict(query) == 0
+        assert model.predict_proba(query)[0] == 1.0
 
     def test_euclidean_three_four_five(self):
         a = np.zeros(13)
         b = np.zeros(13)
         b[0], b[1] = 3.0, 4.0
         assert np.linalg.norm(a - b) == 5.0
-        zone, _ = knn_classify(np.array([b]), [3], a, k=1)
-        assert zone == 3
+        assert fit_knn(np.array([b]), [3], k=1).predict(a) == 3
 
     def test_majority_vote_probabilities(self):
         x = np.array([[0.0], [0.1], [0.2], [9.0]])
-        labels = [0, 0, 1, 2]
-        zone, probs = knn_classify(x, labels, np.array([0.0]), k=3,
-                                   n_classes=4)
-        assert zone == 0
-        np.testing.assert_allclose(probs, [2 / 3, 1 / 3, 0.0, 0.0])
+        model = fit_knn(x, [0, 0, 1, 2], k=3, n_classes=4)
+        query = np.array([0.0])
+        assert model.predict(query) == 0
+        np.testing.assert_allclose(model.predict_proba(query), [2 / 3, 1 / 3, 0.0, 0.0])
 
     def test_probabilities_sum_to_one_in_grid(self):
         rng = np.random.default_rng(47)
         x = rng.normal(0, 1, (30, 4))
         labels = rng.integers(0, 4, 30)
         for k in (1, 3, 7, 30):
-            _, probs = knn_classify(x, labels, rng.normal(0, 1, 4), k=k)
+            probs = fit_knn(x, labels, k=k).predict_proba(rng.normal(0, 1, 4))
             assert probs.sum() == pytest.approx(1.0)
             assert all(abs(p * k - round(p * k)) < 1e-9 for p in probs)
 
     def test_tie_breaks_to_smallest_class(self):
-        x = np.array([[0.0], [1.0]])
-        labels = [1, 0]
-        zone, probs = knn_classify(x, labels, np.array([0.5]), k=2)
-        np.testing.assert_allclose(probs, [0.5, 0.5])
-        assert zone == 0
+        model = fit_knn(np.array([[0.0], [1.0]]), [1, 0], k=2)
+        query = np.array([0.5])
+        np.testing.assert_allclose(model.predict_proba(query), [0.5, 0.5])
+        assert model.predict(query) == 0
 
     def test_errors(self):
         with pytest.raises(EmptyTrainingSet):
-            knn_classify(np.empty((0, 2)), [], np.zeros(2), k=1)
+            fit_knn(np.empty((0, 2)), [], k=1).predict_proba(np.zeros(2))
         with pytest.raises(KTooLarge):
-            knn_classify(np.zeros((2, 2)), [0, 1], np.zeros(2), k=3)
+            fit_knn(np.zeros((2, 2)), [0, 1], k=3).predict_proba(np.zeros(2))
 
 
 class TestMlp:
@@ -420,7 +416,7 @@ class TestSerialization:
 
     def test_record_structure(self):
         model = fit_linear(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]))
-        record = model_to_dict(model)
+        record = model.to_dict()
         assert record["format"] == "rssiloc-model"
         assert record["version"] == 1
         assert record["kind"] == "linear"
@@ -439,10 +435,10 @@ class TestSerialization:
         # version was accepted as 1 because True == 1.
         x = np.array([[0.0], [1.0], [2.0], [3.0]])
         records = {
-            "linear": model_to_dict(fit_linear(x, x[:, 0])),
-            "paired": model_to_dict(fit_tree(x, np.hstack([x, x]), max_depth=1)),
-            "tree": model_to_dict(fit_tree(x, x[:, 0], max_depth=1)),
-            "forest": model_to_dict(fit_forest(x, x[:, 0], n_trees=2, max_depth=1)),
+            "linear": fit_linear(x, x[:, 0]).to_dict(),
+            "paired": fit_tree(x, np.hstack([x, x]), max_depth=1).to_dict(),
+            "tree": fit_tree(x, x[:, 0], max_depth=1).to_dict(),
+            "forest": fit_forest(x, x[:, 0], n_trees=2, max_depth=1).to_dict(),
         }
         for kind, record in records.items():
             assert record["kind"] == kind

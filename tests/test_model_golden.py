@@ -32,7 +32,7 @@ import numpy as np
 from _synth import regression_testbed
 from rssiloc import treeloc_fit
 from rssiloc.ensemble import COMPONENT_NAMES
-from rssiloc.learners import load_model, model_to_dict, save_model
+from rssiloc.learners import load_model, save_model
 
 DATA = Path(__file__).parent / "data"
 MODEL = DATA / "treeloc_v1.json"
@@ -99,7 +99,7 @@ def test_resave_is_byte_identical(tmp_path):
 
 
 def test_fresh_fit_gives_same_record():
-    assert model_to_dict(fit_golden()) == json.loads(MODEL_V3.read_text())
+    assert fit_golden().to_dict() == json.loads(MODEL_V3.read_text())
 
 
 def test_exhaustive_tree_arrays_match_v1():

@@ -11,15 +11,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _synth import beacon_dataset, regression_testbed
+from _synth import beacon_dataset, load_all_columns, regression_testbed
 from rssiloc.cli import main
 from rssiloc.core import Anchor, PathLossParams, Position, Scene, validate_scene
 from rssiloc import ensemble, learners, metrics
 from rssiloc.exceptions import (DegenerateGeometry, MalformedNumber, NonPositiveSigma,
                                 ShapeMismatch)
 from rssiloc.filters import KalmanState, gaussian_filter, gaussian_kernel
-from rssiloc.ingest import (BEACON_COLUMNS, load_all_columns, load_ibeacon_csv,
-                            load_regression_csv, load_series_csv, write_csv)
+from rssiloc.ingest import (BEACON_COLUMNS, load_ibeacon_csv, load_regression_csv,
+                            load_series_csv, write_csv)
 from rssiloc.radio import NoiseSpec
 
 
@@ -344,7 +344,7 @@ class TestNonFiniteFitAndPredict:
 
     @pytest.mark.parametrize("rows, value", [(1, float("nan")), (slice(None), 1e308)])
     def test_predict_exits_4_without_output(self, tmp_path, capsys, rows, value):
-        record = learners.model_to_dict(learners.fit_linear(self.RSSI, self.TARGETS))
+        record = learners.fit_linear(self.RSSI, self.TARGETS).to_dict()
         theta = np.array(record["parameters"]["theta"])
         theta[rows] = value
         record["parameters"]["theta"] = theta.tolist()
@@ -440,3 +440,31 @@ class TestKalmanOverflow:
                      "-i", str(self.write(tmp_path)), "-o", str(out)])
         err = capsys.readouterr().err
         assert code == 2 and err.startswith("config error: ValueError") and not out.exists()
+
+
+class TestOverflowingLeafMeans:
+    """treeloc on finite cells near the float's edge: leaf means overflowed
+    to inf, and the combiner's lstsq printed LAPACK's "** On entry to
+    DLASCL parameter number 4 had an illegal value" twice to file
+    descriptor 1, then exited 4 with LinAlgError, with and without
+    --fixed-coefficients."""
+
+    CELLS = ("-200", "5e-324", "1e154", "1e308")
+    TARGETS = ("1.7976931348623157e308", "1e308")
+
+    @pytest.mark.parametrize("flags", [[], ["--fixed-coefficients"]])
+    def test_exits_4_with_one_stderr_line(self, tmp_path, flags):
+        rows = [[self.CELLS[(i + j) % 4] for j in range(3)]
+                + list(self.TARGETS if i % 2 == 0 else self.TARGETS[::-1]) for i in range(8)]
+        path = tmp_path / "edge.csv"
+        path.write_text("RSSI1,RSSI2,RSSI3,X_Actual,Y_Actual\n"
+                        + "".join(",".join(row) + "\n" for row in rows))
+        src = os.path.dirname(os.path.dirname(ensemble.__file__))
+        done = subprocess.run(
+            [sys.executable, "-m", "rssiloc.cli", "treeloc", "--n-trees", "3", "--test-size",
+             "0", "-i", str(path), "-o", "out.csv", *flags],
+            cwd=tmp_path, capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+        assert done.returncode == 4 and done.stdout == ""
+        assert done.stderr.count("\n") == 1 and done.stderr.endswith("\n"), done.stderr
+        assert done.stderr.startswith("numerical failure: NumericalError")
+        assert not (tmp_path / "out.csv").exists()

@@ -16,8 +16,7 @@ from rssiloc.cli import main
 from rssiloc.ensemble import TreeLocModel
 from rssiloc.learners import (MODEL_VERSION, Forest, PairedRegressor,
                               RegressionTree, _segment_sums, fit_extra_trees,
-                              fit_forest, fit_tree, model_from_dict,
-                              model_to_dict)
+                              fit_forest, fit_tree, model_from_dict)
 
 
 @st.composite
@@ -69,9 +68,9 @@ def check_model(model, x, min_leaf, max_depth):
         assert np.all(tree.left[internal] > internal)
         if max_depth is not None:
             assert tree.depth() <= max_depth
-    loaded = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
+    loaded = model_from_dict(json.loads(json.dumps(model.to_dict())))
     assert np.array_equal(loaded.predict(x), combined)
-    assert model_to_dict(loaded) == model_to_dict(model)
+    assert loaded.to_dict() == model.to_dict()
 
 
 depths = st.one_of(st.none(), st.integers(0, 5))
@@ -185,7 +184,7 @@ def test_components_other_than_tree_pairs_are_rejected(tmp_path, capsys):
             with pytest.raises(TypeError, match="three pairs of tree models"):
                 model.predict(rows)
         path = tmp_path / "model.json"
-        path.write_text(json.dumps(model_to_dict(model)))
+        path.write_text(json.dumps(model.to_dict()))
         code = main(["predict", "--model-file", str(path), "-i", str(data), "-o", str(out)])
         err = capsys.readouterr().err
         assert code == 3 and "three pairs of tree models" in err
@@ -339,7 +338,7 @@ def v1_node(tree, i=0):
 
 def check_v1_round_trip(v1_record, x):
     from_v1 = model_from_dict(json.loads(json.dumps(v1_record)))
-    resaved = model_from_dict(json.loads(json.dumps(model_to_dict(from_v1))))
+    resaved = model_from_dict(json.loads(json.dumps(from_v1.to_dict())))
     assert len(trees_of(from_v1)) == len(trees_of(resaved))
     assert all(same_arrays(a, b) for a, b in zip(trees_of(from_v1), trees_of(resaved)))
     assert np.array_equal(from_v1.predict(x), resaved.predict(x))
@@ -354,13 +353,13 @@ def test_v1_file_saved_as_v2_loads_the_same_trees(data, max_depth, n_trees,
     x, y = data
     forest = fit_forest(x, y, n_trees=n_trees, max_depth=max_depth, rng_seed=seed,
                         split_mode="random" if random else "exhaustive")
-    assert model_to_dict(forest)["version"] == MODEL_VERSION == 3
-    v1 = {**model_to_dict(forest), "version": 1,
+    assert forest.to_dict()["version"] == MODEL_VERSION == 3
+    v1 = {**forest.to_dict(), "version": 1,
           "parameters": {"trees": [v1_node(t) for t in forest.trees]}}
     loaded = check_v1_round_trip(v1, x)
     assert all(same_arrays(a, b) for a, b in zip(forest.trees, loaded.trees))
     tree = forest.trees[0]
-    check_v1_round_trip({**model_to_dict(tree), "version": 1,
+    check_v1_round_trip({**tree.to_dict(), "version": 1,
                          "parameters": {"root": v1_node(tree)}}, x)
 
 
@@ -400,7 +399,7 @@ def decoded(p):
 
 BASE_FOREST = fit_forest(np.arange(24.0).reshape(12, 2) % 5, np.arange(12.0) % 4,
                          n_trees=3, max_depth=3)
-BASE_RECORD = {**model_to_dict(BASE_FOREST), "version": 2,
+BASE_RECORD = {**BASE_FOREST.to_dict(), "version": 2,
                "parameters": v2_parameters(BASE_FOREST.trees)}
 ITEMS = (st.integers(-3, 3) | st.integers(-3, 40) | st.none() | st.booleans()
          | st.floats() | st.text(max_size=3) | st.lists(st.integers(0, 3), max_size=2))
@@ -411,7 +410,7 @@ V3_ITEMS["n"] = V3_ITEMS["feature"]
 
 
 def test_v3_writer_encodes_the_v2_arrays():
-    record = model_to_dict(BASE_FOREST)
+    record = BASE_FOREST.to_dict()
     assert record["version"] == 3 and record["parameters"] == v3_parameters(
         BASE_RECORD["parameters"])
     assert decoded(record["parameters"]) == BASE_RECORD["parameters"]
@@ -504,7 +503,7 @@ def assert_every_node_reached_once(forest):
 
 
 def test_tree_record_with_too_few_leaves_exits_3(tmp_path, capsys):
-    record = model_to_dict(fit_tree(np.arange(6.0), np.arange(6.0) % 3, max_depth=2))
+    record = fit_tree(np.arange(6.0), np.arange(6.0) % 3, max_depth=2).to_dict()
     p = decoded(record["parameters"])
     p["feature"][-1] = 0  # a leaf becomes an internal node
     p["threshold"].append(0.5)

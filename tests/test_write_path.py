@@ -17,7 +17,7 @@ from rssiloc.ingest import (_WRITE_ROWS, load_regression_csv, load_series_csv, w
                             write_text)
 from rssiloc.ensemble import treeloc_fit
 from rssiloc.learners import (LinearModel, MlpModel, fit_forest, fit_knn, fit_linear,
-                              fit_polynomial, load_model, mlp_train, model_to_dict,
+                              fit_polynomial, load_model, mlp_train,
                               one_hot_encode, save_model)
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -234,4 +234,4 @@ def test_saved_record_is_the_json_dumps_text(tmp_path):
                   fit_forest(x, y[:, 0], n_trees=3, max_depth=4),
                   treeloc_fit(x, y, forest_trees=2, extra_trees=2, tree_depth=3)):
         save_model(model, tmp_path / "model.json")
-        assert (tmp_path / "model.json").read_text() == json.dumps(model_to_dict(model))
+        assert (tmp_path / "model.json").read_text() == json.dumps(model.to_dict())
