@@ -37,9 +37,9 @@ import numpy as np
 
 from . import filters, ingest, metrics, solvers
 from .core import Anchor, PathLossParams, Position, Scene, validate_scene
-from .exceptions import (DegenerateWeightsWarning, EmptySignal, IngestError,
-                         KTooLarge, LearnerError, MetricError, NumericalError,
-                         RssilocError, SceneError, SignalError)
+from .exceptions import (DegenerateGeometry, DegenerateWeightsWarning, EmptySignal,
+                         IngestError, KTooLarge, LearnerError, MetricError,
+                         NumericalError, RssilocError, SceneError, SignalError)
 from .radio import NoiseSpec, distance_from_rssi, measure_targets
 
 DEFAULT_SEED = 42
@@ -200,11 +200,13 @@ def cmd_locate(args) -> None:
         raise CliError(3, f"{args.input} has {ds.features.shape[1]} RSSI columns "
                           f"but the scene has {len(anchor_xy)} anchors")
 
+    def row_error(row, message) -> NumericalError:  # names the row's line in the file
+        return NumericalError(f"row {ingest._read_rows(args.input)[2][row]}: {message}")
+
     in_range = ingest.sentinel_mask(ds.features)
     short = np.flatnonzero(in_range.sum(axis=1) < 3)
     if short.size:
-        line = ingest._read_rows(args.input)[2][short[0]]
-        raise NumericalError(f"row {line}: fewer than 3 in-range anchors")
+        raise row_error(short[0], "fewer than 3 in-range anchors")
     # One solve per anchor mask, over all the rows that share it.
     masks, group = np.unique(in_range, axis=0, return_inverse=True)
     estimates = np.empty((len(ds), 2))
@@ -213,16 +215,19 @@ def cmd_locate(args) -> None:
         for g, mask in enumerate(masks):
             idx = np.flatnonzero(group == g)
             distances = distance_from_rssi(ds.features[np.ix_(idx, mask)], params)
-            estimates[idx] = solvers.estimate_position(
-                args.solver, anchor_xy[mask], distances, sigmas_a=args.sigma_a,
-                sigmas_p=args.sigma_p, eta=args.eta,
-                include_cross_term=args.include_cross_term)
-        fallbacks = sum(issubclass(w.category, DegenerateWeightsWarning)
-                        for w in caught)
+            try:
+                estimates[idx] = solvers.estimate_position(
+                    args.solver, anchor_xy[mask], distances, sigmas_a=args.sigma_a,
+                    sigmas_p=args.sigma_p, eta=args.eta,
+                    include_cross_term=args.include_cross_term)
+            except DegenerateGeometry as exc:
+                if mask.all():  # the scene's own anchors: a configuration error
+                    raise
+                raise row_error(idx[0], exc) from exc  # anchors the rows left in range
+        fallbacks = sum(issubclass(w.category, DegenerateWeightsWarning) for w in caught)
     bad = np.flatnonzero(~np.isfinite(estimates).all(axis=1))
     if bad.size:
-        line = ingest._read_rows(args.input)[2][bad[0]]
-        raise NumericalError(f"row {line}: {args.solver} gave a non-finite estimate")
+        raise row_error(bad[0], f"{args.solver} gave a non-finite estimate")
 
     _finish(args, [("solver", args.solver), ("eta", args.eta),
                    ("sigma_p", args.sigma_p), ("sigma_a", args.sigma_a),

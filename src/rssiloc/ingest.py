@@ -255,16 +255,16 @@ def load_ibeacon_csv(path, zones: Union[Mapping[str, str], str, None] = "grid"
                                  locations=locations)
 
 
-def _column(values, alone: bool) -> Tuple[str, list]:
-    """One column as its row-format field and its cells. Float cells keep 17
-    significant digits; text cells are written as csv.writer writes them."""
+def _column(values, alone: bool) -> Tuple[str, np.ndarray]:
+    """One column as its row-format field and an array of its cells. Float
+    cells keep 17 significant digits; text is written as csv.writer does."""
     # A list's first cell tells text: np.asarray would pad every cell to the longest.
     if isinstance(values, np.ndarray) or not isinstance(next(iter(values), 0.0), str):
         array = np.asarray(values)
         field = {"f": "%.17g", "i": "%d", "u": "%d", "b": "%s"}.get(array.dtype.kind)
         if field:
-            return field, array.tolist()
-    return "%s", _csv_text(list(values), alone)
+            return field, array
+    return "%s", np.array(_csv_text(list(values), alone), dtype=object)
 
 
 _QUOTABLE = re.compile(r'[,"\r\n]')  # csv.writer may quote a field holding one
@@ -321,9 +321,9 @@ def write_csv(data, path) -> None:
     parts = [_column(values, alone) for values in columns.values()]
     row = ",".join(field for field, _ in parts) + "\n"
     header = ",".join(_csv_text([str(name) for name in columns], alone)) + "\n"
-    rows = zip(*(c for _, c in parts))  # formatted _WRITE_ROWS at a time until none is left
-    chunks = iter(lambda: "".join(
-        row % cells for cells in itertools.islice(rows, _WRITE_ROWS)), "")
+    # cells become Python objects _WRITE_ROWS rows at a time, as they are written
+    slices = (slice(i, i + _WRITE_ROWS) for i in range(0, max(lengths, default=0), _WRITE_ROWS))
+    chunks = ("".join(row % r for r in zip(*(c[s].tolist() for _, c in parts))) for s in slices)
     write_text(itertools.chain([header], chunks), path)
 
 

@@ -24,7 +24,7 @@ weighted estimate unchanged.
 estimate_position does each piece of a call's work once: k_i, d_i^2 and
 the design come from one _linearize, and the public helpers share its
 internals. A locator solves against the same anchors and stds fix after
-fix, so anchor rank tests and the noise terms of the stds are kept.
+fix, so the anchor terms, rank-tested once, and the stds' noise terms are kept.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ from functools import lru_cache
 import numpy as np
 
 from .exceptions import (CollinearAnchors, DegenerateWeightsWarning,
-                         NoIntersection, NonPositiveDistance,
-                         NotPositiveDefinite, RankDeficient, TooFewAnchors)
+                         NoIntersection, NonPositiveDistance, NotPositiveDefinite,
+                         NumericalError, RankDeficient, TooFewAnchors)
 from .radio import shadowing_scale
 
 SOLVER_NAMES = ("trilateration", "lls", "wls", "wls-bc",
@@ -59,8 +59,9 @@ class LinearSystem:
     design rows are (x_i - x_c, y_i - y_c); rhs entries are
     d_c - d_i^2 + k_i - k_c with k_i = x_i^2 + y_i^2, where (x_c, y_c) is
     the anchor centroid and d_c and k_c are the means of d_i^2 and k_i.
-    A (N, M) rhs shares the one design; its d_c is then (N,). linearize's
-    systems of one anchor set share one read-only design.
+    A (N, M) rhs shares the one design; its d_c is then (N,). The design is
+    centered and of rank 2, checked at construction (ValueError, or
+    RankDeficient); linearize's systems of one anchor set share one.
     """
 
     design: np.ndarray
@@ -69,6 +70,7 @@ class LinearSystem:
     def __post_init__(self):
         _require_centered(self.design)
         _require_finite(self.rhs)
+        _require_rank_2(self.design, COLLINEAR)
 
 
 def _system(design: np.ndarray, rhs: np.ndarray) -> LinearSystem:
@@ -85,9 +87,9 @@ def _require_centered(design: np.ndarray):
         raise ValueError("design matrix is not centered")
 
 
-def _require_finite(rhs: np.ndarray):
+def _require_finite(rhs: np.ndarray, error=ValueError):
     if not np.logical_and.reduce(np.isfinite(rhs), axis=None):
-        raise ValueError("non-finite rhs entries")
+        raise error("non-finite rhs entries")
 
 
 @dataclass(frozen=True)
@@ -204,7 +206,8 @@ def trilaterate(anchors, radii, clamp_to_plane: bool = False) -> np.ndarray:
 
 
 def linearize(anchors, distances) -> LinearSystem:
-    """Build the centered pseudo-linear system from anchors and ranges."""
+    """Build the centered pseudo-linear system from anchors and ranges;
+    RankDeficient for collinear anchors, NumericalError for a non-finite rhs."""
     return _linearize(np.asarray(anchors, dtype=float),
                       np.asarray(distances, dtype=float))[0]
 
@@ -221,41 +224,32 @@ def _linearize(pts: np.ndarray, d: np.ndarray):
     d2 = d ** 2
     d_c = np.add.reduce(d2, axis=-1) / m  # sum / m is np.mean's own arithmetic
     rhs = d_c[..., None] - d2 + k - k_c
-    _require_finite(rhs)
+    _require_finite(rhs, NumericalError)
     return _system(design, rhs), k, d2
 
 
 @lru_cache(maxsize=256)  # an 8-anchor scene has 219 subsets of 3 or more anchors
 def _anchor_terms(shape: tuple, raw: bytes) -> tuple:
     """(design, k, k_c) of the anchors with these float64 bytes, read-only:
-    the centroid-centered design, checked centered, k_i = x_i^2 + y_i^2
-    and their mean."""
+    the centroid-centered design, checked centered and of rank 2,
+    k_i = x_i^2 + y_i^2 and their mean."""
     pts = np.frombuffer(raw).reshape(shape)
     m = len(pts)
     centroid = np.add.reduce(pts, axis=0) / m
     k = np.add.reduce(pts ** 2, axis=1)
     design = pts - centroid
     _require_centered(design)
+    _require_rank_2(design, COLLINEAR)
     design.flags.writeable = k.flags.writeable = False
     return design, k, np.add.reduce(k) / m
 
 
-def _require_rank_2(mat: np.ndarray, message: str, anchors_only: bool = False):
+def _require_rank_2(mat: np.ndarray, message: str):
     """RankDeficient(message) if np.linalg.matrix_rank of a (.., K, 2)
-    matrix is below 2, with its tolerance on the singular values; kept per
-    distinct matrix for a matrix of anchors alone."""
-    if not (_anchor_rank_2(mat.shape, mat.tobytes()) if anchors_only else _rank_2(mat)):
-        raise RankDeficient(message)
-
-
-def _rank_2(mat: np.ndarray) -> bool:
+    matrix is below 2, with its tolerance on the singular values."""
     s = np.linalg.svd(mat, compute_uv=False)
-    return not (s[..., 1] <= s[..., 0] * max(mat.shape[-2:]) * _EPS).any()
-
-
-@lru_cache(maxsize=256)
-def _anchor_rank_2(shape: tuple, raw: bytes) -> bool:
-    return _rank_2(np.frombuffer(raw).reshape(shape))
+    if (s[..., 1] <= s[..., 0] * max(mat.shape[-2:]) * _EPS).any():
+        raise RankDeficient(message)
 
 
 def _apply_pinv(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -267,7 +261,6 @@ def _apply_pinv(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def lls_solve(sys: LinearSystem) -> np.ndarray:
     """Ordinary least squares minimizer of ||b - 2*A*s||^2, one per rhs row."""
-    _require_rank_2(sys.design, COLLINEAR, anchors_only=True)
     return _apply_pinv(2.0 * sys.design, sys.rhs)
 
 
@@ -340,9 +333,8 @@ def wls_solve(sys: LinearSystem, weights: DiagonalWeights) -> np.ndarray:
 
     A row without usable variances degrades gracefully: the solver emits
     DegenerateWeightsWarning (once per such row) and returns the ordinary
-    LS estimate.
+    LS estimate; a singular weighted normal matrix raises RankDeficient.
     """
-    _require_rank_2(sys.design, COLLINEAR, anchors_only=True)
     normal, rhs = weights.normal_equations(sys.design, sys.rhs)
     _require_rank_2(normal, "weighted normal matrix is singular")
     return 0.5 * np.linalg.solve(normal, rhs[..., None])[..., 0]
@@ -391,7 +383,6 @@ def bias_compensated_solve(sys: LinearSystem, weights, bias: BiasTerms,
             information available; callers should fall back to wls_solve
             on the exception's rows. Its estimate holds the other rows.
     """
-    _require_rank_2(sys.design, COLLINEAR, anchors_only=True)
     normal, rhs = weights.normal_equations(sys.design, sys.rhs - bias.t)
     normal = normal - bias.L
     if include_cross_term:
@@ -420,13 +411,12 @@ def hyperbolic_solve(anchors, distances) -> np.ndarray:
     m = len(pts)
     if m < 3:
         raise TooFewAnchors(f"need at least 3 anchors, got {m}")
-    origin = pts[0]
-    rel = pts - origin
+    rel = pts - pts[0]
     mat = 2.0 * rel[1:]
-    _require_rank_2(mat, "anchors are collinear", anchors_only=True)
+    _require_rank_2(mat, "anchors are collinear")
     d2 = d * d
     rhs = (rel[1:] ** 2).sum(axis=1) - d2[..., 1:] + d2[..., :1]
-    return origin + _apply_pinv(mat, rhs)
+    return pts[0] + _apply_pinv(mat, rhs)
 
 
 def estimate_position(solver: str, anchors, distances, *, sigmas_a=0.0,

@@ -112,7 +112,7 @@ class TestBatchEqualsRows:
 class TestAnchorWorkOnce:
     """estimate_position tests an anchor set's design for rank and for
     centering once, however many fixes and fallback rows use it, and builds
-    its systems without validating them again."""
+    its systems without validating them again; no solve tests a design."""
 
     def count(self, monkeypatch):
         seen = {"rank": 0, "centered": 0, "validated": 0}
@@ -130,11 +130,10 @@ class TestAnchorWorkOnce:
         monkeypatch.setattr(solvers, "_require_centered", centered_spy)
         monkeypatch.setattr(solvers.LinearSystem, "__post_init__",
                             lambda system: seen.update(validated=seen["validated"] + 1))
-        solvers._anchor_rank_2.cache_clear()
         solvers._anchor_terms.cache_clear()
         return seen
 
-    @pytest.mark.parametrize("solver", ["wls", "wls-bc"])
+    @pytest.mark.parametrize("solver", ["lls", "wls", "wls-bc", "hyperbolic-w"])
     @pytest.mark.parametrize("rows", [None, 7])
     def test_once_per_anchor_set(self, solver, rows, monkeypatch):
         anchors, d = noisy_batch(np.random.default_rng(17), 5, rows or 1)
@@ -159,6 +158,25 @@ class TestAnchorWorkOnce:
         seen = self.count(monkeypatch)
         estimate_position("wls-bc", anchors, d, sigmas_a=150.0, sigmas_p=2.0)
         assert seen == {"rank": 1, "centered": 1, "validated": 0}
+
+    def test_solves_do_not_test_a_built_design(self, monkeypatch):
+        anchors, d = noisy_batch(np.random.default_rng(23), 5, 6)
+        system = solvers.linearize(anchors, d)
+        weights = solvers.build_weights(anchors, d, 1.0, 2.0, 2.0)
+        bias = solvers.build_bias_terms(anchors, d, 1.0, 2.0, 2.0, weights)
+        seen = self.count(monkeypatch)
+        solvers.lls_solve(system)
+        solvers.wls_solve(system, weights)
+        solvers.bias_compensated_solve(system, weights, bias)
+        assert seen["rank"] == 0
+
+    def test_far_anchors_solve_hyperbolic(self):
+        # far anchors fail the pseudo-linear design's centering test, but the
+        # hyperbolic system differences them against the first anchor
+        anchors = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.3]]) + 1e9
+        target = anchors[0] + [3.0, 4.0]
+        np.testing.assert_allclose(estimate_position(
+            "hyperbolic", anchors, exact_distances(anchors, target)), target, atol=1e-3)
 
     def test_kept_anchor_sets_are_checked_centered(self):
         # far anchors with a tiny spread: centering cancels, every call raises

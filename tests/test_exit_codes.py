@@ -8,12 +8,16 @@ import base64
 import contextlib
 import copy
 import csv
+import ctypes
 import functools
 import io
 import json
 import math
 import operator
+import os
 import re
+import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +30,9 @@ from rssiloc import ingest, learners
 from rssiloc.cli import main
 from rssiloc.exceptions import IoFailure, KTooLarge
 
+LIBC = ctypes.CDLL(None)  # C stdio: fflush(NULL) flushes every stream, puts writes to stdout
+LIBC.fflush.argtypes, LIBC.fflush.restype = [ctypes.c_void_p], ctypes.c_int
+LIBC.puts.argtypes, LIBC.puts.restype = [ctypes.c_char_p], ctypes.c_int
 FUZZ = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 ANCHORS = "0,0;400,0;200,300"
 ZONE_OF = {"A": "B05", "B": "B12", "C": "L05", "D": "L12"}
@@ -41,34 +48,58 @@ JSON = st.recursive(
     | st.dictionaries(TEXT, inner, max_size=3), max_leaves=6)
 
 
-def run_main(argv):
-    """Exit code and stderr of one in-process run, and whether it ended in
-    argparse's usage error (SystemExit) rather than in one of main's
-    handlers."""
-    err, usage = io.StringIO(), False
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+@contextlib.contextmanager
+def fd_text(fd):
+    """Collects what is written to file descriptor fd inside the block, from
+    C too (LAPACK prints its errors there), which redirect_stdout does not
+    see. Yields a list that holds the text once the block ends."""
+    text, saved = [], os.dup(fd)
+    with tempfile.TemporaryFile() as sink:
+        os.dup2(sink.fileno(), fd)
         try:
-            code = main([str(a) for a in argv])
-        except SystemExit as exc:
-            code, usage = exc.code, True
-    return code, err.getvalue(), usage
+            yield text
+        finally:
+            LIBC.fflush(None)  # C stdio buffers output to a file
+            os.dup2(saved, fd)
+            os.close(saved)
+            sink.seek(0)
+            text.append(sink.read().decode("utf-8", "replace"))
+
+
+def run_main(argv):
+    """Exit code, stdout and stderr of one in-process run, and whether it
+    ended in argparse's usage error (SystemExit) rather than in one of
+    main's handlers. stdout and stderr hold Python's text and then the text
+    written to fds 1 and 2."""
+    out, err, usage = io.StringIO(), io.StringIO(), False
+    with fd_text(1) as out_fd, fd_text(2) as err_fd:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main([str(a) for a in argv])
+            except SystemExit as exc:
+                code, usage = exc.code, True
+    return code, out.getvalue() + out_fd[0], err.getvalue() + err_fd[0], usage
 
 
 def run(argv):
     """Exit code and stderr of one in-process run."""
-    return run_main(argv)[:2]
+    code, _, err, _ = run_main(argv)
+    return code, err
 
 
 def check_contract(argv):
     """Exit code and stderr of a run that honours the contract: a known
     exit code, no traceback, exactly one stderr line when one of main's
     handlers ends the run (argparse's usage exits print usage and an error
-    line), and on success no non-finite computed cell in the -o file."""
-    code, err, usage = run_main(argv)
+    line), nothing on stdout when the run fails, and on success no
+    non-finite computed cell in the -o file."""
+    code, out, err, usage = run_main(argv)
     assert code in (0, 2, 3, 4), (code, err)
     assert "Traceback" not in err
     if code and not usage:  # library text leaking to stderr fails here
         assert err.count("\n") == 1 and err.endswith("\n"), (argv, err)
+    if code:
+        assert out == "", (argv, out)
     if code == 0 and "-o" in argv:
         # filter copies every column but RSSI<k>/b<k> through as raw text
         computed = re.compile(r"RSSI\d+|b\d+" + ("" if argv[0] == "filter" else "|[XY]_Pred"))
@@ -336,6 +367,45 @@ EDGE_FITS = {
 }
 
 
+# Cells at the float's edges for the locate fuzz: signed zeros, the floats
+# next to 1, subnormals, values whose squares or sums overflow, the largest
+# floats and the out-of-range sentinel.
+EDGE_CELLS = [0.0, -0.0, 1.0, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0),
+              5e-324, -5e-324, 1e-310, -1e-310, 1e154, -1e154, 1e308, -1e308,
+              sys.float_info.max, -sys.float_info.max, -200.0]
+SCENE = "0,0;400,0;0,300;400,300;200,150"  # its last anchor is on a diagonal
+
+
+@st.composite
+def edge_locate_cases(draw):
+    """A scene of 3-5 fixed anchors and 1-14 rows of edge cells; a column
+    may be one cell repeated."""
+    m, n = draw(st.integers(3, 5)), draw(st.integers(1, 14))
+    columns = [[draw(st.sampled_from(EDGE_CELLS))] * n if draw(st.booleans())
+               else draw(st.lists(st.sampled_from(EDGE_CELLS), min_size=n, max_size=n))
+               for _ in range(m + 2)]
+    header = [f"RSSI{i + 1}" for i in range(m)] + ["X_Actual", "Y_Actual"]
+    return ";".join(SCENE.split(";")[:m]), csv_text(header, [list(map(repr, row))
+                                                             for row in zip(*columns)])
+
+
+class TestEdgeLocate:
+    """Only the data varies, so locate never exits 2 (a configuration
+    error), whichever the solver."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(case=edge_locate_cases(), solver=st.sampled_from(rl.SOLVER_NAMES),
+           sigma_p=st.sampled_from(["0", "2"]))
+    def test_exits_0_3_or_4(self, tmp_path_factory, case, solver, sigma_p):
+        anchors, text = case
+        data = tmp_path_factory.getbasetemp() / "edge_locate.csv"
+        data.write_text(text)
+        code, _ = check_contract(["locate", "--solver", solver, "--anchors", anchors,
+                                  "--sigma-p", sigma_p, "-i", data,
+                                  "-o", data.with_name("edge_out.csv")])
+        assert code in (0, 3, 4)
+
+
 class TestEdgeFeatures:
     @pytest.mark.parametrize("cells, argv", EDGE_FITS.values(), ids=EDGE_FITS.keys())
     def test_fit_exits_0_with_finite_outputs(self, tmp_path, cells, argv):
@@ -364,6 +434,19 @@ class TestEdgeFeatures:
 
 
 class TestOwners:
+    @pytest.mark.parametrize("fd", [1, 2])
+    def test_contract_sees_text_written_from_c(self, monkeypatch, fd):
+        def main_that_leaks(argv):
+            print("numerical failure: NumericalError: x", file=sys.stderr)
+            if fd == 1:
+                LIBC.puts(b"** On entry to DLASCL parameter number 4 had an illegal value")
+            else:
+                os.write(2, b"text from C\n")
+            return 4
+        monkeypatch.setitem(run_main.__globals__, "main", main_that_leaks)
+        with pytest.raises(AssertionError):
+            check_contract(["locate"])
+
     def test_failed_write_leaves_no_temp_file(self, tmp_path):
         for write in (lambda: ingest.write_text("report\n", tmp_path),
                       lambda: ingest.write_csv({"a": [1.0]}, tmp_path)):

@@ -328,6 +328,44 @@ class TestLocateNonFiniteEstimates:
         assert np.isfinite(np.array(columns["X_Pred"] + columns["Y_Pred"], dtype=float)).all()
 
 
+class TestLocateExitCodeDoesNotDependOnTheSolver:
+    """Two rows that only data makes unsolvable exited 2 (a configuration
+    error) for some solvers and 4 for the others: a cell of -1e308 dBm
+    overflows a range, so the pseudo-linear systems' rhs was a ValueError,
+    and in-range anchors on one line were CollinearAnchors for
+    trilateration alone."""
+
+    CASES = {
+        "overflowing range": ("0,0;400,0;0,300", ["-50", "-60", "-1e308"], ["--sigma-p", "2"]),
+        "collinear in-range anchors": ("0,0;400,0;0,300;400,300;200,150",
+                                       ["-60", "-200", "-200", "-66", "-50"], []),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("solver", ["trilateration", "lls", "wls", "wls-bc",
+                                        "hyperbolic", "hyperbolic-w"])
+    def test_exits_4(self, tmp_path, capsys, case, solver):
+        anchors, cells, flags = self.CASES[case]
+        data, out = tmp_path / "in.csv", tmp_path / "loc.csv"
+        header = [f"RSSI{i + 1}" for i in range(len(cells))] + ["X_Actual", "Y_Actual"]
+        data.write_text(",".join(header) + "\n" + ",".join(cells + ["1", "1"]) + "\n")
+        code = main(["locate", "--solver", solver, "--anchors", anchors, *flags,
+                     "-i", str(data), "-o", str(out)])
+        captured = capsys.readouterr()
+        assert code == 4, captured.err
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("numerical failure") and not out.exists()
+
+    def test_collinear_scene_anchors_stay_a_config_error(self, tmp_path, capsys):
+        # trilateration solves on the first three anchors: with all of them in
+        # range the scene is at fault, not the row
+        data = tmp_path / "in.csv"
+        data.write_text("RSSI1,RSSI2,RSSI3,RSSI4,X_Actual,Y_Actual\n-60,-62,-64,-61,1,1\n")
+        code = main(["locate", "--solver", "trilateration", "--anchors", "0,0;200,0;400,0;0,300",
+                     "-i", str(data), "-o", str(tmp_path / "loc.csv")])
+        assert code == 2 and "CollinearAnchors" in capsys.readouterr().err
+
+
 class TestNonFiniteFitAndPredict:
     """fit and predict had no float-error scope and no finite check: a
     saved linear record with a nan in theta predicted nan cells and exited

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -10,8 +11,8 @@ from _synth import (exact_distances, exact_weighted_position, pseudo_inverse_wei
 from rssiloc import solvers
 from rssiloc.exceptions import (CollinearAnchors, DegenerateWeightsWarning,
                                 NoIntersection, NonPositiveDistance,
-                                NotPositiveDefinite, RankDeficient,
-                                TooFewAnchors)
+                                NotPositiveDefinite, NumericalError,
+                                RankDeficient, TooFewAnchors)
 from rssiloc.solvers import (BiasTerms, DiagonalWeights, SOLVER_NAMES,
                              bias_compensated_solve, build_bias_terms,
                              build_weights, estimate_position,
@@ -117,6 +118,18 @@ class TestLinearize:
     def test_too_few_anchors(self):
         with pytest.raises(TooFewAnchors):
             linearize(TRIANGLE[:2], TRIANGLE_D[:2])
+
+    def test_collinear_system_raises_where_it_is_built(self):
+        design = np.array([[-1.0, -1.0], [0.0, 0.0], [1.0, 1.0]])  # centered, rank 1
+        with pytest.raises(RankDeficient, match="^" + re.escape(solvers.COLLINEAR) + "$"):
+            solvers.LinearSystem(design, np.zeros(3))
+        with pytest.raises(RankDeficient, match=re.escape(solvers.COLLINEAR)):
+            linearize(design + 5.0, [1.0, 2.0, 3.0])
+
+    def test_non_finite_rhs_is_a_numerical_error(self):
+        # a range whose square overflows is the data's fault, not a config error
+        with np.errstate(all="ignore"), pytest.raises(NumericalError, match="non-finite rhs"):
+            linearize(TRIANGLE, [1.0, 2.0, 1e200])
 
 
 class TestLls:

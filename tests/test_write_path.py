@@ -7,6 +7,7 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -115,6 +116,20 @@ def test_rows_written_in_chunks_match_csv_writer(tmp_path, n):
     for cols in (columns, {"t": columns["t"]}):  # a lone column quotes an empty cell
         write_csv(cols, tmp_path / "rows.csv")
         assert (tmp_path / "rows.csv").read_bytes() == reference_csv(cols)
+
+
+def test_cells_become_objects_a_chunk_at_a_time(tmp_path):
+    """write_csv's peak memory does not grow with the row count: it used to
+    turn every cell into a Python float up front."""
+    def peak(n):
+        columns = {f"c{j}": np.random.default_rng(j).normal(size=n) for j in range(7)}
+        tracemalloc.start()
+        try:
+            write_csv(columns, tmp_path / "big.csv")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak(40_000) <= 2 * peak(4_000)
 
 
 def test_failed_part_leaves_no_file(tmp_path):
