@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import sys
 import warnings
@@ -215,15 +216,20 @@ def cmd_locate(args) -> None:
         for g, mask in enumerate(masks):
             idx = np.flatnonzero(group == g)
             distances = distance_from_rssi(ds.features[np.ix_(idx, mask)], params)
+            solve = functools.partial(
+                solvers.estimate_position, args.solver, anchor_xy[mask], sigmas_a=args.sigma_a,
+                sigmas_p=args.sigma_p, eta=args.eta, include_cross_term=args.include_cross_term)
             try:
-                estimates[idx] = solvers.estimate_position(
-                    args.solver, anchor_xy[mask], distances, sigmas_a=args.sigma_a,
-                    sigmas_p=args.sigma_p, eta=args.eta,
-                    include_cross_term=args.include_cross_term)
-            except DegenerateGeometry as exc:
-                if mask.all():  # the scene's own anchors: a configuration error
+                estimates[idx] = solve(distances)
+            except RssilocError as exc:
+                if isinstance(exc, DegenerateGeometry) and mask.all():  # the scene's own anchors
                     raise
-                raise row_error(idx[0], exc) from exc  # anchors the rows left in range
+                for j, row in enumerate(idx):  # first row failing alone (it gets its batch bits)
+                    try:
+                        solve(distances[j:j + 1])
+                    except RssilocError:
+                        raise row_error(row, exc) from exc
+                raise
         fallbacks = sum(issubclass(w.category, DegenerateWeightsWarning) for w in caught)
     bad = np.flatnonzero(~np.isfinite(estimates).all(axis=1))
     if bad.size:

@@ -14,15 +14,15 @@ and ``right`` child indices (-1 at a leaf), ``value`` (mean training
 target) and ``n`` (training rows). A fit grows all its trees together,
 level by level, a few numpy calls per depth, and then renumbers the nodes
 depth-first. Trees, forests and treeloc models predict through one block
-(:func:`_stack_trees`): rows walk all its trees at once, a numpy step per
-level, and each model's mean adds its trees in tree order for any number
-of rows. Saved files (version 3) hold each tree or forest as flat preorder
-arrays (see :func:`_trees_from_arrays`): ``node_counts`` is a JSON list of
-ints, and ``feature``, ``threshold``, ``value`` and ``n`` are base64
-strings of little-endian ``<i8``/``<f8`` bytes, so a record is written and
-read without turning each number into text. Version-2 files (the same
-arrays as JSON number lists) and version-1 files (a nested dict per node)
-still load to the same trees.
+of one entry per node (:func:`_stack_trees`): rows walk all its trees at
+once, a numpy step per level on one array of node ids updated in place,
+and each model's mean adds its trees in tree order for any number of rows.
+Saved files (version 3) hold each tree or forest as flat preorder arrays
+(:func:`_trees_from_arrays`): ``node_counts`` is a JSON list of ints, and
+``feature``, ``threshold``, ``value`` and ``n`` are base64 strings of
+little-endian ``<i8``/``<f8`` bytes, so a record is written and read
+without turning each number into text. Version-2 files (the same arrays as
+JSON number lists) and version-1 files (a dict per node) load to the same trees.
 """
 
 from __future__ import annotations
@@ -348,25 +348,22 @@ def tree_depths(trees) -> np.ndarray:
 
 def _stack_trees(models) -> tuple:
     """(feature, threshold, children, value, roots, steps, slots, inputs,
-    counts): one block of the trees of tree and forest models, node arrays in
-    the given order, then a leaf of value -0.0, the pad. Walk ids are doubled:
-    node i is 2i, feature and threshold hold its split at 2i and 2i + 1,
-    children[2i] and children[2i + 1] 2 * its right and left child, so a row at
-    2i steps to children[2i + (x <= threshold)]; leaves are feature-0
-    self-loops and value[2i >> 1] is node i's value. roots lists the trees
-    deepest first: level l steps the first steps[l], those deeper than l.
-    Slot t * models + m is tree t of model m, or the pad past its counts[m]
-    trees; inputs is the number of features the splits read."""
+    counts): one block of the trees of tree and forest models, one entry per
+    node in the given order, then a leaf of value -0.0, the pad. children[2i]
+    and children[2i + 1] are node i's right and left child, so a row at i
+    steps to children[2i + (x <= threshold[i])]; leaves are feature-0
+    self-loops. roots lists the trees deepest first: level l steps the first
+    steps[l], those deeper than l. Slot t * models + m is tree t of model m,
+    or the pad past its counts[m] trees; inputs is the number of features
+    the splits read."""
     pad = RegressionTree(*map(np.array, ([-1], [0.0], [-1], [-1], [-0.0], [0])))
     trees = [t for m in models for t in m.trees] + [pad]
     feature, children, roots, depths = _link(trees)
     order, counts = np.argsort(-depths, kind="stable"), np.array([len(m.trees) for m in models])
     rank = np.arange(counts.max())[:, None]
     given = np.where(rank < counts, np.cumsum(counts) - counts + rank, len(trees) - 1)
-    children *= 2
-    return (np.repeat(np.maximum(feature, 0), 2),
-            np.repeat(np.concatenate([t.threshold for t in trees]), 2), children.ravel(),
-            np.concatenate([t.value for t in trees]), 2 * roots[order],
+    return (np.maximum(feature, 0), np.concatenate([t.threshold for t in trees]),
+            children.ravel(), np.concatenate([t.value for t in trees]), roots[order],
             np.cumsum(np.bincount(depths)[::-1])[::-1][1:].tolist(),
             np.argsort(order)[given.ravel()], int(feature.max()) + 1, counts)
 
@@ -374,19 +371,20 @@ def _stack_trees(models) -> tuple:
 def _leaf_values(block: tuple, x: np.ndarray) -> np.ndarray:
     """Leaf value of every row of x in every slot of a block, shape
     (slots, N): for one-tree models, each tree's row in the given order.
-    Each level steps only the trees still deeper and sets aside the rest,
-    and reads x as one flat array."""
+    The walk keeps one id per tree and row, tree-major, and steps in place
+    only the runs of the trees still deeper; a batch reads x as one flat
+    array, a row alone reads its features directly."""
     feature, threshold, children, value, roots, steps, slots = block[:7]
-    flat, offset = x.ravel(), np.arange(len(x)) * x.shape[1]
-    node, finished = roots[:, None].repeat(len(x), axis=1), []
+    flat, n, node = x.ravel(), len(x), roots.repeat(len(x))
+    offset = np.tile(np.arange(n) * x.shape[1], len(roots)) if n > 1 else None
     for k in steps:
-        if k < len(node):
-            node, done = node[:k], node[k:]
-            finished.append(done)
-        at = feature.take(node)  # where in flat each row reads its split feature
-        at += offset
-        node = children.take(node + (flat.take(at) <= threshold.take(node)))
-    return value[np.concatenate([node] + finished[::-1])[slots] >> 1]
+        live = node[:k * n]
+        at = feature.take(live)  # where in flat each row reads its split feature
+        if n > 1:
+            at += offset[:len(live)]
+        # feature.take raised on any bad id; "wrap" then skips raise's out= buffer
+        children.take(2 * live + (flat.take(at) <= threshold.take(live)), out=live, mode="wrap")
+    return value[node.reshape(len(roots), n)[slots]]
 
 
 def _model_means(block: tuple, x: np.ndarray) -> np.ndarray:

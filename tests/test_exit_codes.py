@@ -16,8 +16,10 @@ import math
 import operator
 import os
 import re
+import signal
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +29,7 @@ from hypothesis import example, given, settings, strategies as st
 import rssiloc as rl
 from _synth import beacon_dataset, regression_testbed
 from rssiloc import ingest, learners
-from rssiloc.cli import main
+from rssiloc.cli import FILTER_NAMES, MODEL_NAMES, main
 from rssiloc.exceptions import IoFailure, KTooLarge
 
 LIBC = ctypes.CDLL(None)  # C stdio: fflush(NULL) flushes every stream, puts writes to stdout
@@ -66,18 +68,34 @@ def fd_text(fd):
             text.append(sink.read().decode("utf-8", "replace"))
 
 
-def run_main(argv):
+class Hang(BaseException):
+    """A run outlived run_main's limit. Not an Exception, so no handler in
+    main turns it into an exit code (ingest.write_text makes any OSError,
+    TimeoutError too, an IoFailure) and hypothesis does not shrink it."""
+
+
+def run_main(argv, limit=60.0):
     """Exit code, stdout and stderr of one in-process run, and whether it
     ended in argparse's usage error (SystemExit) rather than in one of
     main's handlers. stdout and stderr hold Python's text and then the text
-    written to fds 1 and 2."""
+    written to fds 1 and 2. A run past limit seconds raises Hang, naming
+    argv, so a hung run fails its test instead of stalling the suite."""
+    def hang(signum, frame):
+        raise Hang(f"rssiloc {' '.join(map(str, argv))} ran past {limit} s")
+
     out, err, usage = io.StringIO(), io.StringIO(), False
-    with fd_text(1) as out_fd, fd_text(2) as err_fd:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main([str(a) for a in argv])
-            except SystemExit as exc:
-                code, usage = exc.code, True
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.setitimer(signal.ITIMER_REAL, limit)
+    try:
+        with fd_text(1) as out_fd, fd_text(2) as err_fd:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main([str(a) for a in argv])
+                except SystemExit as exc:
+                    code, usage = exc.code, True
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
     return code, out.getvalue() + out_fd[0], err.getvalue() + err_fd[0], usage
 
 
@@ -222,6 +240,9 @@ def files(tmp_path_factory):
     paths["regression"].write_text(csv_text(*regression_cells()))
     paths["beacons"].write_text(csv_text(*beacon_cells()))
     paths["blocker"].write_text("a regular file, not a directory\n")
+    for name, (record, _, _) in (("treeloc.json", RECORDS[4]), ("knn.json", RECORDS[5])):
+        paths[name] = root / name
+        paths[name].write_text(json.dumps(record))
     return paths
 
 
@@ -376,17 +397,54 @@ EDGE_CELLS = [0.0, -0.0, 1.0, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)
 SCENE = "0,0;400,0;0,300;400,300;200,150"  # its last anchor is on a diagonal
 
 
-@st.composite
-def edge_locate_cases(draw):
-    """A scene of 3-5 fixed anchors and 1-14 rows of edge cells; a column
-    may be one cell repeated."""
-    m, n = draw(st.integers(3, 5)), draw(st.integers(1, 14))
+def edge_rows(draw, m, n):
+    """n rows of m edge cells as text; a column may be one cell repeated."""
     columns = [[draw(st.sampled_from(EDGE_CELLS))] * n if draw(st.booleans())
                else draw(st.lists(st.sampled_from(EDGE_CELLS), min_size=n, max_size=n))
-               for _ in range(m + 2)]
+               for _ in range(m)]
+    return [list(map(repr, row)) for row in zip(*columns)]
+
+
+@st.composite
+def edge_locate_cases(draw):
+    """A scene of 3-5 fixed anchors and 1-14 rows of edge cells."""
+    m, n = draw(st.integers(3, 5)), draw(st.integers(1, 14))
     header = [f"RSSI{i + 1}" for i in range(m)] + ["X_Actual", "Y_Actual"]
-    return ";".join(SCENE.split(";")[:m]), csv_text(header, [list(map(repr, row))
-                                                             for row in zip(*columns)])
+    return ";".join(SCENE.split(";")[:m]), csv_text(header, edge_rows(draw, m + 2, n))
+
+
+# Every other command that reads a data file: its argv before -i and the
+# layout of that file. A "*.json" argument is a saved model of files.
+EDGE_COMMANDS = (
+    [(["filter", "--filter", name], "regression") for name in FILTER_NAMES]
+    + [(["fit", "--model", name, *(["--n-trees", "3"] if name in ("forest", "extratrees",
+                                                                  "treeloc") else [])],
+        "beacons" if name in ("knn", "mlp") else "regression") for name in MODEL_NAMES]
+    + [(["treeloc", "--n-trees", "3"], "regression"),
+       (["predict", "--model-file", "treeloc.json"], "regression"),
+       (["predict", "--model-file", "knn.json"], "beacons"),
+       (["evaluate"], "evaluated")])
+EDGE_HEADERS = {"regression": ["RSSI1", "RSSI2", "RSSI3", "X_Actual", "Y_Actual"],
+                "evaluated": ["X_Actual", "Y_Actual", "X_Pred", "Y_Pred"],
+                "beacons": list(ingest.BEACON_COLUMNS)}
+# The 8 rows of test_regressions.TestOverflowingLeafMeans: leaf means overflow.
+LEAF_MEAN_TARGETS = ("1.7976931348623157e308", "1e308")
+OVERFLOWING_LEAF_MEANS = csv_text(EDGE_HEADERS["regression"], [
+    [("-200", "5e-324", "1e154", "1e308")[(i + j) % 4] for j in range(3)]
+    + list(LEAF_MEAN_TARGETS[::1 if i % 2 == 0 else -1]) for i in range(8)])
+
+
+@st.composite
+def edge_command_cases(draw):
+    """A command of EDGE_COMMANDS and 1-14 rows of edge cells in the layout
+    it reads; beacon rows carry grid labels."""
+    argv, layout = draw(st.sampled_from(EDGE_COMMANDS))
+    header, n = EDGE_HEADERS[layout], draw(st.integers(1, 14))
+    rows = edge_rows(draw, len(header), n)
+    if layout == "beacons":
+        header = ["location", *header]
+        rows = [[draw(st.sampled_from(sorted(ZONE_OF.values()))), *row] for row in rows]
+    return argv, csv_text(header, rows)
 
 
 class TestEdgeLocate:
@@ -404,6 +462,23 @@ class TestEdgeLocate:
                                   "--sigma-p", sigma_p, "-i", data,
                                   "-o", data.with_name("edge_out.csv")])
         assert code in (0, 3, 4)
+
+
+class TestEdgeCommands:
+    """Only the data varies, so every command exits 0, 3 or 4, except a kNN
+    fit on fewer training rows than k: a configuration error (2)."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(case=edge_command_cases())
+    @example(case=(["treeloc", "--n-trees", "3", "--test-size", "0"], OVERFLOWING_LEAF_MEANS))
+    def test_exits_0_3_or_4(self, files, case):
+        argv, text = case
+        data = files["root"] / "edge.csv"
+        data.write_text(text)
+        out = [] if argv[0] == "evaluate" else ["-o", files["root"] / "edge_out.csv"]
+        code, err = check_contract([*(files.get(a, a) for a in argv), "-i", data, *out])
+        knn_k = argv[:3] == ["fit", "--model", "knn"] and "exceeds training size" in err
+        assert code in (0, 3, 4) or (code == 2 and knn_k), (argv, err)
 
 
 class TestEdgeFeatures:
@@ -446,6 +521,19 @@ class TestOwners:
         monkeypatch.setitem(run_main.__globals__, "main", main_that_leaks)
         with pytest.raises(AssertionError):
             check_contract(["locate"])
+
+    def test_a_hung_run_fails_and_names_its_argv(self, monkeypatch):
+        def main_that_hangs(argv):
+            try:
+                time.sleep(30)
+            except Exception:  # as main's handlers catch what a run raises
+                return 3
+        monkeypatch.setitem(run_main.__globals__, "main", main_that_hangs)
+        previous = signal.getsignal(signal.SIGALRM)
+        with pytest.raises(Hang, match="rssiloc locate --solver lls ran past"):
+            run_main(["locate", "--solver", "lls"], limit=0.05)
+        assert signal.getsignal(signal.SIGALRM) is previous
+        assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
 
     def test_failed_write_leaves_no_temp_file(self, tmp_path):
         for write in (lambda: ingest.write_text("report\n", tmp_path),

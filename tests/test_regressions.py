@@ -366,6 +366,40 @@ class TestLocateExitCodeDoesNotDependOnTheSolver:
         assert code == 2 and "CollinearAnchors" in capsys.readouterr().err
 
 
+class TestLocateNamesTheFailingRow:
+    """An error raised inside one anchor group's solve named no row, while
+    the same row under trilateration or hyperbolic was named: a non-finite
+    rhs, a rank-deficient design and a distance that underflows to 0. Each
+    file holds a good row on line 2 and the bad row on line 3."""
+
+    CASES = {  # anchors, the bad row, flags and the solvers that exit 0
+        "overflowing range": ("0,0;400,0;0,300", "-50,-60,-1e308", ["--sigma-p", "2"], ()),
+        "collinear in-range anchors": ("0,0;400,0;0,300;400,300;200,150",
+                                       "-60,-200,-200,-66,-50", [], ()),
+        "distance underflow": ("0,0;400,0;0,300", "-50,-60,1e308", ["--sigma-p", "2"],
+                               ("trilateration", "lls", "hyperbolic")),
+    }
+    GOOD = ["-50", "-60", "-55", "-58", "-57"]
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("solver", ["trilateration", "lls", "wls", "wls-bc",
+                                        "hyperbolic", "hyperbolic-w"])
+    def test_names_row_3(self, tmp_path, capsys, case, solver):
+        anchors, bad, flags, solved = self.CASES[case]
+        m = bad.count(",") + 1
+        data, out = tmp_path / "in.csv", tmp_path / "loc.csv"
+        data.write_text(",".join([f"RSSI{i + 1}" for i in range(m)] + ["X_Actual", "Y_Actual"])
+                        + f"\n{','.join(self.GOOD[:m])},1,1\n{bad},1,1\n")
+        code = main(["locate", "--solver", solver, "--anchors", anchors, *flags,
+                     "-i", str(data), "-o", str(out)])
+        captured = capsys.readouterr()
+        if solver in solved:
+            assert code == 0 and out.exists()
+            return
+        assert code == 4 and captured.out == "" and not out.exists()
+        assert captured.err.count("\n") == 1 and "row 3: " in captured.err, captured.err
+
+
 class TestNonFiniteFitAndPredict:
     """fit and predict had no float-error scope and no finite check: a
     saved linear record with a nan in theta predicted nan cells and exited

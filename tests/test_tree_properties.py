@@ -195,16 +195,26 @@ def test_components_other_than_tree_pairs_are_rejected(tmp_path, capsys):
     assert reference.combine([1.0, 1.0, 1.0], [0.0, 0.0, 0.0]).shape == (2,)
 
 
-def test_walk_block_holds_doubled_ids():
-    # trees of depths 0 to 6; the block's walk ids are 2 * node
+def test_walk_block_holds_one_entry_per_node():
+    # trees of depths 0 to 6 and the pad leaf; walk ids are plain node ids
     x, y = np.random.default_rng(3).uniform(-1.0, 1.0, (40, 3)), np.arange(40.0) % 7
     trees = [fit_tree(x, y, max_depth=d) for d in (2, 0, 6, 4)]
     assert [t.depth() for t in trees] == [2, 0, 6, 4]
     feature, threshold, children, value, roots, *_ = learners._stack_trees(trees)
-    assert len(feature) == len(threshold) == len(children) == 2 * len(value)
-    assert np.array_equal(feature[0::2], feature[1::2])
-    assert np.array_equal(threshold[0::2], threshold[1::2])
-    assert not (children % 2).any() and not (roots % 2).any()
+    starts = np.cumsum([0] + [len(t.feature) for t in trees])
+    nodes = starts[-1] + 1
+    assert len(feature) == len(threshold) == len(value) == nodes and len(children) == 2 * nodes
+    assert sorted(roots.tolist()) == starts.tolist()
+    for start, tree in zip(starts, trees):
+        ids = start + np.arange(len(tree.feature))
+        split = tree.feature >= 0
+        assert np.array_equal(feature[ids], np.maximum(tree.feature, 0))
+        assert np.array_equal(threshold[ids], tree.threshold)
+        assert np.array_equal(value[ids], tree.value)
+        assert np.array_equal(children[2 * ids[split]], start + tree.right[split])
+        assert np.array_equal(children[2 * ids[split] + 1], start + tree.left[split])
+        for side in (0, 1):  # leaves loop to themselves
+            assert np.array_equal(children[2 * ids[~split] + side], ids[~split])
     # one row, one chunk, and the first row past a full chunk
     past_chunk = learners.WALK_NODES // len(trees) + 1
     for rows in (x[:1], x, np.resize(x, (past_chunk, 3))):
@@ -212,6 +222,34 @@ def test_walk_block_holds_doubled_ids():
         assert np.array_equal(learners._leaf_values(learners._stack_trees(trees), rows), want)
         for tree, values in zip(trees, want):
             assert np.array_equal(tree.predict(rows), values)
+
+
+def test_walk_writes_neither_the_block_nor_the_rows():
+    x, y = np.random.default_rng(5).uniform(-1.0, 1.0, (30, 3)), np.arange(60.0).reshape(30, 2)
+    block = learners._stack_trees(fit_forest(x, y, n_trees=4, max_depth=5).models)
+    before = copy.deepcopy(block + (x,))
+    for rows in (x[:1], x):
+        learners._leaf_values(block, rows)
+        learners._model_means(block, rows)
+    for now, then in zip(block + (x,), before):
+        assert np.array_equal(now, then)
+
+
+def test_child_ids_past_the_block_raise():
+    # node 0's right child is node 5 of a 3-node tree
+    tree = RegressionTree(np.array([0, -1, -1]), np.array([0.5, 0.0, 0.0]), np.array([1, -1, -1]),
+                          np.array([5, -1, -1]), np.array([0.0, 1.0, 2.0]), np.ones(3, dtype=int))
+    for rows in ([1.0], [[1.0], [0.0]]):
+        with pytest.raises(IndexError):
+            tree.predict(rows)
+    # a block whose walk steps to an id past its nodes, and one before them
+    good = fit_tree(np.arange(8.0)[:, None], np.arange(8.0) % 3, max_depth=3)
+    for bad in (10 ** 6, -10 ** 6):
+        block = learners._stack_trees((good,))
+        block[2][0:2] = bad
+        for rows in (np.zeros((1, 1)), np.zeros((3, 1))):
+            with pytest.raises(IndexError):
+                learners._leaf_values(block, rows)
 
 
 VALUES = [-1.0, -0.5, 0.0, 0.5, 1.0]  # thresholds; rows also take NaN
