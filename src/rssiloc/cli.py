@@ -39,7 +39,7 @@ import numpy as np
 from . import filters, ingest, metrics, solvers
 from .core import Anchor, PathLossParams, Position, Scene, validate_scene
 from .exceptions import (DegenerateGeometry, DegenerateWeightsWarning, EmptySignal,
-                         IngestError, KTooLarge, LearnerError, MetricError,
+                         IngestError, LearnerError, MetricError,
                          NumericalError, RssilocError, SceneError, SignalError)
 from .radio import NoiseSpec, distance_from_rssi, measure_targets
 
@@ -247,11 +247,7 @@ def _fit_model(args, ds, train_idx):
     from . import learners
     x = ds.features[train_idx]
     if args.model == "knn":
-        try:
-            return learners.fit_knn(x, ds.labels[train_idx], k=args.k,
-                                    n_classes=len(ds.zone_names))
-        except KTooLarge as exc:
-            raise CliError(2, str(exc)) from exc
+        return learners.fit_knn(x, ds.labels[train_idx], k=args.k, n_classes=len(ds.zone_names))
     if args.model == "mlp":
         net = learners.MlpModel.create(
             sizes=(x.shape[1], 20, 17, len(ds.zone_names)), rng_seed=args.seed)

@@ -12,11 +12,12 @@ A regression tree is six parallel node arrays, numbered depth-first (left
 subtree first, root 0): ``feature`` (-1 at a leaf), ``threshold``, ``left``
 and ``right`` child indices (-1 at a leaf), ``value`` (mean training
 target) and ``n`` (training rows). A fit grows all its trees together,
-level by level, a few numpy calls per depth, and then renumbers the nodes
-depth-first. Trees, forests and treeloc models predict through one block
-of one entry per node (:func:`_stack_trees`): rows walk all its trees at
-once, a numpy step per level on one array of node ids updated in place,
-and each model's mean adds its trees in tree order for any number of rows.
+level by level, a few numpy calls per depth, and hands their depth-first
+arrays to :func:`_trees_from_arrays`, as a record does. Trees, forests
+and treeloc models predict through one block of one entry per node
+(:func:`_stack_trees`): rows walk all its trees at once, a numpy step per
+level on one array of node ids updated in place, and each model's mean
+adds its trees in tree order for any number of rows.
 Saved files (version 3) hold each tree or forest as flat preorder arrays
 (:func:`_trees_from_arrays`): ``node_counts`` is a JSON list of ints, and
 ``feature``, ``threshold``, ``value`` and ``n`` are base64 strings of
@@ -276,7 +277,7 @@ def _grow(x: np.ndarray, y: np.ndarray, samples, max_depth: Optional[int],
     thresholds), grown together a level per step. A level's nodes are runs of
     `rows`, in tree order, then level order; a node is a leaf at the depth
     limit, below 2 * min_leaf rows, at zero target variance or without a
-    valid split. Nodes are then renumbered depth-first, left subtree first."""
+    valid split. _trees_from_arrays builds the trees from their depth-first arrays."""
     if split_mode not in ("exhaustive", "random"):
         raise ValueError(f"unknown split_mode {split_mode!r}")
     find = _exhaustive_splits if split_mode == "exhaustive" else _random_splits
@@ -309,15 +310,12 @@ def _grow(x: np.ndarray, y: np.ndarray, samples, max_depth: Optional[int],
         at.append(np.repeat(at[-1][split] + 1, 2))
         at[-1][1::2] += below[0::2]
     tree, feature, threshold, value, n, split = map(np.concatenate, zip(*levels))
-    children = np.concatenate(at[1:] + [np.zeros(0, dtype=np.int64)])
-    left, right = np.full(len(feature), -1), np.full(len(feature), -1)
-    left[split], right[split] = children[0::2], children[1::2]
     offset = np.cumsum(size[0]) - size[0]
     order = np.argsort(offset[tree] + np.concatenate(at))  # level order to depth-first
-    arrays = [a[order] for a in (feature, threshold, left, right, value, n)]
-    return tuple(RegressionTree(*(a[o:o + c] for a in arrays), max_depth=max_depth,
-                                min_leaf=min_leaf, split_mode=split_mode)
-                 for o, c in zip(offset, size[0]))
+    return _trees_from_arrays(
+        {"node_counts": size[0], "feature": feature[order], "value": value[order],
+         "threshold": threshold[order[split[order]]], "n": n[order]},
+        {"max_depth": max_depth, "min_leaf": min_leaf, "split_mode": split_mode})
 
 
 def _link(trees) -> tuple:
@@ -356,7 +354,7 @@ def _stack_trees(models) -> tuple:
     steps[l], those deeper than l. Slot t * models + m is tree t of model m,
     or the pad past its counts[m] trees; inputs is the number of features
     the splits read."""
-    pad = RegressionTree(*map(np.array, ([-1], [0.0], [-1], [-1], [-0.0], [0])))
+    pad = _tree(map(np.array, ([-1], [0.0], [-1], [-1], [-0.0], [0])), {})
     trees = [t for m in models for t in m.trees] + [pad]
     feature, children, roots, depths = _link(trees)
     order, counts = np.argsort(-depths, kind="stable"), np.array([len(m.trees) for m in models])
@@ -416,10 +414,12 @@ class _Averaged:
 @dataclass(frozen=True, eq=False)
 class RegressionTree(_Averaged):
     """Single CART regression tree for a scalar target: the six node arrays
-    of the module docstring plus its hyperparameters. ``root`` is a
-    read-only :class:`TreeNode` view of node 0 and ``trees`` the tree
-    itself, as a one-tree forest; to_dict writes the version-3 record of
-    :func:`_trees_from_arrays`."""
+    of the module docstring plus its hyperparameters. ``left`` and ``right``
+    must be the children that ``feature``'s preorder implies, as
+    :func:`_trees_from_arrays` derives them; other children raise ValueError.
+    ``root`` is a read-only :class:`TreeNode` view of node 0 and ``trees``
+    the tree itself, as a one-tree forest; to_dict writes the version-3
+    record of :func:`_trees_from_arrays`."""
 
     feature: np.ndarray
     threshold: np.ndarray
@@ -433,6 +433,13 @@ class RegressionTree(_Averaged):
 
     root = property(TreeNode)  # read-only view of node 0
     trees = property(lambda self: (self,))
+
+    def __post_init__(self):
+        split = np.asarray(self.feature) >= 0
+        tree, = _trees_from_arrays({**vars(self), "node_counts": [split.size],
+                                    "threshold": np.asarray(self.threshold)[split]}, vars(self))
+        if not (np.array_equal(self.left, tree.left) and np.array_equal(self.right, tree.right)):
+            raise ValueError("left and right are not the children of the preorder layout")
 
     def depth(self) -> int:
         """Edges on the longest root-to-leaf path."""
@@ -833,10 +840,16 @@ def _trees_from_arrays(p: dict, h: dict) -> Tuple[RegressionTree, ...]:
     base = internal - first[internal] + 1  # a left child's index in its tree
     left[internal], right[internal] = base, base + left_end - internal
     thresholds[internal] = threshold
-    arrays = (feature, thresholds, left, right, value, n)
-    return tuple(RegressionTree(*(a[o:o + c] for a in arrays), max_depth=h["max_depth"],
-                                min_leaf=h["min_leaf"], split_mode=h["split_mode"])
-                 for o, c in zip(first[ends], counts))
+    arrays, h = (feature, thresholds, left, right, value, n), {
+        key: h[key] for key in ("max_depth", "min_leaf", "split_mode")}
+    return tuple(_tree([a[o:o + c] for a in arrays], h) for o, c in zip(first[ends], counts))
+
+
+def _tree(arrays, h: dict) -> RegressionTree:
+    """A RegressionTree of arrays in preorder, not checked again; h may omit hyperparameters."""
+    tree = object.__new__(RegressionTree)
+    tree.__dict__.update(zip(("feature", "threshold", "left", "right", "value", "n"), arrays), **h)
+    return tree
 
 
 def _trees_from_dict(d: dict) -> Tuple[RegressionTree, ...]:

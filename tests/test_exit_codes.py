@@ -465,8 +465,7 @@ class TestEdgeLocate:
 
 
 class TestEdgeCommands:
-    """Only the data varies, so every command exits 0, 3 or 4, except a kNN
-    fit on fewer training rows than k: a configuration error (2)."""
+    """Only the data varies, so every command exits 0, 3 or 4."""
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(case=edge_command_cases())
@@ -477,8 +476,7 @@ class TestEdgeCommands:
         data.write_text(text)
         out = [] if argv[0] == "evaluate" else ["-o", files["root"] / "edge_out.csv"]
         code, err = check_contract([*(files.get(a, a) for a in argv), "-i", data, *out])
-        knn_k = argv[:3] == ["fit", "--model", "knn"] and "exceeds training size" in err
-        assert code in (0, 3, 4) or (code == 2 and knn_k), (argv, err)
+        assert code in (0, 3, 4), (argv, err)
 
 
 class TestEdgeFeatures:

@@ -146,7 +146,7 @@ CLI_CASES = {
                         "unrecognized arguments: --shuffle"),
     "treeloc holdout": (["treeloc", "--combiner-holdout", "0.2", "-i", "{reg}"], 2,
                         "unrecognized arguments: --combiner-holdout 0.2"),
-    "knn k": (["fit", "--model", "knn", "--k", "50", "-i", "{beacons}"], 2, "k="),
+    "knn k": (["fit", "--model", "knn", "--k", "50", "-i", "{beacons}"], 3, "k="),
     "model unreadable": (["predict", "--model-file", "{root}/missing.json",
                           "-i", "{reg}", "-o", "{out}"], 3, "cannot read model"),
     "knn model": (["predict", "--model-file", "{knn}", "-i", "{beacons}",

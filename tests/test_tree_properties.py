@@ -236,12 +236,10 @@ def test_walk_writes_neither_the_block_nor_the_rows():
 
 
 def test_child_ids_past_the_block_raise():
-    # node 0's right child is node 5 of a 3-node tree
-    tree = RegressionTree(np.array([0, -1, -1]), np.array([0.5, 0.0, 0.0]), np.array([1, -1, -1]),
-                          np.array([5, -1, -1]), np.array([0.0, 1.0, 2.0]), np.ones(3, dtype=int))
-    for rows in ([1.0], [[1.0], [0.0]]):
-        with pytest.raises(IndexError):
-            tree.predict(rows)
+    # node 0's right child is node 5 of a 3-node tree: not a preorder layout
+    with pytest.raises(ValueError):
+        RegressionTree(np.array([0, -1, -1]), np.array([0.5, 0.0, 0.0]), np.array([1, -1, -1]),
+                       np.array([5, -1, -1]), np.array([0.0, 1.0, 2.0]), np.ones(3, dtype=int))
     # a block whose walk steps to an id past its nodes, and one before them
     good = fit_tree(np.arange(8.0)[:, None], np.arange(8.0) % 3, max_depth=3)
     for bad in (10 ** 6, -10 ** 6):
@@ -250,6 +248,31 @@ def test_child_ids_past_the_block_raise():
         for rows in (np.zeros((1, 1)), np.zeros((3, 1))):
             with pytest.raises(IndexError):
                 learners._leaf_values(block, rows)
+
+
+@pytest.mark.parametrize("left, right", [
+    ([2, -1, -1], [1, -1, -1]),  # swapped: predicts as one tree, saves as another
+    ([0, -1, -1], [2, -1, -1]),  # node 0 its own left child: the depth pass never ends
+    ([1, -1, -1], [3, -1, -1]),  # a right child past the tree: read from the next one
+], ids=["swapped", "cycle", "past the tree"])
+def test_children_other_than_the_preorder_layout_raise(left, right):
+    with pytest.raises(ValueError):
+        RegressionTree(np.array([0, -1, -1]), np.array([0.5, 0.0, 0.0]), np.array(left),
+                       np.array(right), np.array([15.0, 20.0, 10.0]), np.ones(3, dtype=int))
+
+
+def test_every_fitted_tree_comes_from_the_record_builder(monkeypatch):
+    made, build = [], learners._trees_from_arrays
+    monkeypatch.setattr(learners, "_trees_from_arrays",
+                        lambda p, h: made.append(build(p, h)) or made[-1])
+    x, y = np.random.default_rng(6).uniform(-1.0, 1.0, (30, 3)), np.arange(60.0).reshape(30, 2)
+    fits = [(fit, target, calls) for fit in (fit_tree, fit_forest, fit_extra_trees)
+            for target, calls in ((y[:, 0], 1), (y, 2))]
+    for fit, target, calls in fits + [(treeloc_fit, y, 6)]:
+        made.clear()
+        model = fit(x, target)
+        assert len(made) == calls
+        assert [tree for trees in made for tree in trees] == trees_of(model)
 
 
 VALUES = [-1.0, -0.5, 0.0, 0.5, 1.0]  # thresholds; rows also take NaN
@@ -277,6 +300,30 @@ def random_trees(draw):
     n = len(feature)
     return RegressionTree(np.array(feature), np.array(threshold), np.array(left),
                           np.array(right), np.arange(n) * 1.5 - 7.0, np.ones(n, dtype=np.int64))
+
+
+def preorder_ids(left, right, i=0):
+    """Node ids met depth-first from node i, left subtree first."""
+    if left[i] < 0:
+        return [i]
+    return [i] + preorder_ids(left, right, left[i]) + preorder_ids(left, right, right[i])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(tree=random_trees(), data=st.data())
+def test_relabelled_nodes_raise_unless_in_preorder(tree, data):
+    n = len(tree.feature)
+    label = np.array([0] + data.draw(st.permutations(range(1, n))))  # node i's new id
+    arrays = [getattr(tree, name)[np.argsort(label)]
+              for name in ("feature", "threshold", "left", "right", "value", "n")]
+    for side in (2, 3):
+        arrays[side] = np.where(arrays[side] >= 0, label[arrays[side]], -1)
+    if preorder_ids(arrays[2], arrays[3]) != list(range(n)):
+        with pytest.raises(ValueError):
+            RegressionTree(*arrays)
+        return
+    relabelled = RegressionTree(*arrays)
+    assert same_arrays(model_from_dict(json.loads(json.dumps(relabelled.to_dict()))), relabelled)
 
 
 def reference_depth(tree, i=0):
