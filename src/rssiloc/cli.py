@@ -108,28 +108,29 @@ def _regression_metrics(actual, predicted, parts=(("", slice(None)),)) -> dict:
 
 # --- scene and model-parameter helpers -------------------------------------------
 
+def _anchor_pair(text: str, where: str = "") -> tuple:
+    """One x,y anchor position of --anchors or --anchors-file; where names
+    a file line."""
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise CliError(2, f"{where}bad anchor spec {text!r}; expected x,y")
+    try:
+        return float(parts[0]), float(parts[1])
+    except ValueError:
+        raise CliError(2, f"{where}bad anchor coordinates {text!r}") from None
+
+
 def _parse_anchors(args) -> Scene:
-    pairs = []
     if getattr(args, "anchors", None):
-        for chunk in args.anchors.split(";"):
-            parts = chunk.split(",")
-            if len(parts) != 2:
-                raise CliError(2, f"bad anchor spec {chunk!r}; expected x,y")
-            try:
-                pairs.append((float(parts[0]), float(parts[1])))
-            except ValueError:
-                raise CliError(2, f"bad anchor coordinates {chunk!r}") from None
+        pairs = [_anchor_pair(chunk) for chunk in args.anchors.split(";")]
     elif getattr(args, "anchors_file", None):
         try:
             with open(args.anchors_file, encoding="utf-8") as fh:
-                for raw in fh:
-                    line = raw.strip()
-                    if not line or line.startswith("#") or line.lower().startswith("x"):
-                        continue
-                    parts = line.split(",")
-                    pairs.append((float(parts[0]), float(parts[1])))
-        except (OSError, ValueError, IndexError) as exc:
+                lines = [(n, raw.strip()) for n, raw in enumerate(fh, start=1)]
+        except (OSError, UnicodeDecodeError) as exc:
             raise CliError(2, f"cannot parse anchors file: {exc}") from exc
+        pairs = [_anchor_pair(line, f"{args.anchors_file} line {n}: ") for n, line in lines
+                 if line and not line.startswith("#") and not line.lower().startswith("x")]
     else:
         raise CliError(2, "anchors required (--anchors or --anchors-file)")
 

@@ -65,12 +65,8 @@ class RankDeficient(NumericalError):
 
 
 class NotPositiveDefinite(NumericalError):
-    """Bias correction exceeds available information; fall back to WLS on
-    the rows marked in rows. estimate holds the others' solutions."""
-
-    def __init__(self, message: str, rows=None, estimate=None):
-        super().__init__(message)
-        self.rows, self.estimate = rows, estimate
+    """Bias correction exceeds the information in some row's weighted system.
+    estimate_position("wls-bc") solves such rows by plain WLS instead."""
 
 
 # --- learners -----------------------------------------------------------------

@@ -8,12 +8,13 @@ labels for the classification format come from a user-supplied sidecar
 mapping file of ``label=zone`` lines, or from the built-in grid quadrant
 rule.
 
-Loaders never drop rows silently: a cell that is not a finite number, or
-a row shorter than the header, raises MalformedNumber naming its line in
-the file. The numeric columns a loader needs are parsed into one float
-block with ``float()`` per cell and checked with one ``np.isfinite`` over
-the block; only a block that fails is scanned again cell by cell, row by
-row, to name its first bad cell. :func:`load_rssi_columns` reads a file
+Loaders never drop rows or columns silently: a cell that is not a finite
+number, or a row shorter than the header, raises MalformedNumber naming
+its line in the file, and a header that names a column more than once
+raises IngestError. The numeric columns a loader needs are parsed into one
+float block with ``float()`` per cell and checked with one ``np.isfinite``
+over the block; only a block that fails is scanned again cell by cell, row
+by row, to name its first bad cell. :func:`load_rssi_columns` reads a file
 for the filter step: its RSSI columns as floats, checked the same way, and
 every other column as raw strings. A file that cannot be read or decoded
 raises IoFailure.
@@ -42,7 +43,7 @@ from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
 import numpy as np
 
 from .core import OUT_OF_RANGE_DBM
-from .exceptions import (EmptyDataset, IoFailure, MalformedNumber,
+from .exceptions import (EmptyDataset, IngestError, IoFailure, MalformedNumber,
                          MissingColumn, ShapeMismatch, UnmappedLocation)
 
 BEACON_COLUMNS = tuple(f"b{3000 + i}" for i in range(1, 14))
@@ -125,9 +126,12 @@ def _read_rows(path) -> Tuple[list, list, list]:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             try:
-                header = next(reader)
+                header = [h.strip() for h in next(reader)]
             except StopIteration:
                 raise MissingColumn(f"{path}: file has no header row") from None
+            if len(set(header)) < len(header):
+                name = next(h for i, h in enumerate(header) if h in header[:i])
+                raise IngestError(f"{path}: column {name!r} appears more than once in the header")
             rows, lines = [], []
             for row in filter(None, reader):
                 if len(row) < len(header):
@@ -137,7 +141,7 @@ def _read_rows(path) -> Tuple[list, list, list]:
                 lines.append(reader.line_num)
     except (OSError, UnicodeDecodeError) as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
-    return [h.strip() for h in header], rows, lines
+    return header, rows, lines
 
 
 def _parse_block(path, header, rows, lines, names) -> np.ndarray:

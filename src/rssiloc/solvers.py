@@ -380,21 +380,28 @@ def bias_compensated_solve(sys: LinearSystem, weights, bias: BiasTerms,
     Raises:
         NotPositiveDefinite: the compensated normal matrix of some row lost
             positive definiteness, meaning the correction exceeds the
-            information available; callers should fall back to wls_solve
-            on the exception's rows. Its estimate holds the other rows.
+            information available. estimate_position("wls-bc") solves such
+            rows by wls_solve instead.
     """
+    est, ok = _bias_compensated(sys, weights, bias, include_cross_term)
+    if not ok.all():
+        raise NotPositiveDefinite("bias correction exceeds information in the weighted system")
+    return est
+
+
+def _bias_compensated(sys: LinearSystem, weights, bias: BiasTerms, include_cross_term: bool):
+    """bias_compensated_solve's estimate, NaN on the rows whose compensated
+    normal matrix is not positive definite, and the mask ok of the others."""
     normal, rhs = weights.normal_equations(sys.design, sys.rhs - bias.t)
     normal = normal - bias.L
     if include_cross_term:
         rhs = rhs - bias.g
     ok = _positive_definite(normal)
     if ok.all():  # the usual case, without masked copies
-        return 0.5 * np.linalg.solve(normal, rhs[..., None])[..., 0]
+        return 0.5 * np.linalg.solve(normal, rhs[..., None])[..., 0], ok
     est = np.full(rhs.shape, np.nan)
     est[ok] = 0.5 * np.linalg.solve(normal[ok], rhs[ok][..., None])[..., 0]
-    raise NotPositiveDefinite(
-        "bias correction exceeds information in the weighted system",
-        rows=~ok, estimate=est)
+    return est, ok
 
 
 def hyperbolic_solve(anchors, distances) -> np.ndarray:
@@ -458,11 +465,8 @@ def estimate_position(solver: str, anchors, distances, *, sigmas_a=0.0,
         return wls_solve(system, weights)
     bias = _bias_terms(anchors, d2, _noise_terms(len(k), _key(sigmas_a), _key(sigmas_p), eta),
                        weights, include_cross_term)
-    try:
-        return bias_compensated_solve(system, weights, bias,
-                                      include_cross_term=include_cross_term)
-    except NotPositiveDefinite as exc:
-        est, bad = exc.estimate, exc.rows
-    # the failing rows' weights, already uniform where unweighted: no second warning
-    est[bad] = wls_solve(_system(system.design, system.rhs[bad]), DiagonalWeights(weights.w[bad]))
+    est, ok = _bias_compensated(system, weights, bias, include_cross_term)
+    if not ok.all():  # those rows' weights are uniform where unweighted: no second warning
+        est[~ok] = wls_solve(_system(system.design, system.rhs[~ok]),
+                             DiagonalWeights(weights.w[~ok]))
     return est

@@ -114,6 +114,15 @@ def paths(tmp_path_factory):
     out["bad_bool"].write_text("include-cross-term = maybe\n")
     learners.save_model(learners.fit_tree(rssi, targets[:, 0], max_depth=2), out["tree1d"])
     learners.save_model(learners.fit_knn(features, labels, k=3, n_classes=4), out["knn"])
+    out["anchors_spec"] = root / "anchors_spec.txt"
+    out["anchors_spec"].write_text("x,y\n0,0,999\n400,0\n0,300\n")
+    out["anchors_coordinates"] = root / "anchors_coordinates.txt"
+    out["anchors_coordinates"].write_text("# one pair a line\n0,0\n\n400,zero\n0,300\n")
+    # headers that name a column twice
+    out["reg_repeat"], out["beacons_repeat"] = root / "reg_repeat.csv", root / "beacons_repeat.csv"
+    out["reg_repeat"].write_text("RSSI1,RSSI1,RSSI2,RSSI3,X_Actual,Y_Actual\n" + "".join(
+        ",".join(map(format_number, (r[0], *r, *t))) + "\n" for r, t in zip(rssi, targets)))
+    out["beacons_repeat"].write_text(out["beacons"].read_text().replace("b3013", "b3002", 1))
     out["far"] = root / "far.csv"
     assert main(["simulate", f"--anchors={FAR}", "--positions", "3", "-o", str(out["far"])]) == 0
     return out
@@ -127,6 +136,12 @@ CLI_CASES = {
     "anchor coordinates": (["simulate", "--anchors", "0,0;a,1;9,9", "-o", "{out}"], 2,
                            "bad anchor coordinates"),
     "anchors missing": (["simulate", "-o", "{out}"], 2, "anchors required"),
+    "anchors file spec": (["simulate", "--anchors-file", "{anchors_spec}", "--positions", "2",
+                           "--samples", "1", "-o", "{out}"], 2,
+                          "anchors_spec.txt line 2: bad anchor spec '0,0,999'; expected x,y"),
+    "anchors file coordinates": (["simulate", "--anchors-file", "{anchors_coordinates}",
+                                  "-o", "{out}"], 2,
+                                 "anchors_coordinates.txt line 4: bad anchor coordinates"),
     "bounds": (["simulate", "--anchors", ANCHORS, "--bounds", "0,0,400,300",
                 "--positions", "2", "-o", "{out}"], 0, ""),
     "bounds count": (["simulate", "--anchors", ANCHORS, "--bounds", "0,0,400",
@@ -182,6 +197,19 @@ def test_cli_branch_exit_code(paths, capsys, argv, code, message):
     assert got == code, err
     assert message in err and "Traceback" not in err
     assert paths["out"].exists() == (code == 0 and "-o" in argv)
+
+
+@pytest.mark.parametrize("argv, csv, column", [
+    (["filter", "--filter", "ma"], "reg_repeat", "RSSI1"),
+    (["locate", "--solver", "lls", "--anchors", ANCHORS], "reg_repeat", "RSSI1"),
+    (["fit", "--model", "knn"], "beacons_repeat", "b3002"),
+], ids=["filter", "locate", "fit knn"])
+def test_repeated_column_is_a_data_error(paths, capsys, argv, csv, column):
+    paths["out"].unlink(missing_ok=True)
+    assert main(argv + ["-i", str(paths[csv]), "-o", str(paths["out"])]) == 3
+    assert capsys.readouterr().err == (f"data error: IngestError: {paths[csv]}: column "
+                                       f"{column!r} appears more than once in the header\n")
+    assert not paths["out"].exists()
 
 
 def test_boolean_config_keys_equal_their_flag(paths, capsys):

@@ -1,6 +1,8 @@
+import json
 import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,8 +21,13 @@ from rssiloc.solvers import (BiasTerms, DiagonalWeights, SOLVER_NAMES,
                              hyperbolic_solve, linearize, lls_solve,
                              trilaterate, wls_solve)
 
+GOLDEN = Path(__file__).parent / "data" / "solvers_golden.json"
 TRIANGLE = np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 3.0]])
 TRIANGLE_D = np.array([math.sqrt(2), math.sqrt(10), math.sqrt(5)])  # target (1,1)
+
+
+def _unhex(record) -> np.ndarray:
+    return np.array([float.fromhex(v) for v in record["hex"]]).reshape(record["shape"])
 
 
 def centering_projector(m):
@@ -362,8 +369,31 @@ class TestBiasCompensatedSolve:
         w = DiagonalWeights(np.ones(3))
         huge = BiasTerms(L=np.eye(2) * 1e9, t=np.zeros(3), g=np.zeros(2),
                          u=0.1)
-        with pytest.raises(NotPositiveDefinite):
+        with pytest.raises(NotPositiveDefinite,
+                           match="^bias correction exceeds information in the weighted system$"):
             bias_compensated_solve(system, w, huge)
+
+    @pytest.mark.parametrize("name", ["fallback-m3", "fallback-m4", "fallback-m6"])
+    def test_wls_bc_fallback_does_not_go_through_the_raising_solve(self, monkeypatch, name):
+        # estimate_position takes the rows to re-solve by wls from the
+        # compensated solve's mask; the public function, which raises, is not
+        # on its path, and the golden bits hold batched and for a lone row
+        case = next(c for c in json.loads(GOLDEN.read_text())["cases"] if c["name"] == name)
+        anchors, d, sigmas_a, sigmas_p = (_unhex(case[k]) for k in
+                                          ("anchors", "distances", "sigmas_a", "sigmas_p"))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("estimate_position called bias_compensated_solve")
+
+        monkeypatch.setattr(solvers, "bias_compensated_solve", refuse)
+        for key, cross in (("wls-bc", False), ("wls-bc-cross", True)):
+            want = _unhex(case["outputs"][key]["out"])
+            kw = dict(sigmas_a=sigmas_a, sigmas_p=sigmas_p, eta=case["eta"],
+                      include_cross_term=cross)
+            assert estimate_position("wls-bc", anchors, d, **kw).tobytes() == want.tobytes()
+            row = np.flatnonzero((want == _unhex(case["outputs"]["wls"]["out"])).all(axis=1))[0]
+            assert estimate_position("wls-bc", anchors, d[row], **kw).tobytes() \
+                == want[row].tobytes()
 
     def test_monte_carlo_bias_reduction(self):
         # shortened version of the acceptance run: compensated estimates
