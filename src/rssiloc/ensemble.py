@@ -23,7 +23,7 @@ import numpy as np
 from .exceptions import ShapeMismatch, TooFewSamples
 from .learners import (PairedRegressor, fit_extra_trees, fit_forest, fit_linear,
                        fit_tree, model_from_dict, tree_models,
-                       _model_means, _stack_trees, _wrap)
+                       _model_means, _one_row, _stack_trees, _wrap)
 
 COMPONENT_NAMES = ("extra_trees", "decision_tree", "random_forest")
 
@@ -90,10 +90,9 @@ class TreeLocModel:
         x = np.atleast_2d(np.asarray(features, dtype=float))
         return _model_means(self._block, x).reshape(len(x), 3, 2)
 
-    def predict(self, features) -> np.ndarray:
-        x = np.asarray(features, dtype=float)
-        out = self._combine(self.component_predictions(x))
-        return out[0] if x.ndim == 1 else out
+    @_one_row
+    def predict(self, x) -> np.ndarray:
+        return self._combine(self.component_predictions(x))
 
     def to_dict(self) -> dict:
         return _wrap("treeloc",

@@ -9,15 +9,15 @@ mapping file of ``label=zone`` lines, or from the built-in grid quadrant
 rule.
 
 Loaders never drop rows or columns silently: a cell that is not a finite
-number, or a row shorter than the header, raises MalformedNumber naming
-its line in the file, and a header that names a column more than once
-raises IngestError. The numeric columns a loader needs are parsed into one
-float block with ``float()`` per cell and checked with one ``np.isfinite``
-over the block; only a block that fails is scanned again cell by cell, row
-by row, to name its first bad cell. :func:`load_rssi_columns` reads a file
-for the filter step: its RSSI columns as floats, checked the same way, and
-every other column as raw strings. A file that cannot be read or decoded
-raises IoFailure.
+number, or a row shorter than the header, raises MalformedNumber naming its
+line in the file; a header that names a column, or an RSSI number, twice, or
+a zone file that maps a label twice, raises IngestError. The numeric columns
+a loader needs are parsed into one float block with ``float()`` per cell and
+checked with one ``np.isfinite`` over the block; only a block that fails is
+scanned again cell by cell, row by row, to name its first bad cell.
+:func:`load_rssi_columns` reads a file for the filter step: its RSSI columns
+as floats, checked the same way, and every other column as raw strings. A
+file that cannot be read or decoded raises IoFailure.
 
 Every file is written by :func:`write_text`, atomically (temp file plus
 rename); it also writes reports and saved models. :func:`write_csv`
@@ -176,7 +176,10 @@ def load_regression_csv(path) -> RegressionDataset:
     for name in header:
         m = re.fullmatch(r"RSSI(\d+)", name)
         if m:
-            numbered[int(m.group(1))] = name
+            i = int(m.group(1))
+            if i in numbered:
+                raise IngestError(f"{path}: {numbered[i]!r} and {name!r} are both anchor {i}")
+            numbered[i] = name
     k = len(numbered)
     if k < 3:
         raise MissingColumn(f"{path}: need at least RSSI1..RSSI3, found {k}")
@@ -196,6 +199,7 @@ def load_regression_csv(path) -> RegressionDataset:
 def load_zone_mapping(path) -> Dict[str, str]:
     """Parse a ``label=zone`` sidecar file; blank lines and # comments ok."""
     mapping: Dict[str, str] = {}
+    first: Dict[str, int] = {}
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
@@ -209,7 +213,10 @@ def load_zone_mapping(path) -> Dict[str, str]:
                 if zone not in ZONE_LABELS:
                     raise UnmappedLocation(
                         f"{path}:{lineno}: zone {zone!r} not one of {ZONE_LABELS}")
-                mapping[label] = zone
+                if label in first:
+                    raise IngestError(f"{path}: lines {first[label]} and {lineno}"
+                                      f" both map label {label!r}")
+                mapping[label], first[label] = zone, lineno
     except (OSError, UnicodeDecodeError) as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
     return mapping

@@ -32,7 +32,7 @@ import base64
 import importlib
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -63,13 +63,20 @@ def train_test_split_indices(n: int, test_fraction: float,
     return perm[n_test:], perm[:n_test]
 
 
+def _one_row(batch):
+    """A predict written for (N, F) float batches: one (F,) row runs as x[None]
+    and gives row 0, a Python number where that is one number."""
+    @wraps(batch)
+    def predict(model, x):
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 1:
+            return batch(model, x)
+        out = batch(model, x[None])[0]
+        return out.item() if out.ndim == 0 else out
+    return predict
+
+
 # --- linear and polynomial regression -------------------------------------------
-
-def _as_rows(features) -> Tuple[np.ndarray, bool]:
-    """Features as an (N, F) float matrix, and whether one row was given."""
-    x = np.asarray(features, dtype=float)
-    return (x[None, :], True) if x.ndim == 1 else (x, False)
-
 
 @dataclass(frozen=True)
 class LinearModel:
@@ -81,12 +88,10 @@ class LinearModel:
     theta: np.ndarray
     squeeze: bool = False
 
-    def predict(self, features) -> np.ndarray:
-        x, single = _as_rows(features)
+    @_one_row
+    def predict(self, x) -> np.ndarray:
         out = np.hstack([np.ones((len(x), 1)), x]) @ self.theta
-        if self.squeeze:
-            out = out[:, 0]
-        return out[0] if single else out
+        return out[:, 0] if self.squeeze else out
 
     def to_dict(self) -> dict:
         return _wrap("linear", {}, {"theta": self.theta.tolist(),
@@ -139,11 +144,10 @@ class PolynomialModel:
     cross_terms: bool = False
     squeeze: bool = False
 
-    def predict(self, features) -> np.ndarray:
-        x, single = _as_rows(features)
-        out = LinearModel(self.theta, self.squeeze).predict(
+    @_one_row
+    def predict(self, x) -> np.ndarray:
+        return LinearModel(self.theta, self.squeeze).predict(
             polynomial_features(x, self.degree, self.cross_terms))
-        return out[0] if single else out
 
     def to_dict(self) -> dict:
         return _wrap("polynomial",
@@ -405,10 +409,9 @@ class _Averaged:
 
     _block = cached_property(lambda self: _stack_trees((self,)))
 
-    def predict(self, features) -> np.ndarray:
-        x, single = _as_rows(features)
-        out = _model_means(self._block, x)[:, 0]
-        return float(out[0]) if single else out
+    @_one_row
+    def predict(self, x) -> np.ndarray:
+        return _model_means(self._block, x)[:, 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -543,10 +546,9 @@ class PairedRegressor:
 
     models: Tuple[object, ...]
 
-    def predict(self, features) -> np.ndarray:
-        x, single = _as_rows(features)
-        out = np.column_stack([m.predict(x) for m in self.models])
-        return out[0] if single else out
+    @_one_row
+    def predict(self, x) -> np.ndarray:
+        return np.column_stack([m.predict(x) for m in self.models])
 
     def to_dict(self) -> dict:
         return _wrap("paired", {},
@@ -565,12 +567,6 @@ def tree_models(model) -> tuple:
 
 
 # --- k nearest neighbors -----------------------------------------------------------
-
-def _labels(probs: np.ndarray):
-    """Class per row of a probability matrix (ties to the smallest index);
-    an int for one probability vector."""
-    return int(probs.argmax()) if probs.ndim == 1 else probs.argmax(axis=1)
-
 
 @dataclass(frozen=True)
 class KnnModel:
@@ -596,14 +592,14 @@ class KnnModel:
         if self.k > len(self.features):
             raise KTooLarge(f"k={self.k} exceeds training size {len(self.features)}")
 
-    def predict_proba(self, queries) -> np.ndarray:
+    @_one_row
+    def predict_proba(self, x) -> np.ndarray:
         """Class probabilities (label counts / k) of each query's k nearest
         rows by Euclidean distance: all rows closer than the k-th smallest
         distance, then rows at that distance in file order. predict takes
         the most probable class, ties going to the smallest class index. A
         NaN query is at +inf from every (finite) row: it votes with the first k."""
-        q, single = _as_rows(queries)
-        q = np.where(np.isnan(q), np.inf, q)
+        q = np.where(np.isnan(x), np.inf, x)
         probs = np.empty((len(q), self.n_classes))
         for i, row in enumerate(q):
             dist = np.sqrt(((self.features - row) ** 2).sum(axis=1))
@@ -611,10 +607,11 @@ class KnnModel:
             nearest = dist < kth
             nearest[np.flatnonzero(dist == kth)[:self.k - np.count_nonzero(nearest)]] = True
             probs[i] = np.bincount(self.labels[nearest], minlength=self.n_classes) / self.k
-        return probs[0] if single else probs
+        return probs
 
-    def predict(self, queries):
-        return _labels(self.predict_proba(queries))
+    @_one_row
+    def predict(self, x):
+        return self.predict_proba(x).argmax(axis=1)
 
     def to_dict(self) -> dict:
         return _wrap("knn", {"k": self.k, "n_classes": self.n_classes},
@@ -667,10 +664,11 @@ class MlpModel:
         biases = [np.zeros(n) for n in sizes[1:]]
         return cls(weights=tuple(weights), biases=tuple(biases))
 
-    def predict(self, features):
+    @_one_row
+    def predict(self, x):
         """Zone index per row: the argmax of :func:`mlp_forward`, as
         :meth:`KnnModel.predict` does with its vote."""
-        return _labels(mlp_forward(self, features))
+        return mlp_forward(self, x).argmax(axis=1)
 
     def to_dict(self) -> dict:
         return _wrap("mlp", {"sizes": list(self.sizes)},
@@ -687,14 +685,14 @@ def _mlp_layers(model: MlpModel, x: np.ndarray):
     return zs, acts
 
 
+@_one_row
 def mlp_forward(model: MlpModel, x) -> np.ndarray:
     """Class probabilities for one input vector or a batch."""
-    arr, single = _as_rows(x)
-    if arr.shape[1] != model.sizes[0]:
+    if x.shape[1] != model.sizes[0]:
         raise ShapeMismatch(
-            f"expected {model.sizes[0]} inputs, got {arr.shape[1]}")
-    _, acts = _mlp_layers(model, arr)
-    return acts[-1][0] if single else acts[-1]
+            f"expected {model.sizes[0]} inputs, got {x.shape[1]}")
+    _, acts = _mlp_layers(model, x)
+    return acts[-1]
 
 
 def _batch(model: MlpModel, x, y_onehot) -> Tuple[np.ndarray, np.ndarray]:

@@ -177,10 +177,9 @@ def classification_metrics(cm: ConfusionMatrix) -> ClassificationReport:
 
 
 def _cell(value: float) -> str:
-    """A metric in 4 decimals, or in 4-decimal exponent form where those
-    would not fit a 12-character column."""
-    text = f"{value:.4f}"
-    return text if len(text) <= 12 else f"{value:.4e}"
+    """A metric in 4 decimals, else in exponent form, in at most 11 characters:
+    a 12-character column keeps a space before it."""
+    return next(t for t in (f"{value:.4f}", f"{value:.4e}", f"{value:.3e}") if len(t) <= 11)
 
 
 def format_regression_table(rows: Dict[str, RegressionMetrics]) -> str:
@@ -190,7 +189,7 @@ def format_regression_table(rows: Dict[str, RegressionMetrics]) -> str:
     for name, m in rows.items():
         r2 = "undefined" if m.r2 is None else _cell(m.r2)
         lines.append(f"{name:<12}{_cell(m.rmse):>12}{_cell(m.mae):>12}"
-                     f"{_cell(m.std_err):>12}{r2:>12}{m.n:>8d}")
+                     f"{_cell(m.std_err):>12}{r2:>12} {m.n:>7d}")
     return "\n".join(lines)
 
 

@@ -113,3 +113,14 @@ class TestTypes:
         scene = make_scene([(0, 0), (4, 0), (0, 3)])
         assert scene.bounds == (0.0, 0.0, 4.0, 3.0)
         assert math.isclose(scene.diameter(), 5.0)
+
+    def test_scene_of_fewer_than_two_anchors_has_zero_diameter(self):
+        assert make_scene([]).diameter() == 0.0
+        assert make_scene([(4, 3)]).diameter() == 0.0
+
+    def test_position_as_array_in_three_dimensions(self):
+        position = Position(1.0, 2.0, 3.0)
+        assert position.as_array().tolist() == [1.0, 2.0]
+        assert position.as_array(3).tolist() == [1.0, 2.0, 3.0]
+        assert make_scene([(0, 0), (4, 3)]).anchor_positions(3).tolist() == [
+            [0.0, 0.0, 0.0], [4.0, 3.0, 0.0]]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from _synth import beacon_dataset, regression_testbed
-from rssiloc import filters, learners, metrics, solvers
+from rssiloc import filters, ingest, learners, metrics, solvers
 from rssiloc.core import PathLossParams
 from rssiloc.exceptions import CollinearAnchors, EmptyDataset, ShapeMismatch
 from rssiloc.cli import main
@@ -81,6 +81,8 @@ LIBRARY_CHECKS = {
                           ValueError, "degree"),
     "signal 2-D": (lambda: filters.moving_average(X, 3), ValueError, "1-D"),
     "shadowing": (lambda: PathLossParams(sigma_shadow=-1.0), ValueError, "shadowing"),
+    "csv of a number": (lambda: ingest.write_csv(3.0, "unwritten.csv"), TypeError,
+                        "cannot write float as CSV"),
 }
 
 
@@ -123,6 +125,17 @@ def paths(tmp_path_factory):
     out["reg_repeat"].write_text("RSSI1,RSSI1,RSSI2,RSSI3,X_Actual,Y_Actual\n" + "".join(
         ",".join(map(format_number, (r[0], *r, *t))) + "\n" for r, t in zip(rssi, targets)))
     out["beacons_repeat"].write_text(out["beacons"].read_text().replace("b3013", "b3002", 1))
+    out["reg_renumbered"] = root / "reg_renumbered.csv"
+    out["reg_renumbered"].write_text(out["reg_repeat"].read_text().replace("RSSI1,RSSI1",
+                                                                          "RSSI1,RSSI01", 1))
+    # zone files: every label of "beacons" mapped, then one label again; a
+    # line without "="; bytes that are not UTF-8
+    for name, text in [("zones", b"B05=A\nB12=B\nL05=C\nL12=D\n"),
+                       ("zones_twice", b"B05=A\nB12=B\n# again\nB05=D\nL05=C\nL12=D\n"),
+                       ("zones_no_equals", b"B05=A\nB12 B\n"),
+                       ("zones_undecodable", b"B05=A\n\xff\xfe=B\n")]:
+        out[name] = root / f"{name}.txt"
+        out[name].write_bytes(text)
     out["far"] = root / "far.csv"
     assert main(["simulate", f"--anchors={FAR}", "--positions", "3", "-o", str(out["far"])]) == 0
     return out
@@ -162,6 +175,21 @@ CLI_CASES = {
     "treeloc holdout": (["treeloc", "--combiner-holdout", "0.2", "-i", "{reg}"], 2,
                         "unrecognized arguments: --combiner-holdout 0.2"),
     "knn k": (["fit", "--model", "knn", "--k", "50", "-i", "{beacons}"], 3, "k="),
+    "zones": (["fit", "--model", "knn", "--k", "1", "--test-size", "0", "--zones", "{zones}",
+               "-i", "{beacons}"], 0, ""),
+    "zones twice": (["fit", "--model", "knn", "--k", "1", "--test-size", "0", "--zones",
+                     "{zones_twice}", "-i", "{beacons}"], 3,
+                    "zones_twice.txt: lines 1 and 4 both map label 'B05'"),
+    "zones without equals": (["fit", "--model", "knn", "--zones", "{zones_no_equals}",
+                              "-i", "{beacons}"], 3,
+                             "zones_no_equals.txt:2: expected label=zone, got 'B12 B'"),
+    "zones undecodable": (["fit", "--model", "knn", "--zones", "{zones_undecodable}",
+                           "-i", "{beacons}"], 3, "IoFailure: cannot read"),
+    "zones unreadable": (["fit", "--model", "knn", "--zones", "{root}/missing.txt",
+                          "-i", "{beacons}"], 3, "IoFailure: cannot read"),
+    "anchor numbered twice": (["locate", "--solver", "lls", "--anchors", ANCHORS,
+                               "-i", "{reg_renumbered}", "-o", "{out}"], 3,
+                              "reg_renumbered.csv: 'RSSI1' and 'RSSI01' are both anchor 1"),
     "model unreadable": (["predict", "--model-file", "{root}/missing.json",
                           "-i", "{reg}", "-o", "{out}"], 3, "cannot read model"),
     "knn model": (["predict", "--model-file", "{knn}", "-i", "{beacons}",

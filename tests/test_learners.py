@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from _synth import beacon_dataset, regression_testbed
+from rssiloc.ensemble import treeloc_fit
 from rssiloc.exceptions import (EmptyDataset, EmptyTrainingSet, KTooLarge,
                                 ShapeMismatch)
 from rssiloc.learners import (Forest, KnnModel, MlpModel, PairedRegressor,
@@ -82,6 +83,13 @@ class TestPolynomial:
         crossed = polynomial_features(x, 2, cross_terms=True)
         np.testing.assert_allclose(plain, [[2.0, 3.0, 4.0, 9.0]])
         np.testing.assert_allclose(crossed, [[2.0, 3.0, 4.0, 6.0, 9.0]])
+
+    def test_one_dimensional_features_are_one_column(self):
+        x = np.array([1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(polynomial_features(x, 2),
+                                      [[1.0, 1.0], [2.0, 4.0], [3.0, 9.0]])
+        np.testing.assert_array_equal(polynomial_features(x, 2, cross_terms=True),
+                                      polynomial_features(x[:, None], 2))
 
 
 class TestTree:
@@ -396,6 +404,8 @@ class TestSerialization:
             fit_extra_trees(x1, y1, n_trees=3, max_depth=4, rng_seed=1),
             fit_knn(features, labels, k=3),
             MlpModel.create(rng_seed=11),
+            fit_linear(x1, y1),
+            treeloc_fit(x1, targets, extra_trees=3, forest_trees=3, tree_depth=4),
         ]
 
     def test_round_trip_preserves_predictions(self, tmp_path):
@@ -413,6 +423,37 @@ class TestSerialization:
             else:
                 np.testing.assert_allclose(loaded.predict(q),
                                            model.predict(q), atol=1e-15)
+
+    def test_one_row_is_its_batch_row(self):
+        # every model answers one row with its row of the batch: a Python
+        # float from a scalar regressor, an int label, else an ndarray. numpy
+        # hands a one-row matrix product to BLAS gemv and a batch to gemm,
+        # which order the sums differently, so the linear, polynomial and
+        # network outputs may differ in the last bits; all others match bit
+        # for bit
+        rssi, _, _, _ = regression_testbed(4, n=20)
+        features, _, _ = beacon_dataset(4, n=10)
+        (linear, poly, tree, paired, forest, extra, knn, mlp, linear_1,
+         treeloc) = self.model_zoo()
+        assert isinstance(paired, PairedRegressor) and isinstance(forest, Forest)
+        cases = [(tree.predict, rssi, float, True), (paired.predict, rssi, np.ndarray, True),
+                 (forest.predict, rssi, float, True), (extra.predict, rssi, float, True),
+                 (treeloc.predict, rssi, np.ndarray, True), (knn.predict, features, int, True),
+                 (knn.predict_proba, features, np.ndarray, True),
+                 (mlp.predict, features, int, True),
+                 (linear.predict, rssi, np.ndarray, False),
+                 (linear_1.predict, rssi, float, False), (poly.predict, rssi, float, False),
+                 (lambda x: mlp_forward(mlp, x), features, np.ndarray, False)]
+        for predict, x, kind, exact in cases:
+            batch = predict(x)
+            for row, want in zip(x, batch):
+                got = predict(row)
+                assert type(got) is kind
+                assert np.asarray(got).dtype == want.dtype
+                if exact:
+                    assert np.asarray(got).tobytes() == want.tobytes()
+                else:
+                    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 
     def test_record_structure(self):
         model = fit_linear(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]))

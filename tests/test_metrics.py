@@ -208,8 +208,9 @@ def test_metrics_under_a_million_print_as_before(values, undefined, n):
     rows = {"x": RegressionMetrics(rmse, mae, std, None if undefined else r2, n)}
     table = format_regression_table(rows)
     assert len({len(line) for line in table.splitlines()}) == 1
-    # only a value that rounds to -1000000.0000 (13 characters) never fit
-    if all(len(f"{v:.4f}") <= 12 for v in values):
+    # a 12-character value such as -100000.0000 fit the column but touched
+    # the cell before it, so it prints in exponent form now
+    if all(len(f"{v:.4f}") <= 11 for v in values):
         assert table == fixed_point_table(rows)
 
 
@@ -221,3 +222,22 @@ def test_wide_metrics_keep_the_table_columns(tmp_path, capsys):
     assert len({len(line) for line in table}) == 1
     assert table[2].split() == ["x", "1.4142e+307", "1.0000e+307", "1.0000e+307",
                                 "-7.0000", "2"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                       | st.sampled_from([-1.2e150, -1.7976931348623157e308, -100000.0,
+                                          1234567.3115, -123456.789, -5e-324]),
+                       min_size=4, max_size=4),
+       undefined=st.booleans(), n=st.integers(1, 10 ** 8))
+def test_table_cells_never_touch(values, undefined, n):
+    # every row splits on whitespace into its 6 fields: no cell fills its
+    # column
+    rmse, mae, std, r2 = values
+    rows = {name: RegressionMetrics(rmse, mae, std, None if undefined else r2, n)
+            for name in ("x", "y", "pos2d")}
+    for name, line in zip(rows, format_regression_table(rows).splitlines()[2:]):
+        fields = line.split()
+        assert len(fields) == 6 and fields[0] == name and int(fields[5]) == n
+        for cell in fields[1:5]:
+            assert cell == "undefined" or float(cell) == float(cell)  # parses
