@@ -125,7 +125,7 @@ def _parse_anchors(args) -> Scene:
         pairs = [_anchor_pair(chunk) for chunk in args.anchors.split(";")]
     elif getattr(args, "anchors_file", None):
         try:
-            with open(args.anchors_file, encoding="utf-8") as fh:
+            with open(args.anchors_file, encoding=ingest.READ_ENCODING) as fh:
                 lines = [(n, raw.strip()) for n, raw in enumerate(fh, start=1)]
         except (OSError, UnicodeDecodeError) as exc:
             raise CliError(2, f"cannot parse anchors file: {exc}") from exc
@@ -187,8 +187,10 @@ def _apply_filter(args, values: np.ndarray) -> np.ndarray:
 
 def cmd_filter(args) -> None:
     out, names = ingest.load_rssi_columns(args.input)
-    for name in names:
-        out[name] = _apply_filter(args, out[name])
+    for name in names:  # over a column's in-range readings; -200 cells stay as they are
+        real = ingest.sentinel_mask(out[name])
+        if real.any():
+            out[name][real] = _apply_filter(args, out[name][real])
     _finish(args, [("filter", args.filter), ("columns_filtered", len(names)),
                    ("output", args.output)], data=out)
 
@@ -535,7 +537,7 @@ def _merge_config(argv: List[str], parser: argparse.ArgumentParser) -> List[str]
     tokens: List[str] = []
     for path in paths:
         try:
-            with open(path, encoding="utf-8") as fh:
+            with open(path, encoding=ingest.READ_ENCODING) as fh:
                 lines = [line.strip() for line in fh]
         except OSError as exc:
             raise CliError(2, f"cannot read config {path}: {exc}") from exc

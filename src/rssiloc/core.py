@@ -29,6 +29,13 @@ def meters(value: float) -> float:
     return 100.0 * value
 
 
+def _unchecked(cls, fields):
+    """A cls of fields (a dict or name-value pairs) already checked, not validated again."""
+    out = object.__new__(cls)
+    out.__dict__.update(fields)
+    return out
+
+
 @dataclass(frozen=True)
 class Position:
     """2-D (optionally 3-D) coordinates in centimeters."""
@@ -45,10 +52,8 @@ class Position:
     def from_meters(cls, x: float, y: float, z: float = 0.0) -> "Position":
         return cls(meters(x), meters(y), meters(z))
 
-    def as_array(self, dim: int = 2) -> np.ndarray:
-        if dim == 2:
-            return np.array([self.x, self.y], dtype=float)
-        return np.array([self.x, self.y, self.z], dtype=float)
+    def as_array(self) -> np.ndarray:
+        return np.array([self.x, self.y], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -119,8 +124,8 @@ class Scene:
         object.__setattr__(self, "anchors", anchors)
         object.__setattr__(self, "bounds", tuple(float(b) for b in bounds))
 
-    def anchor_positions(self, dim: int = 2) -> np.ndarray:
-        return np.array([a.position.as_array(dim) for a in self.anchors])
+    def anchor_positions(self) -> np.ndarray:
+        return np.array([a.position.as_array() for a in self.anchors])
 
     def diameter(self) -> float:
         pts = self.anchor_positions()

@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .core import _unchecked
 from .exceptions import EmptySignal, NonPositiveSigma, NumericalError, ZeroWindow
 
 KALMAN_DEFAULT_Q = 1e-4
@@ -145,9 +146,7 @@ def kalman_step(state: KalmanState, z: float) -> KalmanState:
     x_hat, p = _update(state.x_hat, state.p, state.q, state.r, z)
     if not (math.isfinite(x_hat) and math.isfinite(p)):
         raise NumericalError("Kalman state is not finite")
-    out = object.__new__(KalmanState)
-    out.__dict__.update(x_hat=x_hat, p=p, q=state.q, r=state.r)
-    return out
+    return _unchecked(KalmanState, {"x_hat": x_hat, "p": p, "q": state.q, "r": state.r})
 
 
 def kalman_filter(signal: Sequence[float], q: float = KALMAN_DEFAULT_Q,

@@ -51,6 +51,7 @@ ZONE_LABELS = ("A", "B", "C", "D")
 
 _GRID_LABEL = re.compile(r"^([A-Za-z]+)(\d+)$")
 _RSSI_COLUMN = re.compile(r"^(RSSI\d+|b\d+)$")
+READ_ENCODING = "utf-8-sig"  # of every file read: a leading byte-order mark is no text
 
 
 @dataclass(frozen=True)
@@ -123,7 +124,7 @@ def _parse_float(text: str, row: int, column: str) -> float:
 def _read_rows(path) -> Tuple[list, list, list]:
     """Header, the non-blank rows, and each row's line number in the file."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding=READ_ENCODING) as fh:
             reader = csv.reader(fh)
             try:
                 header = [h.strip() for h in next(reader)]
@@ -201,7 +202,7 @@ def load_zone_mapping(path) -> Dict[str, str]:
     mapping: Dict[str, str] = {}
     first: Dict[str, int] = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding=READ_ENCODING) as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.strip()
                 if not line or line.startswith("#"):

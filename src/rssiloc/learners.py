@@ -37,15 +37,17 @@ from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .core import _unchecked
 from .exceptions import (EmptyDataset, EmptyTrainingSet, KTooLarge,
                          NumericalError, ShapeMismatch)
-from .ingest import (ClassificationDataset, RegressionDataset, ZONE_LABELS,
+from .ingest import (READ_ENCODING, ClassificationDataset, RegressionDataset, ZONE_LABELS,
                      one_hot_encode, write_text)
 
 MODEL_FORMAT = "rssiloc-model"
 MODEL_VERSION = 3  # of tree and forest records; other kinds are unchanged at 1
 # The record versions each kind loads; kinds not named here load version 1 only.
 _KIND_VERSIONS = {"tree": (1, 2, MODEL_VERSION), "forest": (1, 2, MODEL_VERSION)}
+_NODE_ARRAYS = ("feature", "threshold", "left", "right", "value", "n")  # RegressionTree order
 # The little-endian item type of each base64 array of a version-3 tree record.
 _ARRAY_DTYPES = {"feature": "<i8", "threshold": "<f8", "value": "<f8", "n": "<i8"}
 
@@ -358,7 +360,8 @@ def _stack_trees(models) -> tuple:
     steps[l], those deeper than l. Slot t * models + m is tree t of model m,
     or the pad past its counts[m] trees; inputs is the number of features
     the splits read."""
-    pad = _tree(map(np.array, ([-1], [0.0], [-1], [-1], [-0.0], [0])), {})
+    pad = _unchecked(RegressionTree, zip(_NODE_ARRAYS, map(
+        np.array, ([-1], [0.0], [-1], [-1], [-0.0], [0]))))
     trees = [t for m in models for t in m.trees] + [pad]
     feature, children, roots, depths = _link(trees)
     order, counts = np.argsort(-depths, kind="stable"), np.array([len(m.trees) for m in models])
@@ -838,16 +841,9 @@ def _trees_from_arrays(p: dict, h: dict) -> Tuple[RegressionTree, ...]:
     base = internal - first[internal] + 1  # a left child's index in its tree
     left[internal], right[internal] = base, base + left_end - internal
     thresholds[internal] = threshold
-    arrays, h = (feature, thresholds, left, right, value, n), {
-        key: h[key] for key in ("max_depth", "min_leaf", "split_mode")}
-    return tuple(_tree([a[o:o + c] for a in arrays], h) for o, c in zip(first[ends], counts))
-
-
-def _tree(arrays, h: dict) -> RegressionTree:
-    """A RegressionTree of arrays in preorder, not checked again; h may omit hyperparameters."""
-    tree = object.__new__(RegressionTree)
-    tree.__dict__.update(zip(("feature", "threshold", "left", "right", "value", "n"), arrays), **h)
-    return tree
+    h = [(key, h[key]) for key in ("max_depth", "min_leaf", "split_mode")]
+    return tuple(_unchecked(RegressionTree, [*zip(_NODE_ARRAYS, [a[o:o + c] for a in (
+        feature, thresholds, left, right, value, n)]), *h]) for o, c in zip(first[ends], counts))
 
 
 def _trees_from_dict(d: dict) -> Tuple[RegressionTree, ...]:
@@ -928,5 +924,5 @@ def save_model(model, path):
 
 
 def load_model(path):
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding=READ_ENCODING) as fh:
         return model_from_dict(json.load(fh))

@@ -36,6 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .core import _unchecked
 from .exceptions import (CollinearAnchors, DegenerateWeightsWarning,
                          NoIntersection, NonPositiveDistance, NotPositiveDefinite,
                          NumericalError, RankDeficient, TooFewAnchors)
@@ -71,13 +72,6 @@ class LinearSystem:
         _require_centered(self.design)
         _require_finite(self.rhs)
         _require_rank_2(self.design, COLLINEAR)
-
-
-def _system(design: np.ndarray, rhs: np.ndarray) -> LinearSystem:
-    """A LinearSystem of parts already checked, not validated again."""
-    out = object.__new__(LinearSystem)
-    out.__dict__.update(design=design, rhs=rhs)
-    return out
 
 
 def _require_centered(design: np.ndarray):
@@ -225,7 +219,7 @@ def _linearize(pts: np.ndarray, d: np.ndarray):
     d_c = np.add.reduce(d2, axis=-1) / m  # sum / m is np.mean's own arithmetic
     rhs = d_c[..., None] - d2 + k - k_c
     _require_finite(rhs, NumericalError)
-    return _system(design, rhs), k, d2
+    return _unchecked(LinearSystem, {"design": design, "rhs": rhs}), k, d2
 
 
 @lru_cache(maxsize=256)  # an 8-anchor scene has 219 subsets of 3 or more anchors
@@ -467,6 +461,6 @@ def estimate_position(solver: str, anchors, distances, *, sigmas_a=0.0,
                        weights, include_cross_term)
     est, ok = _bias_compensated(system, weights, bias, include_cross_term)
     if not ok.all():  # those rows' weights are uniform where unweighted: no second warning
-        est[~ok] = wls_solve(_system(system.design, system.rhs[~ok]),
-                             DiagonalWeights(weights.w[~ok]))
+        fallback = _unchecked(LinearSystem, {"design": system.design, "rhs": system.rhs[~ok]})
+        est[~ok] = wls_solve(fallback, DiagonalWeights(weights.w[~ok]))
     return est

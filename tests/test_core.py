@@ -1,10 +1,14 @@
+import ast
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rssiloc
 from rssiloc.core import (Anchor, MeasurementSet, PathLossParams, Position,
-                          Scene, meters, position_error, validate_scene)
+                          Scene, _unchecked, meters, position_error, validate_scene)
 from rssiloc.exceptions import DegenerateGeometry, TooFewAnchors
 
 
@@ -119,8 +123,36 @@ class TestTypes:
         assert make_scene([(4, 3)]).diameter() == 0.0
 
     def test_position_as_array_in_three_dimensions(self):
+        # a position keeps its z, but its array and its scene's are the 2-D x, y
         position = Position(1.0, 2.0, 3.0)
-        assert position.as_array().tolist() == [1.0, 2.0]
-        assert position.as_array(3).tolist() == [1.0, 2.0, 3.0]
-        assert make_scene([(0, 0), (4, 3)]).anchor_positions(3).tolist() == [
-            [0.0, 0.0, 0.0], [4.0, 3.0, 0.0]]
+        assert position.z == 3.0 and position.as_array().tolist() == [1.0, 2.0]
+        scene = Scene([Anchor("A1", position), Anchor("A2", Position(4.0, 3.0, -1.0))])
+        assert scene.anchor_positions().tolist() == [[1.0, 2.0], [4.0, 3.0]]
+
+
+class TestUnchecked:
+    def test_builds_without_the_validating_constructor(self):
+        with pytest.raises(ValueError):
+            Position(math.nan, 0.0)
+        position = _unchecked(Position, {"x": math.nan, "y": 0.0, "z": 0.0})
+        assert type(position) is Position and math.isnan(position.x)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            position.x = 1.0
+        assert _unchecked(Position, [("x", 1.0), ("y", 2.0), ("z", 3.0)]) == Position(1.0, 2.0, 3.0)
+
+    def test_object_new_only_in_the_helper(self):
+        # every value built from parts already checked is built by core._unchecked
+        sites = []
+        for path in sorted(Path(rssiloc.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                for child in ast.iter_child_nodes(node):
+                    child.parent = node
+            for node in ast.walk(tree):
+                if (isinstance(node, ast.Attribute) and node.attr == "__new__"
+                        and isinstance(node.value, ast.Name) and node.value.id == "object"):
+                    scope = node
+                    while scope is not tree and not isinstance(scope, ast.FunctionDef):
+                        scope = scope.parent
+                    sites.append((path.stem, getattr(scope, "name", None)))
+        assert sites == [("core", "_unchecked")]

@@ -17,7 +17,7 @@ from rssiloc.core import Anchor, PathLossParams, Position, Scene, validate_scene
 from rssiloc import ensemble, learners, metrics
 from rssiloc.exceptions import (DegenerateGeometry, MalformedNumber, NonPositiveSigma,
                                 ShapeMismatch)
-from rssiloc.filters import KalmanState, gaussian_filter, gaussian_kernel
+from rssiloc.filters import KalmanState, gaussian_filter, gaussian_kernel, moving_average
 from rssiloc.ingest import (BEACON_COLUMNS, load_ibeacon_csv, load_regression_csv,
                             load_series_csv, write_csv)
 from rssiloc.radio import NoiseSpec
@@ -540,3 +540,83 @@ class TestOverflowingLeafMeans:
         assert done.stderr.count("\n") == 1 and done.stderr.endswith("\n"), done.stderr
         assert done.stderr.startswith("numerical failure: NumericalError")
         assert not (tmp_path / "out.csv").exists()
+
+
+class TestByteOrderMark:
+    """Every reader kept a UTF-8 byte-order mark, as Excel's "CSV UTF-8"
+    export writes one, in its file's first header cell or line: locate
+    exited 3 with a missing RSSI1, filter exited 0 with RSSI1 left
+    unfiltered, and a zone, anchors, config or model file failed."""
+
+    ANCHORS = "0,0;400,0;200,300"
+    # the input given a byte-order mark, and the command that reads it
+    CASES = {
+        "locate": ("data.csv", ["locate", "--solver", "wls", "--anchors", ANCHORS, "-i",
+                                "data.csv", "-o", "out.csv", "--report", "report.txt"]),
+        "filter": ("data.csv", ["filter", "--filter", "ma", "-i", "data.csv", "-o", "out.csv"]),
+        "zone file": ("zones.txt", ["fit", "--model", "knn", "--k", "3", "--zones", "zones.txt",
+                                    "-i", "beacons.csv", "-o", "out.csv", "--report",
+                                    "report.txt"]),
+        "anchors file": ("anchors.txt", ["locate", "--solver", "lls", "--anchors-file",
+                                         "anchors.txt", "-i", "data.csv", "-o", "out.csv"]),
+        "config file": ("run.cfg", ["locate", "--config", "run.cfg", "-i", "data.csv",
+                                    "-o", "out.csv", "--report", "report.txt"]),
+        "model file": ("model.json", ["predict", "--model-file", "model.json", "-i",
+                                      "data.csv", "-o", "out.csv", "--report", "report.txt"]),
+    }
+
+    def write_inputs(self, root):
+        rssi, targets, _, _ = regression_testbed(5, n=30)
+        write_csv({**{f"RSSI{j + 1}": rssi[:, j] for j in range(3)},
+                   "X_Actual": targets[:, 0], "Y_Actual": targets[:, 1]}, root / "data.csv")
+        features, labels, _ = beacon_dataset(3, n=40)
+        write_csv({"location": [f"{'BL'[z // 2]}{'05' if z % 2 == 0 else '12'}" for z in labels],
+                   **{name: features[:, j] for j, name in enumerate(BEACON_COLUMNS)}},
+                  root / "beacons.csv")
+        (root / "zones.txt").write_text("B05=A\nB12=B\nL05=C\nL12=D\n")
+        (root / "anchors.txt").write_text("x,y\n0,0\n400,0\n200,300\n")
+        (root / "run.cfg").write_text(f"solver = wls-bc\nanchors = {self.ANCHORS}\n")
+        learners.save_model(learners.fit_tree(rssi, targets, max_depth=3), root / "model.json")
+
+    @pytest.mark.parametrize("name, argv", CASES.values(), ids=CASES.keys())
+    def test_same_exit_code_and_outputs(self, tmp_path, monkeypatch, capsys, name, argv):
+        runs = []
+        for mark in (b"", b"\xef\xbb\xbf"):
+            root = tmp_path / ("marked" if mark else "plain")
+            root.mkdir()
+            self.write_inputs(root)
+            (root / name).write_bytes(mark + (root / name).read_bytes())
+            inputs = set(root.iterdir())
+            monkeypatch.chdir(root)
+            code = main(list(argv))
+            outputs = {p.name: p.read_bytes() for p in set(root.iterdir()) - inputs}
+            runs.append((code, capsys.readouterr(), outputs))
+        assert runs[0][0] == 0 and "out.csv" in runs[0][2]
+        assert runs[1] == runs[0]
+
+
+class TestFilterKeepsTheSentinel:
+    """filter smoothed the -200 out-of-range sentinel together with the real
+    readings: a -200 cell became a reading near -100 that locate then took
+    as in range, and its neighbours were pulled down."""
+
+    def test_sentinel_cells_stay_and_readings_filter_without_them(self, tmp_path):
+        sim, knocked, out = (tmp_path / name for name in ("sim.csv", "knocked.csv", "out.csv"))
+        assert main(["simulate", "--anchors", "0,0;400,0;200,300;0,300;400,300",
+                     "--positions", "6", "--samples", "4", "-o", str(sim)]) == 0
+        cols = load_all_columns(sim)
+        rssi = {name: np.array(cols[name], dtype=float) for name in cols if name[:4] == "RSSI"}
+        gone = np.arange(len(rssi["RSSI5"])) % 4 == 0  # anchor 5 out of range on every 4th row
+        rssi["RSSI5"][gone] = -200.0
+        rssi["RSSI4"][:] = -200.0  # never in range
+        write_csv({**cols, **rssi}, knocked)
+        assert main(["filter", "--filter", "ma", "--window", "3", "-i", str(knocked),
+                     "-o", str(out)]) == 0
+        got = load_all_columns(out)
+        filtered = {name: np.array(got[name], dtype=float) for name in rssi}
+        assert (filtered["RSSI5"][gone] == -200.0).all() and (filtered["RSSI4"] == -200.0).all()
+        np.testing.assert_array_equal(filtered["RSSI5"][~gone],
+                                      moving_average(rssi["RSSI5"][~gone], 3))
+        for name in ("RSSI1", "RSSI2", "RSSI3"):
+            np.testing.assert_array_equal(filtered[name], moving_average(rssi[name], 3))
+        assert got["X_Actual"] == cols["X_Actual"] and got["Y_Actual"] == cols["Y_Actual"]
