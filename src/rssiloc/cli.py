@@ -11,9 +11,10 @@ Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
 failure (numpy's LinAlgError included), never a traceback. ``main`` runs
 every command in one float-error scope, so an overflow gives inf or nan,
 not a warning, and ``_finish`` writes nothing when a float data column or
-a regression metric holds one (exit 4). Every command is deterministic
-under a fixed --seed. --threads is accepted for compatibility, echoed in
-reports, and has no effect.
+a regression metric holds one (exit 4). A failing ``locate`` names the
+first row in the file that fails when solved alone. Every command is
+deterministic under a fixed --seed. --threads is accepted for
+compatibility, echoed in reports, and has no effect.
 
 Outputs are computed first, then written in one place in the order data
 CSV (-o), saved model (--save-model), report (--report), each atomically
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import os
 import sys
 import warnings
@@ -39,8 +39,8 @@ import numpy as np
 from . import filters, ingest, metrics, solvers
 from .core import Anchor, PathLossParams, Position, Scene, validate_scene
 from .exceptions import (DegenerateGeometry, DegenerateWeightsWarning, EmptySignal,
-                         IngestError, LearnerError, MetricError,
-                         NumericalError, RssilocError, SceneError, SignalError)
+                         IngestError, LearnerError, MetricError, NumericalError,
+                         RssilocError, SceneError, SignalError, TooFewAnchors)
 from .radio import NoiseSpec, distance_from_rssi, measure_targets
 
 DEFAULT_SEED = 42
@@ -129,8 +129,10 @@ def _parse_anchors(args) -> Scene:
                 lines = [(n, raw.strip()) for n, raw in enumerate(fh, start=1)]
         except (OSError, UnicodeDecodeError) as exc:
             raise CliError(2, f"cannot parse anchors file: {exc}") from exc
-        pairs = [_anchor_pair(line, f"{args.anchors_file} line {n}: ") for n, line in lines
-                 if line and not line.startswith("#") and not line.lower().startswith("x")]
+        lines = [(n, line) for n, line in lines if line and not line.startswith("#")]
+        if lines and lines[0][1].lower().startswith("x"):  # an optional x,y header
+            del lines[0]
+        pairs = [_anchor_pair(line, f"{args.anchors_file} line {n}: ") for n, line in lines]
     else:
         raise CliError(2, "anchors required (--anchors or --anchors-file)")
 
@@ -187,11 +189,13 @@ def _apply_filter(args, values: np.ndarray) -> np.ndarray:
 
 def cmd_filter(args) -> None:
     out, names = ingest.load_rssi_columns(args.input)
+    filtered = 0
     for name in names:  # over a column's in-range readings; -200 cells stay as they are
         real = ingest.sentinel_mask(out[name])
         if real.any():
             out[name][real] = _apply_filter(args, out[name][real])
-    _finish(args, [("filter", args.filter), ("columns_filtered", len(names)),
+            filtered += 1
+    _finish(args, [("filter", args.filter), ("columns_filtered", filtered),
                    ("output", args.output)], data=out)
 
 
@@ -204,39 +208,34 @@ def cmd_locate(args) -> None:
         raise CliError(3, f"{args.input} has {ds.features.shape[1]} RSSI columns "
                           f"but the scene has {len(anchor_xy)} anchors")
 
-    def row_error(row, message) -> NumericalError:  # names the row's line in the file
-        return NumericalError(f"row {ingest._read_rows(args.input)[2][row]}: {message}")
+    def solve(rows, mask):  # the estimates of rows from their in-range anchors
+        if mask.sum() < 3:
+            raise TooFewAnchors("fewer than 3 in-range anchors")
+        distances = distance_from_rssi(ds.features[np.ix_(rows, mask)], params)
+        return solvers.estimate_position(
+            args.solver, anchor_xy[mask], distances, sigmas_a=args.sigma_a,
+            sigmas_p=args.sigma_p, eta=args.eta, include_cross_term=args.include_cross_term)
 
     in_range = ingest.sentinel_mask(ds.features)
-    short = np.flatnonzero(in_range.sum(axis=1) < 3)
-    if short.size:
-        raise row_error(short[0], "fewer than 3 in-range anchors")
-    # One solve per anchor mask, over all the rows that share it.
+    # One solve per anchor mask, over all the rows that share it; a failed group stays nan.
     masks, group = np.unique(in_range, axis=0, return_inverse=True)
-    estimates = np.empty((len(ds), 2))
+    estimates = np.full((len(ds), 2), np.nan)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", DegenerateWeightsWarning)
         for g, mask in enumerate(masks):
             idx = np.flatnonzero(group == g)
-            distances = distance_from_rssi(ds.features[np.ix_(idx, mask)], params)
-            solve = functools.partial(
-                solvers.estimate_position, args.solver, anchor_xy[mask], sigmas_a=args.sigma_a,
-                sigmas_p=args.sigma_p, eta=args.eta, include_cross_term=args.include_cross_term)
             try:
-                estimates[idx] = solve(distances)
+                estimates[idx] = solve(idx, mask)
             except RssilocError as exc:
                 if isinstance(exc, DegenerateGeometry) and mask.all():  # the scene's own anchors
                     raise
-                for j, row in enumerate(idx):  # first row failing alone (it gets its batch bits)
-                    try:
-                        solve(distances[j:j + 1])
-                    except RssilocError:
-                        raise row_error(row, exc) from exc
-                raise
+        for row in np.flatnonzero(~np.isfinite(estimates).all(axis=1)):  # the first failing alone
+            try:
+                if not np.isfinite(solve([row], in_range[row])).all():
+                    raise NumericalError(f"{args.solver} gave a non-finite estimate")
+            except RssilocError as exc:  # a raising solve or the line above: name the file line
+                raise NumericalError(f"row {ingest._read_rows(args.input)[2][row]}: {exc}")
         fallbacks = sum(issubclass(w.category, DegenerateWeightsWarning) for w in caught)
-    bad = np.flatnonzero(~np.isfinite(estimates).all(axis=1))
-    if bad.size:
-        raise row_error(bad[0], f"{args.solver} gave a non-finite estimate")
 
     _finish(args, [("solver", args.solver), ("eta", args.eta),
                    ("sigma_p", args.sigma_p), ("sigma_a", args.sigma_a),
@@ -388,7 +387,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 def _add_scene_flags(sub: argparse.ArgumentParser, sigma_p_default: float) -> None:
     sub.add_argument("--anchors", help="inline anchors: 'x,y;x,y;...' (cm)")
-    sub.add_argument("--anchors-file", help="file with one x,y pair per line")
+    sub.add_argument("--anchors-file", help="one x,y pair per line, after an optional x,y header")
     sub.add_argument("--bounds", help="scene bounds xmin,ymin,xmax,ymax (cm)")
     sub.add_argument("--p0", type=float, default=-40.0,
                      help="received power at d0, dBm (default %(default)s)")

@@ -187,3 +187,25 @@ class TestLoadedModules:
             print("numpy.ma" in sys.modules)
         """ % (argv,)
         assert python(code, tmp_path) == "False\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["filter", "--filter", "kalman", "-i", "data.csv", "-o", "flt.csv"],
+        ["locate", "--solver", "wls-bc", "--anchors", "0,0;400,0;200,300", "-i", "data.csv",
+         "-o", "loc.csv"],
+        ["evaluate", "-i", "pred.csv"]], ids=["filter", "locate", "evaluate"])
+    def test_pipeline_commands_leave_out_numpy_ma_and_random(self, tmp_path, argv):
+        # each import costs ~13-14 ms of a step's start-up; simulate needs numpy.random,
+        # so each command runs in its own interpreter
+        rssi, targets, _, _ = regression_testbed(3, n=60)
+        ingest.write_csv(ingest.RegressionDataset(rssi, targets), tmp_path / "data.csv")
+        ingest.write_csv({"X_Actual": targets[:, 0], "Y_Actual": targets[:, 1],
+                          "X_Pred": targets[:, 1], "Y_Pred": targets[:, 0]},
+                         tmp_path / "pred.csv")
+        code = """if True:
+            import contextlib, io, sys
+            from rssiloc.cli import main
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(%r) == 0
+            print(sorted({"numpy.ma", "numpy.random"} & set(sys.modules)))
+        """ % (argv,)
+        assert python(code, tmp_path) == "[]\n"

@@ -120,6 +120,11 @@ def paths(tmp_path_factory):
     out["anchors_spec"].write_text("x,y\n0,0,999\n400,0\n0,300\n")
     out["anchors_coordinates"] = root / "anchors_coordinates.txt"
     out["anchors_coordinates"].write_text("# one pair a line\n0,0\n\n400,zero\n0,300\n")
+    # only the first line may be an x,y header: x400,0 is a typo, not a second header
+    out["anchors_typo"] = root / "anchors_typo.txt"
+    out["anchors_typo"].write_text("x,y\n0,0\nx400,0\n400,300\n0,300\n")
+    out["anchors_header"] = root / "anchors_header.txt"
+    out["anchors_header"].write_text("# room 1\n\nX,Y\n0,0\n400,0\n400,300\n0,300\n")
     # headers that name a column twice
     out["reg_repeat"], out["beacons_repeat"] = root / "reg_repeat.csv", root / "beacons_repeat.csv"
     out["reg_repeat"].write_text("RSSI1,RSSI1,RSSI2,RSSI3,X_Actual,Y_Actual\n" + "".join(
@@ -155,6 +160,10 @@ CLI_CASES = {
     "anchors file coordinates": (["simulate", "--anchors-file", "{anchors_coordinates}",
                                   "-o", "{out}"], 2,
                                  "anchors_coordinates.txt line 4: bad anchor coordinates"),
+    "anchors file x line": (["simulate", "--anchors-file", "{anchors_typo}", "-o", "{out}"], 2,
+                            "anchors_typo.txt line 3: bad anchor coordinates 'x400,0'"),
+    "anchors file header": (["simulate", "--anchors-file", "{anchors_header}", "--positions",
+                             "2", "--samples", "1", "-o", "{out}"], 0, ""),
     "bounds": (["simulate", "--anchors", ANCHORS, "--bounds", "0,0,400,300",
                 "--positions", "2", "-o", "{out}"], 0, ""),
     "bounds count": (["simulate", "--anchors", ANCHORS, "--bounds", "0,0,400",

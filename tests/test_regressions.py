@@ -620,3 +620,53 @@ class TestFilterKeepsTheSentinel:
         for name in ("RSSI1", "RSSI2", "RSSI3"):
             np.testing.assert_array_equal(filtered[name], moving_average(rssi[name], 3))
         assert got["X_Actual"] == cols["X_Actual"] and got["Y_Actual"] == cols["Y_Actual"]
+
+
+class TestLocateNamesTheFirstFailingRowInTheFile:
+    """locate named a failing row in the order its anchor group sorted in,
+    not in file order: with two failing groups it named the later row, a
+    short row was named before a solver failure above it, and a collinear
+    trilateration scene exited 4, not 2, when a subset group sorted first."""
+
+    FIVE = "0,0;800,0;800,600;0,600;400,300"
+    TWO_GROUPS = ["-50,-10000,-55,-52,-49", "-200,-10000,-55,-52,-49", "-50,-51,-55,-52,-49"]
+    CASES = {  # solver, anchors, flags, rows, exit code and the named error
+        "two failing groups, wls": ("wls", FIVE, ["--sigma-p", "2"], TWO_GROUPS, 4,
+                                    "row 2: non-finite rhs entries"),
+        "two failing groups, lls": ("lls", FIVE, ["--sigma-p", "2"], TWO_GROUPS, 4,
+                                    "row 2: non-finite rhs entries"),
+        "two failing groups, wls-bc": ("wls-bc", FIVE, ["--sigma-p", "2"], TWO_GROUPS, 4,
+                                       "row 2: non-finite rhs entries"),
+        "short row after a failing row": ("wls", "0,0;400,0;0,300", ["--sigma-p", "2"],
+                                          ["-50,-60,-1e308", "-50,-200,-55"], 4,
+                                          "row 2: non-finite rhs entries"),
+        "collinear scene after a subset group": (
+            "trilateration", "0,0;200,0;400,0;0,300", [],
+            ["-60,-62,-64,-61", "-60,-62,-64,-200"], 2, "CollinearAnchors"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_names_the_first_failing_row(self, tmp_path, capsys, case):
+        solver, anchors, flags, rows, code, named = self.CASES[case]
+        m = rows[0].count(",") + 1
+        data, out = tmp_path / "in.csv", tmp_path / "loc.csv"
+        data.write_text(",".join([f"RSSI{i + 1}" for i in range(m)] + ["X_Actual", "Y_Actual"])
+                        + "".join(f"\n{row},100,100" for row in rows) + "\n")
+        got = main(["locate", "--solver", solver, "--anchors", anchors, *flags,
+                    "-i", str(data), "-o", str(out)])
+        captured = capsys.readouterr()
+        assert got == code and captured.out == "" and not out.exists()
+        assert captured.err.count("\n") == 1 and named in captured.err, captured.err
+
+
+def test_filter_counts_only_the_columns_it_filters(tmp_path, capsys):
+    # columns_filtered counted a column with no in-range reading, which filter leaves alone
+    sim, knocked = tmp_path / "sim.csv", tmp_path / "knocked.csv"
+    assert main(["simulate", "--anchors", "0,0;400,0;200,300;0,300", "--positions", "3",
+                 "-o", str(sim)]) == 0
+    cols = load_all_columns(sim)
+    write_csv({**cols, "RSSI4": [-200.0] * len(cols["RSSI4"])}, knocked)
+    capsys.readouterr()
+    assert main(["filter", "--filter", "kalman", "-i", str(knocked),
+                 "-o", str(tmp_path / "out.csv")]) == 0
+    assert "columns_filtered\t3\n" in capsys.readouterr().out
