@@ -3,9 +3,10 @@
 Subcommands cover the full flow: ``simulate`` writes synthetic testbed
 CSVs, ``filter`` conditions RSSI columns, ``locate`` runs the closed-form
 solvers, ``fit``/``predict`` train and apply the learners, ``treeloc``
-runs the stacking ensemble, and ``evaluate`` scores prediction files. Only
-``fit``, ``treeloc`` and ``predict`` import ``learners``, and only a treeloc
-fit or record imports ``ensemble``; the other commands load neither.
+fits the stacking ensemble and takes only its tree, split and I/O flags,
+and ``evaluate`` scores prediction files. Only ``fit``, ``treeloc`` and
+``predict`` import ``learners``, and only a treeloc fit or record imports
+``ensemble``; the other commands load neither.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
 failure (numpy's LinAlgError included), never a traceback. ``main`` runs
@@ -388,7 +389,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 def _add_scene_flags(sub: argparse.ArgumentParser, sigma_p_default: float) -> None:
     sub.add_argument("--anchors", help="inline anchors: 'x,y;x,y;...' (cm)")
     sub.add_argument("--anchors-file", help="one x,y pair per line, after an optional x,y header")
-    sub.add_argument("--bounds", help="scene bounds xmin,ymin,xmax,ymax (cm)")
     sub.add_argument("--p0", type=float, default=-40.0,
                      help="received power at d0, dBm (default %(default)s)")
     sub.add_argument("--d0", type=float, default=100.0,
@@ -409,6 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = subs.add_parser("simulate", help="write a synthetic testbed CSV")
     _add_scene_flags(sim, sigma_p_default=2.0)
+    sim.add_argument("--bounds", help="scene bounds xmin,ymin,xmax,ymax (cm)")
     sim.add_argument("--positions", type=int, default=32)
     sim.add_argument("--samples", type=int, default=10,
                      help="measurements per position")
@@ -448,20 +449,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_fit_flags(sub):
         sub.add_argument("--test-size", type=float, default=0.2)
-        sub.add_argument("--degree", type=int, default=4,
-                         help="polynomial degree (default %(default)s)")
-        sub.add_argument("--cross-terms", action="store_true",
-                         help="include polynomial cross terms")
         sub.add_argument("--max-depth", type=int, default=25)
         sub.add_argument("--min-leaf", type=int, default=1)
         sub.add_argument("--n-trees", type=int, default=100)
-        sub.add_argument("--k", type=int, default=5, help="kNN neighbors")
-        sub.add_argument("--lr", type=float, default=0.01)
-        sub.add_argument("--batch-size", type=int, default=10)
-        sub.add_argument("--epochs", type=int, default=50)
-        sub.add_argument("--zones", default="grid",
-                         help="zone mapping file, or 'grid' for the "
-                              "built-in quadrant rule")
         sub.add_argument("--fixed-coefficients", action="store_true",
                          help="use the published reference combiner "
                               "instead of fitting it")
@@ -473,6 +463,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     fit = subs.add_parser("fit", help="train a learner and report metrics")
     fit.add_argument("--model", required=True, choices=MODEL_NAMES)
+    fit.add_argument("--degree", type=int, default=4,
+                     help="polynomial degree (default %(default)s)")
+    fit.add_argument("--cross-terms", action="store_true",
+                     help="include polynomial cross terms")
+    fit.add_argument("--k", type=int, default=5, help="kNN neighbors")
+    fit.add_argument("--lr", type=float, default=0.01)
+    fit.add_argument("--batch-size", type=int, default=10)
+    fit.add_argument("--epochs", type=int, default=50)
+    fit.add_argument("--zones", default="grid",
+                     help="zone mapping file, or 'grid' for the built-in quadrant rule")
     add_fit_flags(fit)
     fit.set_defaults(func=cmd_fit)
 
@@ -506,7 +506,7 @@ def _merge_config(argv: List[str], parser: argparse.ArgumentParser) -> List[str]
     into CLI tokens placed right after the subcommand, in the order given.
 
     Explicit flags win because argparse lets later occurrences override
-    earlier ones. Unknown config keys are a configuration error.
+    earlier ones. Unknown keys, and ``config``, are configuration errors.
     """
     subs = next(a for a in parser._actions
                 if isinstance(a, argparse._SubParsersAction))
@@ -547,7 +547,7 @@ def _merge_config(argv: List[str], parser: argparse.ArgumentParser) -> List[str]
                 raise CliError(2, f"{path}:{lineno}: expected key=value")
             key, value = (part.strip() for part in line.split("=", 1))
             action = by_dest.get(key.replace("-", "_"))
-            if action is None or not action.option_strings:
+            if action is None or not action.option_strings or action.dest == "config":
                 raise CliError(2, f"{path}:{lineno}: unknown key {key!r}")
             if isinstance(action, argparse._StoreTrueAction):
                 if value.lower() in ("1", "true", "yes"):

@@ -49,8 +49,8 @@ class Position:
             raise ValueError(f"non-finite position {self!r}")
 
     @classmethod
-    def from_meters(cls, x: float, y: float, z: float = 0.0) -> "Position":
-        return cls(meters(x), meters(y), meters(z))
+    def from_meters(cls, x: float, y: float) -> "Position":
+        return cls(meters(x), meters(y))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y], dtype=float)
@@ -101,10 +101,9 @@ class PathLossParams:
             raise ValueError("shadowing std must be >= 0")
 
     @classmethod
-    def from_offset_form(cls, n: float, a: float,
-                         sigma_shadow: float = 2.0) -> "PathLossParams":
+    def from_offset_form(cls, n: float, a: float) -> "PathLossParams":
         """Build from the 1-meter offset convention (exponent n, offset A)."""
-        return cls(p0=-a, d0=meters(1.0), eta=n, sigma_shadow=sigma_shadow)
+        return cls(p0=-a, d0=meters(1.0), eta=n)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -156,14 +156,11 @@ def treeloc_fit(features, targets, rng_seed: int = 0,
     return fitted
 
 
-def treeloc_reference(components: Optional[Tuple[object, object, object]] = None
-                      ) -> TreeLocModel:
-    """Ensemble with the published fixed combiner coefficients.
-
-    Components may be omitted when only the combiner arithmetic is needed:
-    :meth:`TreeLocModel.combine` works, predict raises TypeError.
+def treeloc_reference() -> TreeLocModel:
+    """Ensemble with the published fixed combiner coefficients and no
+    components: :meth:`TreeLocModel.combine` works, predict raises TypeError.
     """
-    return TreeLocModel(components=components or (None, None, None),
+    return TreeLocModel(components=(None, None, None),
                         combiner_x=REFERENCE_COMBINER_X,
                         combiner_y=REFERENCE_COMBINER_Y,
                         mode="reference")

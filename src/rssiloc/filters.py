@@ -150,13 +150,12 @@ def kalman_step(state: KalmanState, z: float) -> KalmanState:
 
 
 def kalman_filter(signal: Sequence[float], q: float = KALMAN_DEFAULT_Q,
-                  r: Optional[float] = None, x0: Optional[float] = None,
-                  p0: float = 1.0) -> np.ndarray:
+                  r: Optional[float] = None) -> np.ndarray:
     """Filter a whole RSSI sequence with the scalar Kalman filter.
 
-    Defaults: x0 is the first sample and r is the sample variance of the
-    first 10 measurements, falling back to 4.0 when that variance is not
-    usable (fewer than two samples, zero, or overflowed).
+    The state starts at the first sample with variance 1, and r defaults to
+    the sample variance of the first 10 measurements, or 4.0 when that
+    variance is not usable (fewer than two samples, zero, or overflowed).
 
     The state is checked once, at the start, and the output equals iterating
     kalman_step bit for bit. A non-finite estimate or final variance raises
@@ -169,7 +168,7 @@ def kalman_filter(signal: Sequence[float], q: float = KALMAN_DEFAULT_Q,
             r = float(np.var(head, ddof=1)) if head.size >= 2 else 0.0
         if not 0.0 < r < math.inf:
             r = KALMAN_FALLBACK_R
-    state = KalmanState(x_hat=arr[0] if x0 is None else x0, p=p0, q=q, r=r)
+    state = KalmanState(x_hat=arr[0], p=1.0, q=q, r=r)
     x_hat, p, q, r = map(float, (state.x_hat, state.p, state.q, state.r))
     out = []
     for z in arr.tolist():

@@ -183,6 +183,14 @@ CLI_CASES = {
                         "unrecognized arguments: --shuffle"),
     "treeloc holdout": (["treeloc", "--combiner-holdout", "0.2", "-i", "{reg}"], 2,
                         "unrecognized arguments: --combiner-holdout 0.2"),
+    # treeloc takes only the tree, split and I/O flags; locate reads no bounds
+    "treeloc k": (["treeloc", "--k", "3", "-i", "{reg}"], 2, "unrecognized arguments: --k 3"),
+    "treeloc zones": (["treeloc", "--zones", "grid", "-i", "{reg}"], 2,
+                      "unrecognized arguments: --zones grid"),
+    "treeloc epochs": (["treeloc", "--epochs", "1", "-i", "{reg}"], 2,
+                       "unrecognized arguments: --epochs 1"),
+    "locate bounds": ([*LOCATE, "--bounds", "0,0,1,1"], 2,
+                      "unrecognized arguments: --bounds 0,0,1,1"),
     "knn k": (["fit", "--model", "knn", "--k", "50", "-i", "{beacons}"], 3, "k="),
     "zones": (["fit", "--model", "knn", "--k", "1", "--test-size", "0", "--zones", "{zones}",
                "-i", "{beacons}"], 0, ""),
@@ -261,6 +269,20 @@ def test_boolean_config_keys_equal_their_flag(paths, capsys):
                         ("false", without), ("no", without), ("0", without)]:
         cfg.write_text(f"include-cross-term = {value}\n")
         assert locate("--config", str(cfg)) == want
+
+
+@pytest.mark.parametrize("argv, line, key", [
+    (["treeloc", "-i", "{reg}"], "k = 3", "k"),
+    # a config file may not name another config file
+    (["filter", "--filter", "ma", "-i", "{reg}", "-o", "{out}"], "config = {cfg}", "config"),
+], ids=["treeloc k", "config in config"])
+def test_config_key_must_be_a_flag_the_file_can_set(paths, capsys, argv, line, key):
+    paths["out"].unlink(missing_ok=True)
+    cfg = paths["root"] / "keys.cfg"
+    cfg.write_text(line.format(**paths) + "\n")
+    assert main([arg.format(**paths) for arg in argv] + ["--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}:1: unknown key {key!r}\n"
+    assert not paths["out"].exists()
 
 
 def test_every_config_spelling_merges_the_file(paths, capsys):
