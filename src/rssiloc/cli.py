@@ -336,21 +336,24 @@ def cmd_predict(args) -> None:
         raise CliError(3, f"bad model file: {exc}") from exc
 
     classifier = isinstance(model, (learners.KnnModel, learners.MlpModel))
-    ds = (ingest.load_ibeacon_csv(args.input, args.zones) if classifier
-          else ingest.load_regression_csv(args.input))
+    if classifier:  # the output has no Zone_Actual, so no location needs a zone
+        features, locations, _ = ingest.load_beacon_rows(args.input)
+    else:
+        ds = ingest.load_regression_csv(args.input)
+        features = ds.features
     try:  # the model is well formed but may not fit this file's columns or zones
-        predicted = model.predict(ds.features)
-        zone_pred = [ds.zone_names[i] for i in predicted] if classifier else None
+        predicted = model.predict(features)
+        zone_pred = [ingest.ZONE_LABELS[i] for i in predicted] if classifier else None
     except (IndexError, TypeError, ValueError) as exc:
         raise CliError(3, f"model does not fit {args.input}: {exc}") from exc
     if classifier:
-        data, table = {"location": list(ds.locations), "Zone_Pred": zone_pred}, ""
+        data, table = {"location": list(locations), "Zone_Pred": zone_pred}, ""
     elif np.shape(predicted) != (len(ds), 2):
         raise CliError(3, f"model does not predict x and y for each row of {args.input}")
     else:
         data = _xy_columns(predicted, ds.targets)
         table = _regression_metrics(ds.targets, predicted)
-    _finish(args, [("rows", len(ds)), ("output", args.output)], table, data=data)
+    _finish(args, [("rows", len(features)), ("output", args.output)], table, data=data)
 
 
 def _load_xy(path, *kinds) -> List[np.ndarray]:
@@ -482,7 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     prd = subs.add_parser("predict", help="apply a saved model to a CSV")
     prd.add_argument("--model-file", required=True)
-    prd.add_argument("--zones", default="grid")
     prd.add_argument("-i", "--input", required=True)
     prd.add_argument("-o", "--output", required=True)
     prd.add_argument("--report", default=None)

@@ -9,7 +9,7 @@ mapping file of ``label=zone`` lines, or from the built-in grid quadrant
 rule.
 
 Loaders never drop rows or columns silently: a cell that is not a finite
-number, or a row shorter than the header, raises MalformedNumber naming its
+number, or a row not as wide as the header, raises MalformedNumber naming its
 line in the file; a header that names a column, or an RSSI number, twice, or
 a zone file that maps a label twice, raises IngestError. The numeric columns
 a loader needs are parsed into one float block with ``float()`` per cell and
@@ -135,9 +135,9 @@ def _read_rows(path) -> Tuple[list, list, list]:
                 raise IngestError(f"{path}: column {name!r} appears more than once in the header")
             rows, lines = [], []
             for row in filter(None, reader):
-                if len(row) < len(header):
+                if len(row) != len(header):
                     raise MalformedNumber(f"{path}: line {reader.line_num} has {len(row)}"
-                                          f" of the header's {len(header)} cells")
+                                          f" cells, the header {len(header)}")
                 rows.append(row)
                 lines.append(reader.line_num)
     except (OSError, UnicodeDecodeError) as exc:
@@ -237,24 +237,27 @@ def grid_zone(label: str) -> str:
     return "C" if col <= 9 else "D"
 
 
-def load_ibeacon_csv(path, zones: Union[Mapping[str, str], str, None] = "grid"
-                     ) -> ClassificationDataset:
-    """Load a beacon CSV with location and b3001..b3013 columns.
-
-    -200 entries are kept as feature values (classifiers train on them
-    directly). zones is a label-to-zone mapping, "grid" or None to apply
-    :func:`grid_zone`, or any other string: the path of a ``label=zone``
-    file read by :func:`load_zone_mapping`. Labels absent from a mapping
-    raise UnmappedLocation.
-    """
-    if isinstance(zones, str) and zones != "grid":
-        zones = load_zone_mapping(zones)
+def load_beacon_rows(path) -> Tuple[np.ndarray, Tuple[str, ...], list]:
+    """A beacon CSV's b3001..b3013 columns as floats, -200 kept as a value,
+    its stripped locations, and each row's line number in the file."""
     header, rows, lines = _read_rows(path)
     column = {name: i for i, name in enumerate(header)}.get("location")
     if column is None:
         raise MissingColumn(f"{path}: missing column 'location'")
     features = _parse_block(path, header, rows, lines, BEACON_COLUMNS)
-    locations = tuple(row[column].strip() for row in rows)
+    return features, tuple(row[column].strip() for row in rows), lines
+
+
+def load_ibeacon_csv(path, zones: Union[Mapping[str, str], str, None] = "grid"
+                     ) -> ClassificationDataset:
+    """:func:`load_beacon_rows` with each location's zone. zones is a
+    label-to-zone mapping, "grid" or None to apply :func:`grid_zone`, or any
+    other string: the path of a ``label=zone`` file read by
+    :func:`load_zone_mapping`. Labels absent from a mapping raise
+    UnmappedLocation."""
+    if isinstance(zones, str) and zones != "grid":
+        zones = load_zone_mapping(zones)
+    features, locations, lines = load_beacon_rows(path)
     if not isinstance(zones, Mapping):
         zones = {location: grid_zone(location) for location in locations}
     for location, line in zip(locations, lines):

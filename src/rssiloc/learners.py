@@ -18,12 +18,11 @@ and treeloc models predict through one block of one entry per node
 (:func:`_stack_trees`): rows walk all its trees at once, a numpy step per
 level on one array of node ids updated in place, and each model's mean
 adds its trees in tree order for any number of rows.
-Saved files (version 3) hold each tree or forest as flat preorder arrays
-(:func:`_trees_from_arrays`): ``node_counts`` is a JSON list of ints, and
-``feature``, ``threshold``, ``value`` and ``n`` are base64 strings of
+A tree or forest record (version 3, the only one read) holds flat preorder
+arrays (:func:`_trees_from_arrays`): ``node_counts`` is a JSON list of ints,
+and ``feature``, ``threshold``, ``value`` and ``n`` are base64 strings of
 little-endian ``<i8``/``<f8`` bytes, so a record is written and read
-without turning each number into text. Version-2 files (the same arrays as
-JSON number lists) and version-1 files (a dict per node) load to the same trees.
+without turning each number into text.
 """
 
 from __future__ import annotations
@@ -40,13 +39,11 @@ import numpy as np
 from .core import _unchecked
 from .exceptions import (EmptyDataset, EmptyTrainingSet, KTooLarge,
                          NumericalError, ShapeMismatch)
-from .ingest import (READ_ENCODING, ClassificationDataset, RegressionDataset, ZONE_LABELS,
-                     one_hot_encode, write_text)
+from .ingest import READ_ENCODING, write_text
 
 MODEL_FORMAT = "rssiloc-model"
 MODEL_VERSION = 3  # of tree and forest records; other kinds are unchanged at 1
-# The record versions each kind loads; kinds not named here load version 1 only.
-_KIND_VERSIONS = {"tree": (1, 2, MODEL_VERSION), "forest": (1, 2, MODEL_VERSION)}
+_KIND_VERSIONS = {"tree": MODEL_VERSION, "forest": MODEL_VERSION}
 _NODE_ARRAYS = ("feature", "threshold", "left", "right", "value", "n")  # RegressionTree order
 # The little-endian item type of each base64 array of a version-3 tree record.
 _ARRAY_DTYPES = {"feature": "<i8", "threshold": "<f8", "value": "<f8", "n": "<i8"}
@@ -809,12 +806,11 @@ def _trees_to_arrays(trees) -> dict:
 def _trees_from_arrays(p: dict, h: dict) -> Tuple[RegressionTree, ...]:
     """Trees with hyperparameters h from flat arrays: node_counts, then all
     trees' nodes in preorder: feature (-1 at a leaf), threshold (internal
-    nodes only), value and n. A version-3 record stores the last four as
-    base64 strings of little-endian bytes, ``<i8`` for feature and n and
-    ``<f8`` for threshold and value, which _trees_from_dict decodes first;
-    version 2 stores them as JSON number lists. Child indices follow from
-    the preorder, so none can form a cycle; arrays that encode no preorder
-    trees raise ValueError."""
+    nodes only), value and n. A record stores the last four as base64
+    strings of little-endian bytes, ``<i8`` for feature and n and ``<f8``
+    for threshold and value, which _trees_from_dict decodes first. Child
+    indices follow from the preorder, so none can form a cycle; arrays
+    that encode no preorder trees raise ValueError."""
     def ints(key):
         a = np.asarray(p[key])
         if a.ndim != 1 or (a.size and a.dtype.kind != "i"):
@@ -847,29 +843,12 @@ def _trees_from_arrays(p: dict, h: dict) -> Tuple[RegressionTree, ...]:
 
 
 def _trees_from_dict(d: dict) -> Tuple[RegressionTree, ...]:
-    """The trees of a tree or forest record. Version 3's base64 arrays are
-    decoded into native, owned int64/float64 arrays; version 1 nests a dict
-    per node, read here in preorder into the flat arrays."""
+    """The trees of a tree or forest record, its base64 arrays decoded into
+    native, owned int64/float64 arrays."""
     p = d["parameters"]
-    if d["version"] == 3:
-        p = {"node_counts": p["node_counts"], **{
-            key: np.frombuffer(base64.b64decode(p[key], validate=True), dtype).astype(dtype[1:])
-            for key, dtype in _ARRAY_DTYPES.items()}}
-    elif d["version"] == 1:
-        roots, p = [p["root"]] if d["kind"] == "tree" else p["trees"], {
-            "node_counts": [], "feature": [], "threshold": [], "value": [], "n": []}
-        for stack in ([root] for root in roots):
-            p["node_counts"].append(len(p["feature"]))
-            while stack:
-                node = stack.pop()
-                leaf = "leaf" in node
-                p["feature"].append(-1 if leaf else node["feature"])
-                p["value"].append(node["leaf"] if leaf else node.get("value", 0.0))
-                p["n"].append(node.get("n", 0))
-                if not leaf:
-                    p["threshold"].append(node["threshold"])
-                    stack += [node["right"], node["left"]]
-            p["node_counts"][-1] = len(p["feature"]) - p["node_counts"][-1]
+    p = {"node_counts": p["node_counts"], **{
+        key: np.frombuffer(base64.b64decode(p[key], validate=True), dtype).astype(dtype[1:])
+        for key, dtype in _ARRAY_DTYPES.items()}}
     return _trees_from_arrays(p, d["hyperparameters"])
 
 
@@ -908,7 +887,7 @@ def model_from_dict(data: dict):
     kind, version = data.get("kind"), data.get("version")
     if not isinstance(kind, str) or kind not in _MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
-    if type(version) is not int or version not in _KIND_VERSIONS.get(kind, (1,)):
+    if type(version) is not int or version != _KIND_VERSIONS.get(kind, 1):
         raise ValueError(f"unsupported model version {version!r} of a {kind} record")
     try:
         return _MODEL_KINDS[kind](data)

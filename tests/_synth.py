@@ -52,7 +52,7 @@ def beacon_dataset(seed, n=400, n_beacons=13, n_zones=4):
         zone = labels[i]
         visible = np.arange(zone * 3, zone * 3 + 4) % n_beacons
         features[i, visible] = centers[zone, visible] + rng.normal(0, 3.0, len(visible))
-    one_hot = rl.learners.one_hot_encode(labels, n_zones)
+    one_hot = ingest.one_hot_encode(labels, n_zones)
     return features, labels, one_hot
 
 

@@ -18,9 +18,9 @@ from _synth import exact_distances, random_scene_points, regression_testbed
 from rssiloc import filters
 from rssiloc.cli import main as cli_main
 from rssiloc.exceptions import DegenerateWeightsWarning
+from rssiloc.ingest import one_hot_encode
 from rssiloc.learners import (MlpModel, fit_forest, fit_linear,
-                              fit_polynomial, fit_tree, mlp_backprop,
-                              one_hot_encode)
+                              fit_polynomial, fit_tree, mlp_backprop)
 from rssiloc.metrics import (classification_metrics, confusion_matrix,
                              regression_metrics)
 from rssiloc.solvers import (bias_compensated_solve, build_bias_terms,

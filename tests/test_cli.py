@@ -4,8 +4,7 @@ import pytest
 from _synth import load_all_columns
 from rssiloc.cli import main
 from rssiloc.ingest import load_regression_csv, write_csv
-from rssiloc.learners import (Forest, PairedRegressor, RegressionDataset,
-                              RegressionTree, load_model)
+from rssiloc.learners import Forest, PairedRegressor, RegressionTree, load_model
 
 ANCHORS = "0,0;400,0;200,300"
 
@@ -295,3 +294,58 @@ class TestDeterminism:
                        "--samples", "4", "--threads", "4", "--seed", "3",
                        "-o", str(out)) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestFlagsThatChangeTheOutput:
+    """Flags that no bench step or demo sets: a non-default value changes
+    what the command writes, so a flag that stopped being read would show."""
+
+    def test_simulate_d0(self, tmp_path):
+        outputs = []
+        for flags in ([], ["--d0", "50"]):
+            out = tmp_path / f"sim{len(flags)}.csv"
+            assert run("simulate", "--anchors", ANCHORS, "--positions", "4",
+                       "--samples", "2", *flags, "-o", str(out)) == 0
+            outputs.append(load_regression_csv(out))
+        default, near = outputs
+        np.testing.assert_array_equal(near.targets, default.targets)
+        # halving the reference distance takes 20 log10(2) dB off every reading
+        np.testing.assert_allclose(near.features, default.features - 20 * np.log10(2))
+
+    def test_locate_d0(self, tmp_path):
+        src = simulate(tmp_path, sigma_p="0")
+        estimates = []
+        for flags in ([], ["--d0", "50"]):
+            out = tmp_path / f"loc{len(flags)}.csv"
+            assert run("locate", "--solver", "lls", "--anchors", ANCHORS, "--sigma-p", "0",
+                       *flags, "-i", str(src), "-o", str(out)) == 0
+            cols = load_all_columns(out)
+            estimates.append(np.array([cols["X_Pred"], cols["Y_Pred"]], dtype=float))
+        assert not np.allclose(estimates[0], estimates[1])
+
+    def test_fit_poly_cross_terms(self, tmp_path):
+        src = simulate(tmp_path)
+        rows = {}
+        for flags in ([], ["--cross-terms"]):
+            saved = tmp_path / f"poly{len(flags)}.json"
+            assert run("fit", "--model", "poly", "--degree", "2", *flags, "-i", str(src),
+                       "--save-model", str(saved)) == 0
+            rows[bool(flags)] = load_model(saved).theta.shape
+        # 3 features at degree 2: 1 + 3 + 3 terms, and 3 products of two
+        assert rows == {False: (7, 2), True: (10, 2)}
+
+    def test_fit_mlp_batch_size(self, tmp_path):
+        from _synth import beacon_dataset
+        from rssiloc.ingest import BEACON_COLUMNS
+        features, labels, _ = beacon_dataset(0, n=30)
+        src = tmp_path / "beacons.csv"
+        write_csv({"location": [["B05", "B12", "L05", "L12"][z] for z in labels],
+                   **dict(zip(BEACON_COLUMNS, features.T))}, src)
+        weights = []
+        for flags in ([], ["--batch-size", "3"]):
+            saved = tmp_path / f"mlp{len(flags)}.json"
+            assert run("fit", "--model", "mlp", "--epochs", "2", *flags, "-i", str(src),
+                       "--save-model", str(saved)) == 0
+            weights.append(load_model(saved).weights)
+        assert [w.shape for w in weights[0]] == [w.shape for w in weights[1]]
+        assert not all(np.array_equal(a, b) for a, b in zip(*weights))

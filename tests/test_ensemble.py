@@ -10,7 +10,7 @@ from rssiloc.ensemble import (REFERENCE_COMBINER_X, REFERENCE_COMBINER_Y,
                               TreeLocModel, _thirds,
                               treeloc_fit, treeloc_predict, treeloc_reference)
 from rssiloc.exceptions import TooFewSamples
-from rssiloc.ingest import write_csv
+from rssiloc.ingest import RegressionDataset, write_csv
 from rssiloc.learners import fit_linear, load_model, model_from_dict
 
 
@@ -172,7 +172,7 @@ class TestFixedCoefficients:
         train = learners.train_test_split_indices(60, 0.2, np.random.default_rng(7))[0]
         expected = self.replaced(self.RSSI[train], self.TARGETS[train], 7)
         data, out, saved = (tmp_path / name for name in ("tb.csv", "out.csv", "model.json"))
-        write_csv(learners.RegressionDataset(self.RSSI, self.TARGETS), data)
+        write_csv(RegressionDataset(self.RSSI, self.TARGETS), data)
         built = []
         stack = ensemble._stack_trees
         monkeypatch.setattr(ensemble, "_stack_trees", lambda models: built.append(

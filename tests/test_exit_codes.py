@@ -606,9 +606,9 @@ class TestOwners:
         # file used to index past its last column
         rssi, targets, _, _ = regression_testbed(9, n=40)
         wide, narrow = tmp_path / "wide.csv", tmp_path / "narrow.csv"
-        ingest.write_csv(learners.RegressionDataset(
+        ingest.write_csv(ingest.RegressionDataset(
             np.column_stack([rssi, -targets[:, 0] / 10]), targets), wide)
-        ingest.write_csv(learners.RegressionDataset(rssi, targets), narrow)
+        ingest.write_csv(ingest.RegressionDataset(rssi, targets), narrow)
         saved = tmp_path / "tree.json"
         assert run(["fit", "--model", "tree", "-i", wide, "--save-model", saved])[0] == 0
         assert learners.load_model(saved).models[0].feature[0] == 3
@@ -632,7 +632,7 @@ class TestOwners:
     def test_min_leaf_reaches_every_component_tree(self, tmp_path):
         rssi, targets, _, _ = regression_testbed(8, n=150)
         data = tmp_path / "testbed.csv"
-        ingest.write_csv(learners.RegressionDataset(rssi, targets), data)
+        ingest.write_csv(ingest.RegressionDataset(rssi, targets), data)
         saved = tmp_path / "treeloc.json"
         assert main(["treeloc", "--min-leaf", "8", "--n-trees", "2", "-i",
                      str(data), "--save-model", str(saved)]) == 0

@@ -4,10 +4,10 @@ import pytest
 from _synth import load_all_columns
 from rssiloc.exceptions import (IoFailure, MalformedNumber, MissingColumn,
                                 UnmappedLocation)
-from rssiloc.ingest import (BEACON_COLUMNS, format_number, grid_zone,
-                            load_ibeacon_csv, load_regression_csv, load_series_csv,
-                            load_zone_mapping, sentinel_mask, write_csv)
-from rssiloc.learners import ClassificationDataset, RegressionDataset
+from rssiloc.ingest import (BEACON_COLUMNS, ClassificationDataset, RegressionDataset,
+                            format_number, grid_zone, load_ibeacon_csv,
+                            load_regression_csv, load_series_csv, load_zone_mapping,
+                            one_hot_encode, sentinel_mask, write_csv)
 
 
 def write_lines(path, lines):
@@ -178,7 +178,6 @@ class TestWriteCsv:
         rng = np.random.default_rng(4)
         n = 20
         labels = rng.integers(0, 4, n)
-        from rssiloc.learners import one_hot_encode
         ds = ClassificationDataset(
             features=rng.uniform(-200, -60, (n, 13)),
             labels=labels,

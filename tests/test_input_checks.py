@@ -13,7 +13,7 @@ from rssiloc.cli import main
 from rssiloc.ingest import format_number
 
 X = np.arange(12.0).reshape(6, 2)
-ONE_HOT = learners.one_hot_encode([0, 1, 1], 2)
+ONE_HOT = ingest.one_hot_encode([0, 1, 1], 2)
 
 
 def record(version):
@@ -46,16 +46,16 @@ LIBRARY_CHECKS = {
                    "no training samples"),
     "polynomial empty": (lambda: learners.fit_polynomial(X[:0], X[:0], degree=2),
                          EmptyDataset, "no training samples"),
-    "regression empty": (lambda: learners.RegressionDataset(np.empty((0, 2)),
+    "regression empty": (lambda: ingest.RegressionDataset(np.empty((0, 2)),
                                                             np.empty((0, 2))),
                          EmptyDataset, "empty"),
-    "regression rows": (lambda: learners.RegressionDataset(X, X[:5]),
+    "regression rows": (lambda: ingest.RegressionDataset(X, X[:5]),
                         ShapeMismatch, "disagree"),
-    "regression finite": (lambda: learners.RegressionDataset(X, X * np.nan),
+    "regression finite": (lambda: ingest.RegressionDataset(X, X * np.nan),
                           ValueError, "non-finite"),
-    "classification empty": (lambda: learners.ClassificationDataset(
+    "classification empty": (lambda: ingest.ClassificationDataset(
         np.empty((0, 2)), np.empty(0), np.empty((0, 2))), EmptyDataset, "empty"),
-    "classification one-hot": (lambda: learners.ClassificationDataset(
+    "classification one-hot": (lambda: ingest.ClassificationDataset(
         X[:3], np.zeros(3), ONE_HOT * 2), ValueError, "one-hot"),
     "system centred": (lambda: solvers.LinearSystem(X[:3] + 1.0, np.zeros(3)),
                        ValueError, "not centered"),
@@ -191,6 +191,10 @@ CLI_CASES = {
                        "unrecognized arguments: --epochs 1"),
     "locate bounds": ([*LOCATE, "--bounds", "0,0,1,1"], 2,
                       "unrecognized arguments: --bounds 0,0,1,1"),
+    # predict maps no location to a zone, so it takes no zone file
+    "predict zones": (["predict", "--model-file", "{knn}", "--zones", "grid",
+                       "-i", "{beacons}", "-o", "{out}"], 2,
+                      "unrecognized arguments: --zones grid"),
     "knn k": (["fit", "--model", "knn", "--k", "50", "-i", "{beacons}"], 3, "k="),
     "zones": (["fit", "--model", "knn", "--k", "1", "--test-size", "0", "--zones", "{zones}",
                "-i", "{beacons}"], 0, ""),

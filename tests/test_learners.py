@@ -5,11 +5,11 @@ from _synth import beacon_dataset, regression_testbed
 from rssiloc.ensemble import treeloc_fit
 from rssiloc.exceptions import (EmptyDataset, EmptyTrainingSet, KTooLarge,
                                 ShapeMismatch)
+from rssiloc.ingest import RegressionDataset, one_hot_encode
 from rssiloc.learners import (Forest, KnnModel, MlpModel, PairedRegressor,
-                              RegressionDataset, fit_extra_trees, fit_forest,
-                              fit_knn, fit_linear, fit_polynomial, fit_tree,
-                              load_model, mlp_backprop, mlp_forward,
-                              mlp_train, model_from_dict, one_hot_encode,
+                              fit_extra_trees, fit_forest, fit_knn, fit_linear,
+                              fit_polynomial, fit_tree, load_model, mlp_backprop,
+                              mlp_forward, mlp_train, model_from_dict,
                               polynomial_features, save_model, softmax,
                               train_test_split_indices)
 
@@ -472,8 +472,8 @@ class TestSerialization:
                              "kind": "nope"})
 
     def test_versions_are_checked_per_kind(self):
-        # Only tree and forest records have had versions 2 and 3; a bool
-        # version was accepted as 1 because True == 1.
+        # Tree and forest records load only version 3, other kinds only 1;
+        # a bool version was accepted as 1 because True == 1.
         x = np.array([[0.0], [1.0], [2.0], [3.0]])
         records = {
             "linear": fit_linear(x, x[:, 0]).to_dict(),
@@ -483,11 +483,11 @@ class TestSerialization:
         }
         for kind, record in records.items():
             assert record["kind"] == kind
-            accepted = (1, 2, 3) if kind in ("tree", "forest") else (1,)
-            assert record["version"] == accepted[-1]
+            accepted = 3 if kind in ("tree", "forest") else 1
+            assert record["version"] == accepted
             model_from_dict(record)
-            for version in (0, 2, 3, 4, True, False, 1.0, 3.0, "1", "3", None):
-                if version in accepted and type(version) is int:
+            for version in (0, 1, 2, 3, 4, True, False, 1.0, 3.0, "1", "3", None):
+                if version == accepted and type(version) is int:
                     continue
                 with pytest.raises(ValueError, match="unsupported model version"):
                     model_from_dict({**record, "version": version})

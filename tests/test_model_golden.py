@@ -1,27 +1,23 @@
-"""Golden treeloc models: the saved formats and the fitted trees stay fixed.
+"""Golden treeloc models: the saved format and the fitted trees stay fixed.
 
-``data/treeloc_v1.json`` is a small treeloc model (3 trees per forest,
-depth 6) saved in the version-1 format, one nested dict per tree node;
-``data/treeloc_v1_predictions.json`` holds 20 query rows and that model's
-predictions on them. Earlier code wrote both, and they stay as they are:
-they pin the version-1 reader, and the exhaustive-mode trees (the decision
-tree and the random forest), which the level-wise grower reproduces bit for
-bit.
-
-``data/treeloc_v2.json`` and ``data/treeloc_v2_predictions.json`` are the
-same fit saved with version-2 tree and forest records, which hold flat
-preorder arrays as JSON number lists. Version 2 also draws the extra
-trees' thresholds level by level, so those trees differ from version 1's.
-They too stay as they are and pin the version-2 reader.
-
-``data/treeloc_v3.json`` and ``data/treeloc_v3_predictions.json`` are the
-same fit saved with version-3 tree and forest records: the same preorder
+``data/treeloc_v3.json`` is a small treeloc model (3 trees per forest,
+depth 6) saved with version-3 tree and forest records: flat preorder
 arrays, with ``feature``, ``threshold``, ``value`` and ``n`` stored as
 base64 strings of little-endian ``<i8``/``<f8`` bytes and ``node_counts``
-kept a JSON list. Running this file writes the version-3 files and no
-others; regenerate them only together with a ``MODEL_VERSION`` bump:
+kept a JSON list. ``data/treeloc_v3_predictions.json`` holds 20 query rows
+and that model's predictions on them. Running this file writes these two
+files and no others; regenerate them only together with a ``MODEL_VERSION``
+bump:
 
     PYTHONPATH=src python tests/test_model_golden.py
+
+``data/treeloc_v1_trees.json`` is an independent pin that is never
+regenerated. It holds the six node arrays of the 8 exhaustive-mode trees
+(the decision tree's and the random forest's, in component, coordinate and
+tree order) as plain JSON lists. They were converted once from
+``treeloc_v1.json``, the same fit saved in the version-1 layout (a dict per
+node) by the grower that came before the level-wise one, when that file and
+its reader were deleted. The level-wise grower reproduces them bit for bit.
 """
 
 import json
@@ -35,12 +31,9 @@ from rssiloc.ensemble import COMPONENT_NAMES
 from rssiloc.learners import load_model, save_model
 
 DATA = Path(__file__).parent / "data"
-MODEL = DATA / "treeloc_v1.json"
-PREDICTIONS = DATA / "treeloc_v1_predictions.json"
-MODEL_V2 = DATA / "treeloc_v2.json"
-PREDICTIONS_V2 = DATA / "treeloc_v2_predictions.json"
 MODEL_V3 = DATA / "treeloc_v3.json"
 PREDICTIONS_V3 = DATA / "treeloc_v3_predictions.json"
+V1_TREES = DATA / "treeloc_v1_trees.json"
 SEED = 11
 EXHAUSTIVE = ("decision_tree", "random_forest")
 
@@ -51,7 +44,7 @@ def fit_golden():
                        forest_trees=3, extra_trees=3)
 
 
-def golden_rows(path=PREDICTIONS):
+def golden_rows(path=PREDICTIONS_V3):
     record = json.loads(path.read_text())
     return np.array(record["rows"]), np.array(record["predictions"])
 
@@ -77,18 +70,8 @@ def assert_same_arrays(loaded, fitted, count):
             assert x.dtype == y.dtype and np.array_equal(x, y)
 
 
-def test_load_reproduces_predictions():
-    rows, expected = golden_rows()
-    assert np.array_equal(load_model(MODEL).predict(rows), expected)
-
-
-def test_load_v2_reproduces_predictions():
-    rows, expected = golden_rows(PREDICTIONS_V2)
-    assert np.array_equal(load_model(MODEL_V2).predict(rows), expected)
-
-
 def test_load_v3_reproduces_predictions():
-    rows, expected = golden_rows(PREDICTIONS_V3)
+    rows, expected = golden_rows()
     assert np.array_equal(load_model(MODEL_V3).predict(rows), expected)
 
 
@@ -103,18 +86,19 @@ def test_fresh_fit_gives_same_record():
 
 
 def test_exhaustive_tree_arrays_match_v1():
-    assert_same_arrays(tree_arrays(load_model(MODEL), EXHAUSTIVE),
-                       tree_arrays(fit_golden(), EXHAUSTIVE), 8)
+    names = ("feature", "threshold", "left", "right", "value", "n")
+    kinds = (np.int64, np.float64, np.int64, np.int64, np.float64, np.int64)
+    pinned = [tuple(np.array(tree[name], dtype=kind) for name, kind in zip(names, kinds))
+              for tree in json.loads(V1_TREES.read_text())]
+    fitted = tree_arrays(fit_golden(), EXHAUSTIVE)
+    assert_same_arrays(fitted, pinned, 8)
+    for a, b in zip(fitted, pinned):  # bit for bit: -0.0 is not 0.0
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
 
 
 def test_loaded_tree_arrays_match_fit():
-    assert_same_arrays(tree_arrays(load_model(MODEL_V2)),
-                       tree_arrays(fit_golden()), 14)
-
-
-def test_v2_and_v3_files_load_the_same_arrays():
     assert_same_arrays(tree_arrays(load_model(MODEL_V3)),
-                       tree_arrays(load_model(MODEL_V2)), 14)
+                       tree_arrays(fit_golden()), 14)
 
 
 if __name__ == "__main__":

@@ -18,8 +18,8 @@ from rssiloc import ensemble, learners, metrics
 from rssiloc.exceptions import (DegenerateGeometry, MalformedNumber, NonPositiveSigma,
                                 ShapeMismatch)
 from rssiloc.filters import KalmanState, gaussian_filter, gaussian_kernel, moving_average
-from rssiloc.ingest import (BEACON_COLUMNS, load_ibeacon_csv, load_regression_csv,
-                            load_series_csv, write_csv)
+from rssiloc.ingest import (BEACON_COLUMNS, RegressionDataset, load_ibeacon_csv,
+                            load_regression_csv, load_series_csv, write_csv)
 from rssiloc.radio import NoiseSpec
 
 
@@ -411,7 +411,7 @@ class TestNonFiniteFitAndPredict:
 
     def write_testbed(self, tmp_path):
         path = tmp_path / "testbed.csv"
-        write_csv(learners.RegressionDataset(self.RSSI, self.TARGETS), path)
+        write_csv(RegressionDataset(self.RSSI, self.TARGETS), path)
         return path
 
     @pytest.mark.parametrize("rows, value", [(1, float("nan")), (slice(None), 1e308)])
@@ -670,3 +670,68 @@ def test_filter_counts_only_the_columns_it_filters(tmp_path, capsys):
     assert main(["filter", "--filter", "kalman", "-i", str(knocked),
                  "-o", str(tmp_path / "out.csv")]) == 0
     assert "columns_filtered\t3\n" in capsys.readouterr().out
+
+
+class TestRowsWiderThanTheHeader:
+    """A row with more cells than the header lost its extra cells: filter
+    rewrote `-50,-60,-70,100,100,999` under a 5-column header without the
+    999 and exited 0, against the loaders' rule that no cell is dropped."""
+
+    HEADER = "RSSI1,RSSI2,RSSI3,X_Actual,Y_Actual"
+    ARGV = {
+        "filter": ["filter", "--filter", "ma"],
+        "locate": ["locate", "--solver", "lls", "--anchors", "0,0;400,0;200,300"],
+        "fit": ["fit", "--model", "linear"],
+    }
+
+    def test_loader_names_the_line(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text(f"{self.HEADER}\n-50,-60,-70,100,100\n\n-50,-60,-70,100,100,999\n")
+        with pytest.raises(MalformedNumber, match=r"line 4 has 6 cells, the header 5$"):
+            load_regression_csv(path)
+
+    @pytest.mark.parametrize("command", ARGV)
+    def test_exits_3_without_output(self, tmp_path, capsys, command):
+        path, out = tmp_path / "wide.csv", tmp_path / "out.csv"
+        path.write_text(f"{self.HEADER}\n-50,-60,-70,100,100,999\n")
+        assert main([*self.ARGV[command], "-i", str(path), "-o", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "line 2 has 6 cells, the header 5" in err and not out.exists()
+
+    def test_beacon_row_exits_3(self, tmp_path, capsys):
+        features, labels, _ = beacon_dataset(3, n=12)
+        path = tmp_path / "beacons.csv"
+        write_csv({"location": [["B05", "B12", "L05", "L12"][z] for z in labels],
+                   **dict(zip(BEACON_COLUMNS, features.T))}, path)
+        path.write_text(path.read_text() + "B05" + ",-60" * 14 + "\n")
+        assert main(["fit", "--model", "knn", "--k", "1", "-i", str(path)]) == 3
+        assert "line 14 has 15 cells, the header 14" in capsys.readouterr().err
+
+
+class TestPredictOnUnlabeledBeaconRows:
+    """predict on a zone classifier mapped every query row's location to a
+    zone, though it writes only the location and the predicted zone: rows
+    whose location was `?` exited 3 (UnmappedLocation)."""
+
+    FIT = {"knn": ["--k", "3"], "mlp": ["--epochs", "2"]}
+
+    @pytest.mark.parametrize("model", FIT)
+    def test_unlabeled_rows_get_the_labeled_rows_zones(self, tmp_path, model):
+        features, labels, _ = beacon_dataset(3, n=40)
+        columns = dict(zip(BEACON_COLUMNS, features.T))
+        labeled, unlabeled = tmp_path / "labeled.csv", tmp_path / "unlabeled.csv"
+        write_csv({"location": [["B05", "B12", "L05", "L12"][z] for z in labels],
+                   **columns}, labeled)
+        locations = ["?", " lobby ", ""] * 13 + ["?"]
+        write_csv({"location": locations, **columns}, unlabeled)
+        saved = tmp_path / "model.json"
+        assert main(["fit", "--model", model, *self.FIT[model], "-i", str(labeled),
+                     "--save-model", str(saved)]) == 0
+        outputs = []
+        for data in (labeled, unlabeled):
+            out = tmp_path / f"pred_{data.name}"
+            assert main(["predict", "--model-file", str(saved), "-i", str(data),
+                         "-o", str(out)]) == 0
+            outputs.append(load_all_columns(out))
+        assert outputs[1]["location"] == [loc.strip() for loc in locations]
+        assert outputs[1]["Zone_Pred"] == outputs[0]["Zone_Pred"]

@@ -1,5 +1,6 @@
 """Property tests for the tree learners on small datasets with tied values,
-and for their saved version-1, version-2 and version-3 records."""
+and for their saved version-3 records, the only tree and forest layout that
+loads: a version-1 or version-2 record of the older layouts raises."""
 
 import base64
 import copy
@@ -14,9 +15,8 @@ from hypothesis import given, settings, strategies as st
 from rssiloc import learners, load_model, treeloc_fit, treeloc_reference
 from rssiloc.cli import main
 from rssiloc.ensemble import TreeLocModel
-from rssiloc.learners import (MODEL_VERSION, Forest, PairedRegressor,
-                              RegressionTree, _segment_sums, fit_extra_trees,
-                              fit_forest, fit_tree, model_from_dict)
+from rssiloc.learners import (Forest, PairedRegressor, RegressionTree, _segment_sums,
+                              fit_extra_trees, fit_forest, fit_tree, model_from_dict)
 
 
 @st.composite
@@ -144,7 +144,7 @@ def check_block_walk(model, x, monkeypatch):
         assert np.array_equal(tree.predict(x), [walk(tree, row) for row in x])
 
 
-@pytest.mark.parametrize("name", ["treeloc_v1", "treeloc_v2", "treeloc_v3"])
+@pytest.mark.parametrize("name", ["treeloc_v3"])
 def test_block_walk_on_golden_models(name, monkeypatch):
     data = Path(__file__).parent / "data"
     model = load_model(data / f"{name}.json")
@@ -370,7 +370,7 @@ def test_block_walk_rejects_rows_too_short_for_the_splits():
         tree.predict(x[:, :1])
 
 
-# --- level-wise growth and the version-2 format ---------------------------------
+# --- level-wise growth and the saved record layout -------------------------------
 
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300]
 
@@ -412,55 +412,14 @@ def test_tree_i_does_not_depend_on_forest_size(data, min_leaf, max_depth,
         assert all(same_arrays(a, b) for a, b in zip(small.trees, large.trees))
 
 
-def v1_node(tree, i=0):
-    """The nested version-1 record of a tree's node i (the old writer)."""
-    if tree.feature[i] < 0:
-        return {"leaf": tree.value[i].item(), "n": tree.n[i].item()}
-    return {"feature": tree.feature[i].item(), "threshold": tree.threshold[i].item(),
-            "n": tree.n[i].item(), "value": tree.value[i].item(),
-            "left": v1_node(tree, tree.left[i]), "right": v1_node(tree, tree.right[i])}
-
-
-def check_v1_round_trip(v1_record, x):
-    from_v1 = model_from_dict(json.loads(json.dumps(v1_record)))
-    resaved = model_from_dict(json.loads(json.dumps(from_v1.to_dict())))
-    assert len(trees_of(from_v1)) == len(trees_of(resaved))
-    assert all(same_arrays(a, b) for a, b in zip(trees_of(from_v1), trees_of(resaved)))
-    assert np.array_equal(from_v1.predict(x), resaved.predict(x))
-    return from_v1
-
-
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@given(data=datasets(), max_depth=depths, n_trees=st.integers(1, 3),
-       random=st.booleans(), seed=seeds)
-def test_v1_file_saved_as_v2_loads_the_same_trees(data, max_depth, n_trees,
-                                                  random, seed):
-    x, y = data
-    forest = fit_forest(x, y, n_trees=n_trees, max_depth=max_depth, rng_seed=seed,
-                        split_mode="random" if random else "exhaustive")
-    assert forest.to_dict()["version"] == MODEL_VERSION == 3
-    v1 = {**forest.to_dict(), "version": 1,
-          "parameters": {"trees": [v1_node(t) for t in forest.trees]}}
-    loaded = check_v1_round_trip(v1, x)
-    assert all(same_arrays(a, b) for a, b in zip(forest.trees, loaded.trees))
-    tree = forest.trees[0]
-    check_v1_round_trip({**tree.to_dict(), "version": 1,
-                         "parameters": {"root": v1_node(tree)}}, x)
-
-
-def test_v1_golden_file_saved_as_v2_loads_the_same_trees():
-    path = Path(__file__).parent / "data" / "treeloc_v1.json"
-    rows = json.loads(path.with_name("treeloc_v1_predictions.json").read_text())["rows"]
-    check_v1_round_trip(json.loads(path.read_text()), np.array(rows))
-
-
 ARRAY_KEYS = ("node_counts", "feature", "threshold", "value", "n")
 # The version-3 byte layout: little-endian int64 or float64 items, base64.
 V3_DTYPES = {"feature": "<i8", "threshold": "<f8", "value": "<f8", "n": "<i8"}
 
 
-def v2_parameters(trees):
-    """The version-2 parameters of trees, JSON number lists (the old writer)."""
+def list_parameters(trees):
+    """The parameters of trees as JSON number lists: a version-3 record's
+    arrays decoded (and the version-2 layout, which no longer loads)."""
     feature = np.concatenate([t.feature for t in trees])
     return {"node_counts": [len(t.feature) for t in trees], "feature": feature.tolist(),
             "threshold": np.concatenate([t.threshold for t in trees])[feature >= 0].tolist(),
@@ -484,8 +443,7 @@ def decoded(p):
 
 BASE_FOREST = fit_forest(np.arange(24.0).reshape(12, 2) % 5, np.arange(12.0) % 4,
                          n_trees=3, max_depth=3)
-BASE_RECORD = {**BASE_FOREST.to_dict(), "version": 2,
-               "parameters": v2_parameters(BASE_FOREST.trees)}
+BASE_RECORD, BASE_ARRAYS = BASE_FOREST.to_dict(), list_parameters(BASE_FOREST.trees)
 ITEMS = (st.integers(-3, 3) | st.integers(-3, 40) | st.none() | st.booleans()
          | st.floats() | st.text(max_size=3) | st.lists(st.integers(0, 3), max_size=2))
 # Items that a version-3 array of each key can hold; node_counts stays JSON.
@@ -496,16 +454,15 @@ V3_ITEMS["n"] = V3_ITEMS["feature"]
 
 def test_v3_writer_encodes_the_v2_arrays():
     record = BASE_FOREST.to_dict()
-    assert record["version"] == 3 and record["parameters"] == v3_parameters(
-        BASE_RECORD["parameters"])
-    assert decoded(record["parameters"]) == BASE_RECORD["parameters"]
+    assert record["version"] == 3 and record["parameters"] == v3_parameters(BASE_ARRAYS)
+    assert decoded(record["parameters"]) == BASE_ARRAYS
 
 
 @st.composite
-def edited_arrays(draw, items_of=lambda key: ITEMS):
-    """Version-2 forest arrays with items replaced, deleted or inserted;
+def edited_arrays(draw, items_of):
+    """Decoded forest arrays with items replaced, deleted or inserted;
     items_of(key) draws the items that array may take."""
-    p = copy.deepcopy(BASE_RECORD["parameters"])
+    p = copy.deepcopy(BASE_ARRAYS)
     for _ in range(draw(st.integers(1, 3))):
         key = draw(st.sampled_from(ARRAY_KEYS))
         items, new = p[key], items_of(key)
@@ -546,28 +503,10 @@ def encodes_preorder_trees(p) -> bool:
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(p=edited_arrays())
-def test_arrays_that_encode_no_preorder_trees_raise(p):
-    record = {**BASE_RECORD, "parameters": p}
-    if not encodes_preorder_trees(p):
-        with pytest.raises(ValueError):
-            model_from_dict(record)
-        return
-    numbers = all(v is None or isinstance(v, (int, float))
-                  for key in ("threshold", "value") for v in p[key])
-    try:
-        forest = model_from_dict(record)
-    except ValueError:
-        assert not numbers
-        return
-    assert_every_node_reached_once(forest)
-
-
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(p=edited_arrays(V3_ITEMS.get))
 def test_v3_arrays_that_encode_no_preorder_trees_raise(p):
-    # the same edits, made to the decoded arrays and encoded again
-    record = {**BASE_RECORD, "version": 3, "parameters": v3_parameters(p)}
+    # edits made to the decoded arrays, which are then encoded again
+    record = {**BASE_RECORD, "parameters": v3_parameters(p)}
     if not encodes_preorder_trees(p):
         with pytest.raises(ValueError):
             model_from_dict(record)
@@ -600,3 +539,49 @@ def test_tree_record_with_too_few_leaves_exits_3(tmp_path, capsys):
     code = main(["predict", "--model-file", str(path), "-i", str(data),
                  "-o", str(tmp_path / "out.csv")])
     assert code == 3 and "preorder" in capsys.readouterr().err
+
+
+def old_layout(record, version):
+    """record with each tree or forest record in it, alone or as a paired or
+    treeloc component, in the version-1 layout (a dict per node, here one
+    leaf) or the version-2 one (JSON number lists), as earlier code saved
+    them."""
+    if record["kind"] in ("tree", "forest"):
+        leaf = {"leaf": 0.0, "n": 1}
+        p = (decoded(record["parameters"]) if version == 2 else
+             {"root": leaf} if record["kind"] == "tree" else {"trees": [leaf]})
+        return {**record, "version": version, "parameters": p}
+    p = record["parameters"]
+    return {**record, "parameters": {**p, "components": [
+        old_layout(c, version) for c in p["components"]]}}
+
+
+OLD_RECORDS = {  # a record of each kind that holds tree or forest records
+    "tree": fit_tree(np.arange(6.0), np.arange(6.0) % 3, max_depth=2),
+    "forest": BASE_FOREST,
+    "paired": fit_forest(np.arange(24.0).reshape(12, 2), np.arange(24.0).reshape(12, 2) % 5,
+                         n_trees=2, max_depth=2),
+    "treeloc": treeloc_fit(np.arange(36.0).reshape(12, 3) % 7, np.arange(24.0).reshape(12, 2),
+                           rng_seed=1, tree_depth=2, forest_trees=2, extra_trees=2),
+}
+
+
+@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("kind", OLD_RECORDS)
+def test_old_tree_layouts_raise(kind, version):
+    record = old_layout(OLD_RECORDS[kind].to_dict(), version)
+    assert record["kind"] == kind and record != OLD_RECORDS[kind].to_dict()
+    with pytest.raises(ValueError, match=f"unsupported model version {version} of a "):
+        model_from_dict(json.loads(json.dumps(record)))
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_predict_on_an_old_tree_layout_exits_3(tmp_path, capsys, version):
+    model = OLD_RECORDS["treeloc"]
+    path, data, out = (tmp_path / name for name in ("model.json", "data.csv", "out.csv"))
+    path.write_text(json.dumps(old_layout(model.to_dict(), version)))
+    data.write_text("RSSI1,RSSI2,RSSI3,X_Actual,Y_Actual\n-50,-60,-70,100,100\n")
+    code = main(["predict", "--model-file", str(path), "-i", str(data), "-o", str(out)])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == "" and not out.exists()
+    assert "unsupported model version" in captured.err and "Traceback" not in captured.err

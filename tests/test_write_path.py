@@ -14,12 +14,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rssiloc.exceptions import IoFailure, MalformedNumber
-from rssiloc.ingest import (_WRITE_ROWS, load_regression_csv, load_series_csv, write_csv,
-                            write_text)
+from rssiloc.ingest import (_WRITE_ROWS, load_regression_csv, load_series_csv,
+                            one_hot_encode, write_csv, write_text)
 from rssiloc.ensemble import treeloc_fit
 from rssiloc.learners import (LinearModel, MlpModel, fit_forest, fit_knn, fit_linear,
-                              fit_polynomial, load_model, mlp_train,
-                              one_hot_encode, save_model)
+                              fit_polynomial, load_model, mlp_train, save_model)
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
@@ -145,15 +144,15 @@ HEADER = ["RSSI1", "RSSI2", "RSSI3", "X_Actual", "Y_Actual"]
 
 
 def reference_error(path, lines):
-    """The message the loader should raise, or None: the first row shorter
-    than the header, as the file is read, else the first cell that is not a
-    finite number, scanned row by row and cell by cell."""
+    """The message the loader should raise, or None: the first row not as
+    wide as the header, as the file is read, else the first cell that is
+    not a finite number, scanned row by row and cell by cell."""
     reader = csv.reader(io.StringIO("".join(lines), newline=""))
     next(reader)
     rows = []
     for row in filter(None, reader):
-        if len(row) < len(HEADER):
-            return f"{path}: line {reader.line_num} has {len(row)} of the header's {len(HEADER)} cells"
+        if len(row) != len(HEADER):
+            return f"{path}: line {reader.line_num} has {len(row)} cells, the header {len(HEADER)}"
         rows.append((reader.line_num, row))
     for line, row in rows:
         for name, cell in zip(HEADER, row):
@@ -169,7 +168,7 @@ def reference_error(path, lines):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(data=st.data(), n=st.integers(1, 8),
        bad=st.lists(st.sampled_from(["abc", "", " ", "inf", "-inf", "nan", "NaN",
-                                     "1e999", "1.5.5", "0x10", "short"]),
+                                     "1e999", "1.5.5", "0x10", "short", "wide"]),
                     min_size=1, max_size=2))
 def test_bad_cell_is_named_as_by_a_cell_scan(tmp_path_factory, data, n, bad):
     cells = [["%.17g" % (-60.0 - r - c / 8) for c in range(len(HEADER))] for r in range(n)]
@@ -177,6 +176,8 @@ def test_bad_cell_is_named_as_by_a_cell_scan(tmp_path_factory, data, n, bad):
         r = data.draw(st.integers(0, n - 1))
         if b == "short":
             cells[r] = cells[r][:data.draw(st.integers(1, len(HEADER) - 1))]
+        elif b == "wide":
+            cells[r] = cells[r] + ["999"] * data.draw(st.integers(1, 2))
         else:
             cells[r][data.draw(st.integers(0, len(cells[r]) - 1))] = b
     lines = [",".join(HEADER) + "\n"]
@@ -186,7 +187,7 @@ def test_bad_cell_is_named_as_by_a_cell_scan(tmp_path_factory, data, n, bad):
     path = tmp_path_factory.getbasetemp() / "bad_cell.csv"
     path.write_text("".join(lines))
     expected = reference_error(path, lines)
-    if expected is None:  # the bad cells were cut off with a short row
+    if expected is None:  # the edits left every row valid
         load_regression_csv(path)
         return
     with pytest.raises(MalformedNumber) as info:

@@ -6,9 +6,9 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from _synth import beacon_dataset
+from rssiloc.ingest import one_hot_encode
 from rssiloc.learners import (KnnModel, MlpModel, fit_knn, mlp_backprop,
-                              mlp_train, one_hot_encode,
-                              train_test_split_indices)
+                              mlp_train, train_test_split_indices)
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 # few distinct values, so distances tie often; queries may also hold ±inf or NaN

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from _synth import beacon_dataset
-from rssiloc import learners
+from rssiloc import ingest, learners
 
 GOLDEN = Path(__file__).parent / "data" / "zones_golden.json"
 SEED = 17
@@ -40,7 +40,7 @@ def knn_probabilities(features, labels, k):
 
 def train_mlp(features, labels):
     net = learners.MlpModel.create(rng_seed=SEED)
-    return learners.mlp_train(net, features, learners.one_hot_encode(labels, 4), **MLP)
+    return learners.mlp_train(net, features, ingest.one_hot_encode(labels, 4), **MLP)
 
 
 @pytest.fixture(scope="module")
