@@ -23,7 +23,7 @@ import numpy as np
 from .exceptions import ShapeMismatch, TooFewSamples
 from .learners import (PairedRegressor, fit_extra_trees, fit_forest, fit_linear,
                        fit_tree, model_from_dict, tree_models,
-                       _model_means, _one_row, _stack_trees, _wrap)
+                       _model_means, _one_row, _stack_trees, _training_inputs, _wrap)
 
 COMPONENT_NAMES = ("extra_trees", "decision_tree", "random_forest")
 
@@ -131,8 +131,7 @@ def treeloc_fit(features, targets, rng_seed: int = 0,
     component outputs still yield finite coefficients. reference=True keeps
     the published combiners instead (mode "reference") and fits none.
     """
-    x = np.asarray(features, dtype=float)
-    y = np.asarray(targets, dtype=float)
+    x, y = _training_inputs(features, targets)
     if y.shape != (len(x), 2):
         raise ShapeMismatch(f"targets must have shape ({len(x)}, 2), got {y.shape}")
     if len(x) < 6:

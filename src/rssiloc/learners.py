@@ -18,6 +18,9 @@ and treeloc models predict through one block of one entry per node
 (:func:`_stack_trees`): rows walk all its trees at once, a numpy step per
 level on one array of node ids updated in place, and each model's mean
 adds its trees in tree order for any number of rows.
+Fits read a 1-D feature array as one feature column, and predicts read a
+1-D array as one row: ``fit_tree(x1d, y).predict(x1d)`` gives one
+prediction, not N.
 A tree or forest record (version 3, the only one read) holds flat preorder
 arrays (:func:`_trees_from_arrays`): ``node_counts`` is a JSON list of ints,
 and ``feature``, ``threshold``, ``value`` and ``n`` are base64 strings of
@@ -75,6 +78,15 @@ def _one_row(batch):
     return predict
 
 
+def _training_inputs(features, targets) -> Tuple[np.ndarray, np.ndarray]:
+    x = np.asarray(features, dtype=float)
+    if x.ndim == 1:
+        x = x[:, None]
+    if x.size == 0:
+        raise EmptyDataset("no training samples")
+    return x, np.asarray(targets, dtype=float)
+
+
 # --- linear and polynomial regression -------------------------------------------
 
 @dataclass(frozen=True)
@@ -103,10 +115,7 @@ def fit_linear(features, targets) -> LinearModel:
     Underdetermined or rank-deficient designs get the minimal-norm
     solution, so duplicated feature columns leave predictions unchanged.
     """
-    x = np.asarray(features, dtype=float)
-    if x.size == 0:
-        raise EmptyDataset("no training samples")
-    y = np.asarray(targets, dtype=float)
+    x, y = _training_inputs(features, targets)
     if not (np.isfinite(x).all() and np.isfinite(y).all()):  # LAPACK would print to stdout
         raise NumericalError("least-squares features or targets are not finite")
     squeeze = y.ndim == 1
@@ -158,13 +167,11 @@ def fit_polynomial(features, targets, degree: int,
                    cross_terms: bool = False) -> PolynomialModel:
     """Polynomial regression: expand features, then fit linearly. Overflowing
     terms raise NumericalError (LAPACK would print to stdout on them)."""
-    x = np.asarray(features, dtype=float)
-    if x.size == 0:
-        raise EmptyDataset("no training samples")
+    x, y = _training_inputs(features, targets)
     terms = polynomial_features(x, degree, cross_terms)
     if not np.isfinite(terms).all():
         raise NumericalError(f"degree-{degree} polynomial terms of the features are not finite")
-    linear = fit_linear(terms, targets)
+    linear = fit_linear(terms, y)
     return PolynomialModel(theta=linear.theta, degree=degree,
                            cross_terms=cross_terms, squeeze=linear.squeeze)
 
@@ -455,15 +462,6 @@ class RegressionTree(_Averaged):
                      _trees_to_arrays((self,)), MODEL_VERSION)
 
 
-def _tree_inputs(features, targets) -> Tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(features, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    if x.size == 0:
-        raise EmptyDataset("no training samples")
-    return x, np.asarray(targets, dtype=float)
-
-
 def fit_tree(features, targets, max_depth: Optional[int] = None,
              min_leaf: int = 1, split_mode: str = "exhaustive",
              rng_seed: int = 0):
@@ -476,7 +474,7 @@ def fit_tree(features, targets, max_depth: Optional[int] = None,
     min_leaf, or at zero target variance. A 2-D target matrix yields a
     :class:`PairedRegressor` with one independently grown tree per column.
     """
-    x, y = _tree_inputs(features, targets)
+    x, y = _training_inputs(features, targets)
     if y.ndim == 2:
         models = [fit_tree(x, y[:, j], max_depth, min_leaf, split_mode,
                            rng_seed + j) for j in range(y.shape[1])]
@@ -514,7 +512,7 @@ def fit_forest(features, targets, n_trees: int = 100, bootstrap: bool = True,
     with split_mode="random" is the extra-trees scheme. Per-tree RNG
     substreams make the fit reproducible under a fixed seed.
     """
-    x, y = _tree_inputs(features, targets)
+    x, y = _training_inputs(features, targets)
     if n_trees < 1:
         raise ValueError("n_trees must be >= 1")
     if y.ndim == 2:

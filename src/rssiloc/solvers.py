@@ -5,8 +5,9 @@ squares family (plain, weighted, and bias-compensated), and the hyperbolic
 estimator built on squared-distance differences against the first anchor.
 
 Each solver takes distances (M,) for one fix or (N, M) for N fixes against
-the same anchors, and returns one or N results. Anchor checks run once per
-call; row checks run over the whole stack and raise if any row fails.
+the same anchors, and returns one or N results. Each needs 3 or more anchors
+(TooFewAnchors), one distance per anchor on the last axis and, where used,
+eta > 0 (ValueError); row checks run over the stack and raise if any fails.
 
 The pseudo-linear family subtracts the centroid circle equation from each
 anchor's circle equation, giving the linear system 2*A*s = b with centered
@@ -143,9 +144,20 @@ class BiasTerms:
     u: float
 
 
+def _ranging_inputs(anchors, distances) -> tuple:
+    """anchors and distances as float arrays: TooFewAnchors below 3 anchors,
+    ValueError unless the last axis holds one distance per anchor."""
+    pts, d = np.asarray(anchors, dtype=float), np.asarray(distances, dtype=float)
+    if len(pts) < 3:
+        raise TooFewAnchors(f"need at least 3 anchors, got {len(pts)}")
+    if d.shape[-1:] != (len(pts),):
+        raise ValueError("distances length must match anchor count")
+    return pts, d
+
+
 def trilaterate(anchors, radii, clamp_to_plane: bool = False) -> np.ndarray:
-    """Intersect three spheres; returns the two candidate points (2, 3),
-    or (N, 2, 3) for (N, 3) radii.
+    """Intersect the spheres of the first three anchors; returns the two
+    candidate points (2, 3) for radii (M,), or (N, 2, 3) for (N, M).
 
     Works in the canonical frame (first anchor at the origin, second on
     the +x axis, third in the xy-plane) and maps the two mirror-image
@@ -161,11 +173,10 @@ def trilaterate(anchors, radii, clamp_to_plane: bool = False) -> np.ndarray:
         NoIntersection: the spheres miss each other beyond tolerance (only
             when clamp_to_plane is off).
     """
-    pts = np.asarray(anchors, dtype=float)
+    pts, r = _ranging_inputs(anchors, radii)
     if pts.shape[1] == 2:
         pts = np.hstack([pts, np.zeros((len(pts), 1))])
-    pts = pts[:3]
-    r = np.asarray(radii, dtype=float)[..., :3]
+    pts, r = pts[:3], r[..., :3]
     if np.any(r < 0):
         raise ValueError("radii must be >= 0")
 
@@ -202,18 +213,13 @@ def trilaterate(anchors, radii, clamp_to_plane: bool = False) -> np.ndarray:
 def linearize(anchors, distances) -> LinearSystem:
     """Build the centered pseudo-linear system from anchors and ranges;
     RankDeficient for collinear anchors, NumericalError for a non-finite rhs."""
-    return _linearize(np.asarray(anchors, dtype=float),
-                      np.asarray(distances, dtype=float))[0]
+    return _linearize(*_ranging_inputs(anchors, distances))[0]
 
 
 def _linearize(pts: np.ndarray, d: np.ndarray):
     """(system, k, d2): the centered system and the k_i and d_i^2 it is
     built from, which the weights and the bias terms reuse."""
     m = len(pts)
-    if m < 3:
-        raise TooFewAnchors(f"need at least 3 anchors, got {m}")
-    if d.shape[-1:] != (m,):
-        raise ValueError("distances length must match anchor count")
     design, k, k_c = _anchor_terms(pts.shape, pts.tobytes())
     d2 = d ** 2
     d_c = np.add.reduce(d2, axis=-1) / m  # sum / m is np.mean's own arithmetic
@@ -263,6 +269,8 @@ def _noise_terms(m: int, sigmas_a, sigmas_p, eta: float) -> tuple:
     """(sigma_a^2, 4*sigma_a^2, exp(8*sb^2) - exp(4*sb^2), c, 2*(sigma_a^2 -
     mean sigma_a^2), u): the terms of build_weights and build_bias_terms
     that depend on the stds and eta alone, read-only (M,) arrays and u."""
+    if not eta > 0:
+        raise ValueError("eta must be > 0")
     u = math.log(10.0) / (5.0 * math.sqrt(2.0) * eta)
     var_a = np.full(m, sigmas_a, dtype=float) ** 2
     sp = np.full(m, sigmas_p, dtype=float)
@@ -286,8 +294,6 @@ def _rhs_variance(k: np.ndarray, d: np.ndarray, sigmas_a, sigmas_p,
     k_i = x_i^2 + y_i^2."""
     if (d <= 0).any():
         raise NonPositiveDistance("distances must be > 0")
-    if eta <= 0:
-        raise ValueError("eta must be > 0")
     var_a, four_var_a, spread = _noise_terms(len(k), _key(sigmas_a), _key(sigmas_p), eta)[:3]
     return four_var_a * (var_a + k) + np.exp(4.0 * np.log(d)) * spread
 
@@ -308,9 +314,8 @@ def build_weights(anchors, distances, sigmas_a, sigmas_p, eta: float) -> Diagona
     A row with a zero variance (no noise, or d^4 underflow) or a
     non-finite one is left unweighted.
     """
-    pts = np.asarray(anchors, dtype=float)
-    return _weights(_rhs_variance(np.add.reduce(pts ** 2, axis=1),
-                                  np.asarray(distances, dtype=float), sigmas_a, sigmas_p, eta))
+    pts, d = _ranging_inputs(anchors, distances)
+    return _weights(_rhs_variance(np.add.reduce(pts ** 2, axis=1), d, sigmas_a, sigmas_p, eta))
 
 
 def _positive_definite(normal: np.ndarray) -> np.ndarray:
@@ -345,9 +350,9 @@ def build_bias_terms(anchors, distances, sigmas_a, sigmas_p, eta: float,
     c_i = u^2 sp_i^2 + u^4 sp_i^4 / 2 from the second-order expansion of
     the lognormal mean of d_i^2.
     """
-    pts = np.asarray(anchors, dtype=float)
-    return _bias_terms(pts, np.asarray(distances, dtype=float) ** 2,
-                       _noise_terms(len(pts), _key(sigmas_a), _key(sigmas_p), eta), weights, True)
+    pts, d = _ranging_inputs(anchors, distances)
+    return _bias_terms(pts, d ** 2, _noise_terms(len(pts), _key(sigmas_a), _key(sigmas_p), eta),
+                       weights, True)
 
 
 def _bias_terms(pts: np.ndarray, d2: np.ndarray, noise: tuple,
@@ -407,11 +412,7 @@ def hyperbolic_solve(anchors, distances) -> np.ndarray:
     these rows by their lognormal covariance gives the wls estimate with
     exact anchors, which estimate_position computes as hyperbolic-w.
     """
-    pts = np.asarray(anchors, dtype=float)
-    d = np.asarray(distances, dtype=float)
-    m = len(pts)
-    if m < 3:
-        raise TooFewAnchors(f"need at least 3 anchors, got {m}")
+    pts, d = _ranging_inputs(anchors, distances)
     rel = pts - pts[0]
     mat = 2.0 * rel[1:]
     _require_rank_2(mat, "anchors are collinear")
@@ -438,12 +439,10 @@ def estimate_position(solver: str, anchors, distances, *, sigmas_a=0.0,
     """
     if solver not in SOLVER_NAMES:
         raise ValueError(f"unknown solver {solver!r}; expected one of {SOLVER_NAMES}")
-    anchors = np.asarray(anchors, dtype=float)
-    distances = np.asarray(distances, dtype=float)
+    anchors, distances = _ranging_inputs(anchors, distances)
 
     if solver == "trilateration":
-        return trilaterate(anchors[:3], distances[..., :3],
-                           clamp_to_plane=True)[..., 0, :2]
+        return trilaterate(anchors, distances, clamp_to_plane=True)[..., 0, :2]
     if solver == "hyperbolic":
         return hyperbolic_solve(anchors, distances)
     if solver == "hyperbolic-w":

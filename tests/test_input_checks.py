@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from _synth import beacon_dataset, regression_testbed
-from rssiloc import filters, ingest, learners, metrics, solvers
+from rssiloc import ensemble, filters, ingest, learners, metrics, solvers
 from rssiloc.core import PathLossParams
 from rssiloc.exceptions import CollinearAnchors, EmptyDataset, ShapeMismatch
 from rssiloc.cli import main
@@ -14,11 +14,17 @@ from rssiloc.ingest import format_number
 
 X = np.arange(12.0).reshape(6, 2)
 ONE_HOT = ingest.one_hot_encode([0, 1, 1], 2)
+TRIANGLE, RANGES = np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 3.0]]), np.array([2.0, 3.0, 3.0])
 
 
 def record(version):
     return {"format": learners.MODEL_FORMAT, "version": version, "kind": "linear",
             "hyperparameters": {}, "parameters": {}}
+
+
+def bias_terms(eta):
+    return solvers.build_bias_terms(TRIANGLE, RANGES, 0.5, 2.0, eta,
+                                    solvers.DiagonalWeights(np.ones(3)))
 
 
 def mlp_train(**kwargs):
@@ -70,6 +76,15 @@ LIBRARY_CHECKS = {
                             CollinearAnchors, "coincide"),
     "linearize lengths": (lambda: solvers.linearize(X[:3], [1.0, 2.0]),
                           ValueError, "length"),
+    "trilaterate lengths": (lambda: solvers.trilaterate(np.vstack([TRIANGLE, [4.0, 3.0]]),
+                                                        RANGES),
+                            ValueError, "length"),
+    "bias eta 0": (lambda: bias_terms(0.0), ValueError, "eta must be > 0"),
+    "bias eta -1": (lambda: bias_terms(-1.0), ValueError, "eta must be > 0"),
+    "bias eta nan": (lambda: bias_terms(np.nan), ValueError, "eta must be > 0"),
+    "wls eta nan": (lambda: solvers.estimate_position("wls", TRIANGLE, RANGES,
+                                                      sigmas_p=2.0, eta=np.nan),
+                    ValueError, "eta must be > 0"),
     "confusion square": (lambda: metrics.ConfusionMatrix(np.ones((2, 3)), ("a", "b")),
                          ValueError, "square"),
     "confusion counts": (lambda: metrics.ConfusionMatrix(-np.eye(2), ("a", "b")),
@@ -91,6 +106,16 @@ LIBRARY_CHECKS = {
 def test_library_check_raises(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+def test_fits_read_1d_features_as_one_column():
+    rng = np.random.default_rng(7)
+    x = rng.uniform(-90.0, -40.0, 30)
+    y = np.column_stack([0.5 * x, -0.2 * x]) + rng.normal(0.0, 1.0, (30, 2))
+    assert learners.fit_linear(x, y).to_dict() == learners.fit_linear(x[:, None], y).to_dict()
+    fits = [ensemble.treeloc_fit(features, y, forest_trees=3, extra_trees=3).to_dict()
+            for features in (x, x[:, None])]
+    assert fits[0] == fits[1]
 
 
 ANCHORS = "0,0;400,0;200,300"

@@ -6,9 +6,10 @@ term) as float hex, or the name of the exception it raised, plus the
 number of ``DegenerateWeightsWarning``s it emitted. The inputs cover one
 row and batches of rows for 3 to 8 anchors, rows without usable variances
 (no noise, or a d^4 that underflows), ``wls-bc`` rows that fall back to
-``wls``, per-anchor sigma arrays, and near-collinear and collinear
-anchors. Inputs are stored as float hex too, so the file pins the
-solvers and not a random generator.
+``wls``, per-anchor sigma arrays, near-collinear and collinear anchors,
+and inputs that break the solvers' contract (2 anchors, one distance
+short). Inputs are stored as float hex too, so the file pins the solvers
+and not a random generator.
 
 Running this file rewrites the data file from the solvers as they are;
 do that only for a change that is meant to move solver output, and say
@@ -82,6 +83,12 @@ def _inputs():
         anchors = np.array([[0.0, 0.0], [500.0, offset], [1000.0, 0.0], [250.0, -offset]])
         cases.append((f"collinear-{offset:g}", anchors,
                       _noisy(rng, anchors, targets, 4.0, 2.0), 0.5, 4.0, 2.0))
+    # the input contract: every solver refuses too few anchors, and a
+    # distance row shorter than the anchor list
+    anchors = rng.uniform(0.0, 1000.0, (4, 2))
+    d = _noisy(rng, anchors, targets, 4.0, 2.0)
+    cases.append(("two-anchors", anchors[:2], d[:, :2], 0.5, 4.0, 2.0))
+    cases.append(("one-distance-short", anchors, d[:, :3], 0.5, 4.0, 2.0))
     return cases
 
 
