@@ -256,7 +256,7 @@ def _fit_model(args, ds, train_idx):
             sizes=(x.shape[1], 20, 17, len(ds.zone_names)), rng_seed=args.seed)
         return learners.mlp_train(
             net, x, ds.one_hot[train_idx], lr=args.lr, batch_size=args.batch_size,
-            epochs=args.epochs, rng_seed=args.seed, test_fraction=0.0)[0]
+            epochs=args.epochs, rng_seed=args.seed)
     y = ds.targets[train_idx]
     if args.model == "treeloc":
         from . import ensemble
@@ -317,7 +317,6 @@ def cmd_fit(args) -> None:
         header.append(("test_accuracy", f"{report.overall_accuracy:.6f}"))
         table = metrics.format_classification_table(report)
     else:
-        predicted = np.atleast_2d(predicted)
         data = _xy_columns(predicted, ds.targets)
         table = _regression_metrics(ds.targets, predicted,
                                     [(f"_{name}", idx) for name, idx in

@@ -33,8 +33,10 @@ from __future__ import annotations
 import base64
 import importlib
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property, wraps
+from itertools import combinations_with_replacement, count
 from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -137,7 +139,6 @@ def polynomial_features(features, degree: int, cross_terms: bool = False) -> np.
         raise ValueError("degree must be >= 1")
     if not cross_terms:
         return np.hstack([x ** p for p in range(1, degree + 1)])
-    from itertools import combinations_with_replacement
     cols = []
     for total in range(1, degree + 1):
         for combo in combinations_with_replacement(range(x.shape[1]), total):
@@ -147,10 +148,19 @@ def polynomial_features(features, degree: int, cross_terms: bool = False) -> np.
 
 @dataclass(frozen=True)
 class PolynomialModel:
+    """theta has 1 + F*degree rows for F features, C(F + degree, F) with cross_terms."""
+
     theta: np.ndarray
     degree: int
     cross_terms: bool = False
     squeeze: bool = False
+
+    def __post_init__(self):
+        d, theta = self.degree, self.theta
+        terms = (math.comb(f + d, f) if self.cross_terms else 1 + f * d for f in count(1))
+        if not (type(d) is int and d >= 1 and theta.ndim == 2 and np.isfinite(theta).all()
+                and next(t for t in terms if t >= len(theta)) == len(theta)):
+            raise ValueError(f"not a fitted polynomial (degree {d!r}, theta {theta.shape})")
 
     @_one_row
     def predict(self, x) -> np.ndarray:
@@ -627,10 +637,6 @@ def fit_knn(features, labels, k: int, n_classes: Optional[int] = None) -> KnnMod
 
 # --- feed-forward network -------------------------------------------------------------
 
-def relu(z):
-    return np.maximum(np.asarray(z, dtype=float), 0.0)
-
-
 def softmax(z) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     e = np.exp(z - z.max(axis=-1, keepdims=True))
@@ -679,7 +685,7 @@ def _mlp_layers(model: MlpModel, x: np.ndarray):
     zs, acts = [], [x]
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
         zs.append(acts[-1] @ w.T + b)
-        acts.append(softmax(zs[-1]) if i == len(model.weights) - 1 else relu(zs[-1]))
+        acts.append(softmax(zs[-1]) if i == len(model.weights) - 1 else np.maximum(zs[-1], 0.0))
     return zs, acts
 
 
@@ -730,28 +736,15 @@ def mlp_backprop(model: MlpModel, x, y_onehot):
     return float(-(y * logp).sum() / len(x)), grad_w, grad_b, delta @ model.weights[0]
 
 
-@dataclass(frozen=True)
-class MlpHistory:
-    train_accuracy: Tuple[float, ...]
-    test_accuracy: Tuple[float, ...]
-
-
-def _accuracy(model: MlpModel, x: np.ndarray, y: np.ndarray) -> float:
-    return float(np.mean(model.predict(x) == y.argmax(axis=1)))
-
-
 def mlp_train(model: MlpModel, features, labels_onehot, lr: float = 0.01,
-              batch_size: int = 10, epochs: int = 100, rng_seed: int = 0,
-              test_fraction: float = 0.3) -> Tuple[MlpModel, MlpHistory]:
-    """Mini-batch gradient descent on cross-entropy.
+              batch_size: int = 10, epochs: int = 100, rng_seed: int = 0) -> MlpModel:
+    """Mini-batch gradient descent on cross-entropy over every given row.
 
-    The dataset is split once into train/held-out parts (test_fraction of
-    the rows, 0 disables the holdout), then reshuffled every epoch, all
-    under the given seed. Each batch runs :func:`_backprop`, the gradient
-    core of :func:`mlp_backprop`, without the loss, and updates a copy of
-    the weights in place. Returns the trained network and the per-epoch
-    accuracy trace on both parts. Raises NumericalError if training leaves
-    a weight or bias non-finite.
+    The rows are shuffled once, then reshuffled every epoch, all under the
+    given seed. Each batch runs :func:`_backprop`, the gradient core of
+    :func:`mlp_backprop`, without the loss, and updates a copy of the
+    weights in place. Returns the trained network. Raises NumericalError if
+    training leaves a weight or bias non-finite.
     """
     if len(np.asarray(features)) == 0:
         raise EmptyDataset("no training samples")
@@ -761,28 +754,20 @@ def mlp_train(model: MlpModel, features, labels_onehot, lr: float = 0.01,
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     rng = np.random.default_rng(rng_seed)
-    train_idx, test_idx = train_test_split_indices(len(x), test_fraction, rng)
-    if len(train_idx) == 0:
-        raise EmptyDataset("test_fraction leaves no training samples")
-    x_train, y_train = x[train_idx], y[train_idx]
+    order = rng.permutation(len(x))
     net = MlpModel(weights=tuple(w.copy() for w in model.weights),
                    biases=tuple(b.copy() for b in model.biases))
-    train_acc, test_acc = [], []
     for _ in range(epochs):
-        perm = rng.permutation(len(x_train))
-        xs, ys = x_train[perm], y_train[perm]
+        perm = order[rng.permutation(len(x))]
+        xs, ys = x[perm], y[perm]
         for i in range(0, len(perm), batch_size):
             _, gw, gb, _ = _backprop(net, xs[i:i + batch_size], ys[i:i + batch_size])
             for w, b, dw, db in zip(net.weights, net.biases, gw, gb):
                 w -= lr * dw
                 b -= lr * db
-        train_acc.append(_accuracy(net, x_train, y_train))
-        if len(test_idx):
-            test_acc.append(_accuracy(net, x[test_idx], y[test_idx]))
     if not all(np.isfinite(a).all() for a in (*net.weights, *net.biases)):
         raise NumericalError(f"training at learning rate {lr} left non-finite weights")
-    return net, MlpHistory(train_accuracy=tuple(train_acc),
-                           test_accuracy=tuple(test_acc))
+    return net
 
 
 # --- portable model serialization ----------------------------------------------------

@@ -282,10 +282,11 @@ def _noise_terms(m: int, sigmas_a, sigmas_p, eta: float) -> tuple:
     return terms + (u,)
 
 
-def _key(std):
-    """A std argument as a _noise_terms cache key: a scalar as it is, an
-    array or list of per-anchor stds as a tuple of floats."""
-    return tuple(np.ravel(std).tolist()) if isinstance(std, (np.ndarray, list)) else std
+def _key(std, m: int) -> tuple:
+    """A std argument as a _noise_terms cache key: a tuple of 1 or m floats."""
+    if np.size(std) not in (1, m):
+        raise ValueError(f"got {np.size(std)} stds for {m} anchors; give 1 or {m}")
+    return tuple(np.ravel(std).tolist())
 
 
 def _rhs_variance(k: np.ndarray, d: np.ndarray, sigmas_a, sigmas_p,
@@ -294,7 +295,8 @@ def _rhs_variance(k: np.ndarray, d: np.ndarray, sigmas_a, sigmas_p,
     k_i = x_i^2 + y_i^2."""
     if (d <= 0).any():
         raise NonPositiveDistance("distances must be > 0")
-    var_a, four_var_a, spread = _noise_terms(len(k), _key(sigmas_a), _key(sigmas_p), eta)[:3]
+    m = len(k)
+    var_a, four_var_a, spread = _noise_terms(m, _key(sigmas_a, m), _key(sigmas_p, m), eta)[:3]
     return four_var_a * (var_a + k) + np.exp(4.0 * np.log(d)) * spread
 
 
@@ -351,7 +353,8 @@ def build_bias_terms(anchors, distances, sigmas_a, sigmas_p, eta: float,
     the lognormal mean of d_i^2.
     """
     pts, d = _ranging_inputs(anchors, distances)
-    return _bias_terms(pts, d ** 2, _noise_terms(len(pts), _key(sigmas_a), _key(sigmas_p), eta),
+    m = len(pts)
+    return _bias_terms(pts, d ** 2, _noise_terms(m, _key(sigmas_a, m), _key(sigmas_p, m), eta),
                        weights, True)
 
 
@@ -427,7 +430,8 @@ def estimate_position(solver: str, anchors, distances, *, sigmas_a=0.0,
     """Dispatch a solver by name; returns a 2-D position estimate.
 
     distances of shape (M,) give one estimate (2,); (N, M) give N
-    estimates (N, 2) from one call, each solved as its own fix.
+    estimates (N, 2) from one call, each solved as its own fix. sigmas_a and
+    sigmas_p each give one std or one per anchor; other counts raise ValueError.
     Trilateration uses the first three anchors in the anchor plane.
     wls and wls-bc weight each row by its diagonal rhs variances in closed
     form (build_weights); a row without usable variances is solved
@@ -440,13 +444,13 @@ def estimate_position(solver: str, anchors, distances, *, sigmas_a=0.0,
     if solver not in SOLVER_NAMES:
         raise ValueError(f"unknown solver {solver!r}; expected one of {SOLVER_NAMES}")
     anchors, distances = _ranging_inputs(anchors, distances)
-
+    m = len(anchors)
     if solver == "trilateration":
         return trilaterate(anchors, distances, clamp_to_plane=True)[..., 0, :2]
     if solver == "hyperbolic":
         return hyperbolic_solve(anchors, distances)
     if solver == "hyperbolic-w":
-        sigmas_a, sigmas_p = 0.0, float(np.mean(sigmas_p))
+        sigmas_a, sigmas_p = 0.0, float(np.mean(_key(sigmas_p, m)))
 
     system, k, d2 = _linearize(anchors, distances)
     if solver == "lls":
@@ -456,7 +460,7 @@ def estimate_position(solver: str, anchors, distances, *, sigmas_a=0.0,
         return hyperbolic_solve(anchors, distances)
     if solver != "wls-bc":
         return wls_solve(system, weights)
-    bias = _bias_terms(anchors, d2, _noise_terms(len(k), _key(sigmas_a), _key(sigmas_p), eta),
+    bias = _bias_terms(anchors, d2, _noise_terms(m, _key(sigmas_a, m), _key(sigmas_p, m), eta),
                        weights, include_cross_term)
     est, ok = _bias_compensated(system, weights, bias, include_cross_term)
     if not ok.all():  # those rows' weights are uniform where unweighted: no second warning

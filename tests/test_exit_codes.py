@@ -166,6 +166,29 @@ def model_records():
             + [(m.to_dict(), "beacons") for m in classifiers])
 
 
+def polynomial_record(cross_terms, key, edit):
+    """The saved degree-2 polynomial record of the three-feature testbed
+    with its degree or theta edited."""
+    rssi, targets, _, _ = regression_testbed(6, n=24)
+    record = learners.fit_polynomial(rssi, targets, degree=2, cross_terms=cross_terms).to_dict()
+    assert len(record["parameters"]["theta"]) == (10 if cross_terms else 7)
+    fields = record["hyperparameters" if key == "degree" else "parameters"]
+    fields[key] = edit(fields[key])
+    return record
+
+
+POLYNOMIAL_EDITS = {
+    # expanding to degree 10**9 before any shape check ran without end
+    "degree 1e9": (False, "degree", lambda d: 10 ** 9),
+    "degree 1e9 cross": (True, "degree", lambda d: 10 ** 9),
+    "degree 0": (False, "degree", lambda d: 0),
+    "degree float": (False, "degree", float),
+    "theta nan": (False, "theta", lambda t: t[:3] + [[math.nan] * len(t[3])] + t[4:]),
+    "theta row dropped": (True, "theta", lambda t: t[:-1]),
+    "theta 1-D": (False, "theta", lambda t: [row[0] for row in t]),
+}
+
+
 def json_paths(node, prefix=()):
     """Path of every dict value and list item inside a JSON value."""
     items = (node.items() if isinstance(node, dict)
@@ -598,6 +621,17 @@ class TestOwners:
             learners.load_model(path)
         code, err = check_contract(["predict", "--model-file", path, "-i",
                                     files["beacons"], "-o", tmp_path / "p.csv"])
+        assert code == 3 and "bad model file" in err
+        assert not (tmp_path / "p.csv").exists()
+
+    @pytest.mark.parametrize("case", POLYNOMIAL_EDITS.values(), ids=POLYNOMIAL_EDITS.keys())
+    def test_polynomial_file_fit_cannot_write_fails_at_load(self, files, tmp_path, case):
+        path = tmp_path / "poly.json"
+        path.write_text(json.dumps(polynomial_record(*case)))  # json writes and reads NaN
+        with pytest.raises(ValueError, match="not a fitted polynomial"):
+            learners.load_model(path)
+        code, err = check_contract(["predict", "--model-file", path, "-i",
+                                    files["regression"], "-o", tmp_path / "p.csv"])
         assert code == 3 and "bad model file" in err
         assert not (tmp_path / "p.csv").exists()
 

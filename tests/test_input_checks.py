@@ -41,8 +41,6 @@ LIBRARY_CHECKS = {
     "mlp rate nan": (lambda: mlp_train(lr=np.nan), ValueError, "learning rate"),
     "mlp rate inf": (lambda: mlp_train(lr=np.inf), ValueError, "learning rate"),
     "mlp batch": (lambda: mlp_train(batch_size=0), ValueError, "batch_size"),
-    "mlp holdout": (lambda: mlp_train(test_fraction=1.0), EmptyDataset,
-                    "no training samples"),
     "mlp empty": (lambda: learners.mlp_train(learners.MlpModel.create(sizes=(2, 3, 2)),
                                              X[:0], ONE_HOT[:0]),
                   EmptyDataset, "no training samples"),
@@ -85,6 +83,18 @@ LIBRARY_CHECKS = {
     "wls eta nan": (lambda: solvers.estimate_position("wls", TRIANGLE, RANGES,
                                                       sigmas_p=2.0, eta=np.nan),
                     ValueError, "eta must be > 0"),
+    # the mean of two stds weighted all three anchors
+    "hyperbolic-w stds": (lambda: solvers.estimate_position(
+        "hyperbolic-w", TRIANGLE, RANGES, sigmas_p=[1.0, 2.0]),
+                          ValueError, "got 2 stds for 3 anchors"),
+    "wls stds": (lambda: solvers.estimate_position("wls", TRIANGLE, RANGES,
+                                                   sigmas_a=[1.0, 2.0]),
+                 ValueError, "got 2 stds for 3 anchors"),
+    "wls-bc stds": (lambda: solvers.estimate_position("wls-bc", TRIANGLE, RANGES,
+                                                      sigmas_p=np.ones(4)),
+                    ValueError, "got 4 stds for 3 anchors"),
+    "weights stds": (lambda: solvers.build_weights(TRIANGLE, RANGES, [], 1.0, 2.0),
+                     ValueError, "got 0 stds for 3 anchors"),
     "confusion square": (lambda: metrics.ConfusionMatrix(np.ones((2, 3)), ("a", "b")),
                          ValueError, "square"),
     "confusion counts": (lambda: metrics.ConfusionMatrix(-np.eye(2), ("a", "b")),
@@ -106,6 +116,16 @@ LIBRARY_CHECKS = {
 def test_library_check_raises(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+@pytest.mark.parametrize("solver", ["wls", "wls-bc", "hyperbolic-w"])
+def test_one_std_or_one_per_anchor(solver):
+    square = np.vstack([TRIANGLE, [4.0, 3.0]])
+
+    def solve(std):  # four anchors and ranges that disagree, so the weights count
+        return solvers.estimate_position(solver, square, [2.0, 3.0, 3.0, 2.5],
+                                         sigmas_a=std, sigmas_p=std).tolist()
+    assert solve(0.5) == solve([0.5]) == solve(np.array(0.5)) == solve([0.5] * 4)
 
 
 def test_fits_read_1d_features_as_one_column():

@@ -214,8 +214,7 @@ def fit(kind, x, y, labels):
     if kind == "knn":
         return fit_knn(x, labels, k=min(3, len(x)), n_classes=4)
     net = MlpModel.create(sizes=(x.shape[1], 5, 4), rng_seed=len(x))
-    return mlp_train(net, x, one_hot_encode(labels, 4), epochs=2,
-                     test_fraction=0.0)[0]
+    return mlp_train(net, x, one_hot_encode(labels, 4), epochs=2)
 
 
 @pytest.mark.parametrize("kind", ["linear", "poly", "knn", "mlp"])
