@@ -13,9 +13,9 @@ failure (numpy's LinAlgError included), never a traceback. ``main`` runs
 every command in one float-error scope, so an overflow gives inf or nan,
 not a warning, and ``_finish`` writes nothing when a float data column or
 a regression metric holds one (exit 4). A failing ``locate`` names the
-first row in the file that fails when solved alone. Every command is
-deterministic under a fixed --seed. --threads is accepted for
-compatibility, echoed in reports, and has no effect.
+first row that fails when solved alone by the file line its loader read.
+Every command is deterministic under a fixed --seed. --threads is
+accepted for compatibility, echoed in reports, and has no effect.
 
 Outputs are computed first, then written in one place in the order data
 CSV (-o), saved model (--save-model), report (--report), each atomically
@@ -235,7 +235,7 @@ def cmd_locate(args) -> None:
                 if not np.isfinite(solve([row], in_range[row])).all():
                     raise NumericalError(f"{args.solver} gave a non-finite estimate")
             except RssilocError as exc:  # a raising solve or the line above: name the file line
-                raise NumericalError(f"row {ingest._read_rows(args.input)[2][row]}: {exc}")
+                raise NumericalError(f"row {ds.lines[row]}: {exc}")
         fallbacks = sum(issubclass(w.category, DegenerateWeightsWarning) for w in caught)
 
     _finish(args, [("solver", args.solver), ("eta", args.eta),

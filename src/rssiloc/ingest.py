@@ -1,12 +1,11 @@
-"""CSV dataset loading and writing. The dataset types live here too, where
-they are built and written; ``learners`` imports them from this module.
+"""CSV dataset loading and writing, and the two dataset types, each holding
+what its file said once.
 
-Two formats are supported: the testbed regression layout
-(RSSI1..RSSIk, X_Actual, Y_Actual) and the beacon classification layout
-(location, b3001..b3013) where -200 marks an out-of-range beacon. Zone
-labels for the classification format come from a user-supplied sidecar
-mapping file of ``label=zone`` lines, or from the built-in grid quadrant
-rule.
+A RegressionDataset holds the testbed layout (RSSI1..RSSIk, X_Actual,
+Y_Actual) and each row's line in its file. A ClassificationDataset holds the
+beacon layout (location, b3001..b3013; -200 marks an out-of-range beacon)
+and each row's zone as one int index into ZONE_LABELS, from a user-supplied
+sidecar file of ``label=zone`` lines or from the built-in grid quadrant rule.
 
 Loaders never drop rows or columns silently: a cell that is not a finite
 number, or a row not as wide as the header, raises MalformedNumber naming its
@@ -56,17 +55,18 @@ READ_ENCODING = "utf-8-sig"  # of every file read: a leading byte-order mark is 
 
 @dataclass(frozen=True)
 class RegressionDataset:
-    """RSSI feature matrix (N, F) with coordinate targets (N, 2), in cm."""
+    """RSSI features (N, F), targets (N, 2) in cm, column names, file lines."""
 
     features: np.ndarray
     targets: np.ndarray
     feature_names: Tuple[str, ...] = ()
+    lines: Tuple[int, ...] = ()
 
     def __post_init__(self):
         if len(self.features) == 0:
             raise EmptyDataset("regression dataset is empty")
-        if len(self.features) != len(self.targets):
-            raise ShapeMismatch("features and targets disagree on N")
+        if len(self.targets) != len(self) or len(self.lines) not in (0, len(self)):
+            raise ShapeMismatch("features, targets and lines disagree on N")
         if not (np.all(np.isfinite(self.features))
                 and np.all(np.isfinite(self.targets))):
             raise ValueError("dataset contains non-finite entries")
@@ -77,24 +77,26 @@ class RegressionDataset:
 
 @dataclass(frozen=True)
 class ClassificationDataset:
-    """Beacon RSSI vectors with zone labels.
-
-    features keeps raw readings including the -200 out-of-range sentinel;
-    labels are zone indices into zone_names and one_hot the matching
-    indicator rows.
-    """
+    """Beacon RSSI vectors, raw with the -200 out-of-range sentinel, each
+    row's zone as one int index into zone_names (ZONE_LABELS), and its
+    location. one_hot is built from the labels when read."""
 
     features: np.ndarray
     labels: np.ndarray
-    one_hot: np.ndarray
     locations: Tuple[str, ...] = ()
-    zone_names: Tuple[str, ...] = ZONE_LABELS
+    zone_names = ZONE_LABELS
 
     def __post_init__(self):
         if len(self.features) == 0:
             raise EmptyDataset("classification dataset is empty")
-        if not np.all(self.one_hot.sum(axis=1) == 1):
-            raise ValueError("one-hot rows must sum to 1")
+        labels = np.asarray(self.labels)
+        if not (labels.dtype.kind in "iu" and labels.shape == (len(self.features),)
+                and np.all((labels >= 0) & (labels < len(ZONE_LABELS)))):
+            raise ValueError(f"labels must be one int index into {ZONE_LABELS} per row")
+
+    @property
+    def one_hot(self) -> np.ndarray:
+        return one_hot_encode(self.labels, len(ZONE_LABELS))
 
     def __len__(self) -> int:
         return len(self.features)
@@ -194,7 +196,7 @@ def load_regression_csv(path) -> RegressionDataset:
                          feature_names + ("X_Actual", "Y_Actual"))
     return RegressionDataset(features=block[:, :k].copy(),
                              targets=block[:, k:].copy(),
-                             feature_names=feature_names)
+                             feature_names=feature_names, lines=tuple(lines))
 
 
 def load_zone_mapping(path) -> Dict[str, str]:
@@ -265,9 +267,7 @@ def load_ibeacon_csv(path, zones: Union[Mapping[str, str], str, None] = "grid"
             raise UnmappedLocation(
                 f"row {line}: location {location!r} has no zone mapping")
     labels = np.array([ZONE_LABELS.index(zones[loc]) for loc in locations], dtype=int)
-    return ClassificationDataset(features=features, labels=labels,
-                                 one_hot=one_hot_encode(labels, len(ZONE_LABELS)),
-                                 locations=locations)
+    return ClassificationDataset(features=features, labels=labels, locations=locations)
 
 
 def _column(values, alone: bool) -> Tuple[str, np.ndarray]:

@@ -840,6 +840,26 @@ def _tree_from_dict(d: dict) -> RegressionTree:
     return tree
 
 
+def _forest_from_dict(d: dict) -> Forest:
+    """A forest whose n_trees is its number of trees, as to_dict writes it."""
+    h = d["hyperparameters"]
+    forest = Forest(_trees_from_dict(d), h["bootstrap"], h.get("rng_seed", 0))
+    if json.dumps(h["n_trees"]) != json.dumps(len(forest.trees)):  # 3.0 would save as 3
+        raise ValueError(f"forest record: n_trees {h['n_trees']!r} for {len(forest.trees)} trees")
+    return forest
+
+
+def _mlp_from_dict(d: dict) -> MlpModel:
+    """An MLP whose sizes are the shapes its weights and biases give, as to_dict writes them."""
+    p, sizes = d["parameters"], d["hyperparameters"]["sizes"]
+    model = MlpModel(tuple(map(np.asarray, p["weights"])), tuple(map(np.asarray, p["biases"])))
+    n = model.sizes
+    if (json.dumps(sizes) != json.dumps(list(n)) or [a.shape for a in model.weights + model.biases]
+            != [*zip(n[1:], n[:-1]), *zip(n[1:])]):
+        raise ValueError(f"mlp record: sizes {sizes!r} are not its weight and bias shapes")
+    return model
+
+
 # The loader of each kind's record. ensemble imports this module, so it is
 # imported only when a treeloc record is loaded.
 _MODEL_KINDS: Dict[str, Callable[[dict], object]] = {
@@ -849,15 +869,13 @@ _MODEL_KINDS: Dict[str, Callable[[dict], object]] = {
         np.asarray(d["parameters"]["theta"]), d["hyperparameters"]["degree"],
         d["hyperparameters"]["cross_terms"], d["parameters"]["squeeze"]),
     "tree": _tree_from_dict,
-    "forest": lambda d: Forest(_trees_from_dict(d), d["hyperparameters"]["bootstrap"],
-                               d["hyperparameters"].get("rng_seed", 0)),
+    "forest": _forest_from_dict,
     "paired": lambda d: PairedRegressor(models=tuple(
         model_from_dict(c) for c in d["parameters"]["components"])),
     "knn": lambda d: KnnModel(np.asarray(d["parameters"]["features"], dtype=float),
                               np.asarray(d["parameters"]["labels"], dtype=int),
                               d["hyperparameters"]["k"], d["hyperparameters"]["n_classes"]),
-    "mlp": lambda d: MlpModel(tuple(np.asarray(w) for w in d["parameters"]["weights"]),
-                              tuple(np.asarray(b) for b in d["parameters"]["biases"])),
+    "mlp": _mlp_from_dict,
     "treeloc": lambda d: importlib.import_module(".ensemble", __package__)._treeloc_from_dict(d),
 }
 

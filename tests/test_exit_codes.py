@@ -202,6 +202,33 @@ RECORDS = [(record, layout, list(json_paths(record)))
            for record, layout in model_records()]
 
 
+def edited_record(index, path, edit):
+    """The saved record RECORDS[index] with the value at path edited, and
+    the CSV layout its predict step reads."""
+    record, layout, _ = RECORDS[index]
+    record = copy.deepcopy(record)
+    parent = functools.reduce(operator.getitem, path[:-1], record)
+    parent[path[-1]] = edit(parent[path[-1]])
+    return record, layout
+
+
+SIZES = ("hyperparameters", "sizes")
+N_TREES = ("parameters", "components", 0, "hyperparameters", "n_trees")  # of a paired forest
+# Records that loaded, and saved back as other records, though their shape
+# fields disagree with their arrays.
+SHAPE_EDITS = {
+    "mlp sizes 5 outputs": (6, SIZES, lambda sizes: sizes[:-1] + [5]),
+    "mlp sizes a layer short": (6, SIZES, lambda sizes: sizes[1:]),
+    "mlp sizes floats": (6, SIZES, lambda sizes: [float(n) for n in sizes]),
+    "mlp one-wide bias": (6, ("parameters", "biases"), lambda b: [b[0][:1], *b[1:]]),
+    "mlp weights do not chain": (6, ("parameters", "weights"),
+                                 lambda w: [w[0], [row[:-1] for row in w[1]]]),
+    "forest n_trees 3": (3, N_TREES, lambda n: n + 1),
+    "forest n_trees float": (3, N_TREES, float),
+    "treeloc forest n_trees": (4, ("parameters", "components", 0, *N_TREES), lambda n: n - 1),
+}
+
+
 def treeloc_with_linear_component():
     """A treeloc record whose first component is a saved linear record."""
     treeloc, linear = RECORDS[4][0], RECORDS[0][0]
@@ -632,6 +659,19 @@ class TestOwners:
             learners.load_model(path)
         code, err = check_contract(["predict", "--model-file", path, "-i",
                                     files["regression"], "-o", tmp_path / "p.csv"])
+        assert code == 3 and "bad model file" in err
+        assert not (tmp_path / "p.csv").exists()
+
+    @pytest.mark.parametrize("case", SHAPE_EDITS.values(), ids=SHAPE_EDITS.keys())
+    def test_shape_fields_that_disagree_fail_at_load(self, files, tmp_path, case):
+        record, layout = edited_record(*case)
+        assert record["kind"] in ("mlp", "paired", "treeloc")
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(record))
+        with pytest.raises(ValueError, match="(mlp|forest) record: "):
+            learners.load_model(path)
+        code, err = check_contract(["predict", "--model-file", path, "-i",
+                                    files[layout], "-o", tmp_path / "p.csv"])
         assert code == 3 and "bad model file" in err
         assert not (tmp_path / "p.csv").exists()
 

@@ -91,6 +91,22 @@ class TestStaticGraph:
     def test_no_model_kind_registry(self):
         assert not hasattr(rssiloc.learners, "register_model_kind")
 
+    def test_cli_uses_no_private_name_of_another_module(self):
+        """The front end reads the other modules through their public names,
+        at any depth of cli.py: ``from . import m`` then ``m.name``, or
+        ``from .m import name``."""
+        nodes = list(ast.walk(ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))))
+        imports = [node for node in nodes
+                   if isinstance(node, ast.ImportFrom) and node.level == 1]
+        modules = {alias.asname or alias.name for node in imports if not node.module
+                   for alias in node.names}
+        private = [f"{node.module}.{alias.name}" for node in imports if node.module
+                   for alias in node.names if alias.name.startswith("_")]
+        private += [f"{node.value.id}.{node.attr}" for node in nodes
+                    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules and node.attr.startswith("_")]
+        assert modules >= {"ingest", "learners"} and private == []
+
 
 class TestLazyExports:
     @pytest.mark.parametrize("name", EXPORTS)

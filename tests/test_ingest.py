@@ -3,9 +3,9 @@ import pytest
 
 from _synth import load_all_columns
 from rssiloc.exceptions import (IoFailure, MalformedNumber, MissingColumn,
-                                UnmappedLocation)
-from rssiloc.ingest import (BEACON_COLUMNS, ClassificationDataset, RegressionDataset,
-                            format_number, grid_zone, load_ibeacon_csv,
+                                ShapeMismatch, UnmappedLocation)
+from rssiloc.ingest import (BEACON_COLUMNS, ZONE_LABELS, ClassificationDataset,
+                            RegressionDataset, format_number, grid_zone, load_ibeacon_csv,
                             load_regression_csv, load_series_csv, load_zone_mapping,
                             one_hot_encode, sentinel_mask, write_csv)
 
@@ -74,6 +74,34 @@ class TestRegressionCsv:
         path.write_bytes(b"RSSI1,RSSI2,RSSI3,X_Actual,Y_Actual\r\n"
                          b"-60,-61,-62,1,2\r\n")
         assert len(load_regression_csv(path)) == 1
+
+
+class TestRowLines:
+    def test_loader_keeps_each_rows_file_line(self, tmp_path):
+        path = tmp_path / "data.csv"
+        write_lines(path, ["RSSI1,RSSI2,RSSI3,X_Actual,Y_Actual", "-60,-61,-62,1,2", "",
+                           "-63,-64,-65,3,4", "", "", "-66,-67,-68,5,6"])
+        assert load_regression_csv(path).lines == (2, 4, 7)
+
+    def test_lines_name_every_row_or_none(self):
+        x = np.zeros((3, 3))
+        assert RegressionDataset(x, x[:, :2]).lines == ()
+        with pytest.raises(ShapeMismatch, match="lines disagree"):
+            RegressionDataset(x, x[:, :2], lines=(2, 3))
+
+
+class TestClassificationDataset:
+    def test_labels_are_the_one_copy_of_each_zone(self):
+        labels = np.array([1, 2, 0])
+        ds = ClassificationDataset(np.full((3, 13), -200.0), labels, ("P01", "P02", "P03"))
+        np.testing.assert_array_equal(ds.one_hot, one_hot_encode(labels, 4))
+        assert ds.zone_names == ZONE_LABELS
+        with pytest.raises(AttributeError):
+            ds.one_hot = one_hot_encode([0, 0, 0], 4)
+        with pytest.raises(TypeError):  # no one-hot copy to disagree with the labels
+            ClassificationDataset(ds.features, labels, one_hot=ds.one_hot)
+        with pytest.raises(TypeError):
+            ClassificationDataset(ds.features, labels, zone_names=("A", "B", "C", "D"))
 
 
 class TestBeaconCsv:
@@ -181,7 +209,6 @@ class TestWriteCsv:
         ds = ClassificationDataset(
             features=rng.uniform(-200, -60, (n, 13)),
             labels=labels,
-            one_hot=one_hot_encode(labels, 4),
             locations=tuple(f"P{i:02d}" for i in range(n)))
         path = tmp_path / "cls.csv"
         write_csv(ds, path)

@@ -59,8 +59,17 @@ LIBRARY_CHECKS = {
                           ValueError, "non-finite"),
     "classification empty": (lambda: ingest.ClassificationDataset(
         np.empty((0, 2)), np.empty(0), np.empty((0, 2))), EmptyDataset, "empty"),
-    "classification one-hot": (lambda: ingest.ClassificationDataset(
-        X[:3], np.zeros(3), ONE_HOT * 2), ValueError, "one-hot"),
+    # each row's zone is one int index into ZONE_LABELS, once
+    "classification labels": (lambda: ingest.ClassificationDataset(
+        X[:3], np.array([0, 7, 1])), ValueError, "labels must be one int index"),
+    "classification labels negative": (lambda: ingest.ClassificationDataset(
+        X[:3], np.array([0, -1, 1])), ValueError, "labels must be one int index"),
+    "classification labels float": (lambda: ingest.ClassificationDataset(
+        X[:3], np.zeros(3)), ValueError, "labels must be one int index"),
+    "classification labels count": (lambda: ingest.ClassificationDataset(
+        X[:3], np.zeros(2, dtype=int)), ValueError, "labels must be one int index"),
+    "classification labels 2-D": (lambda: ingest.ClassificationDataset(
+        X[:3], np.zeros((3, 1), dtype=int)), ValueError, "labels must be one int index"),
     "system centred": (lambda: solvers.LinearSystem(X[:3] + 1.0, np.zeros(3)),
                        ValueError, "not centered"),
     "system rhs": (lambda: solvers.LinearSystem(X[:3] - X[:3].mean(axis=0),

@@ -1,10 +1,13 @@
-"""Every defaulted parameter of a ``rssiloc`` function has a caller that sets it.
+"""Every defaulted parameter of a ``rssiloc`` function, and every defaulted
+field of a ``rssiloc`` dataclass, has a caller that sets it.
 
 A default that no call in src/, tests/, bench/ or demos/ overrides is a
 setting nothing uses: it doubles the configurations to test and serves no
 workload. A call is matched by the function's name (the class's name for
-``__init__``). It sets a parameter by keyword or by position; ``**kwargs``
-counts as setting every parameter, and ``*args`` every positional one.
+``__init__`` and for a dataclass's fields). It sets a parameter by keyword
+or by position; ``**kwargs`` counts as setting every parameter, and
+``*args`` every positional one. A field's position is its place among its
+class's own ``__init__`` fields: no ``rssiloc`` dataclass inherits fields.
 """
 
 import ast
@@ -32,6 +35,26 @@ def _defaulted(tree):
         for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
             if default is not None:
                 yield name, arg.arg, None
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in cls.decorator_list):
+            fields = [(stmt.target.id, _field_default(stmt.value)) for stmt in cls.body
+                      if isinstance(stmt, ast.AnnAssign) and "ClassVar" not in ast.unparse(
+                          stmt.annotation) and _field_default(stmt.value) is not None]
+            for index, (field, defaulted) in enumerate(fields):
+                if defaulted:
+                    yield cls.name, field, index
+
+
+def _field_default(value):
+    """Whether a dataclass field of this value has a default; None if it is
+    no ``__init__`` parameter (``field(init=False)``)."""
+    if not (isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field"):
+        return value is not None
+    keywords = {k.arg: ast.unparse(k.value) for k in value.keywords}
+    if keywords.get("init") == "False":
+        return None
+    return bool({"default", "default_factory"} & set(keywords))
 
 
 def _calls():
