@@ -108,7 +108,7 @@ def _treeloc_from_dict(data: dict) -> TreeLocModel:
     return TreeLocModel(components=comps,
                         combiner_x=tuple(p["combiner_x"]),
                         combiner_y=tuple(p["combiner_y"]),
-                        mode=h["mode"], rng_seed=h.get("rng_seed", 0))
+                        mode=h["mode"], rng_seed=h["rng_seed"])
 
 
 def _thirds(n: int) -> Tuple[slice, slice, slice]:

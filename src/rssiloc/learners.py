@@ -21,11 +21,11 @@ adds its trees in tree order for any number of rows.
 Fits read a 1-D feature array as one feature column, and predicts read a
 1-D array as one row: ``fit_tree(x1d, y).predict(x1d)`` gives one
 prediction, not N.
-A tree or forest record (version 3, the only one read) holds flat preorder
-arrays (:func:`_trees_from_arrays`): ``node_counts`` is a JSON list of ints,
-and ``feature``, ``threshold``, ``value`` and ``n`` are base64 strings of
-little-endian ``<i8``/``<f8`` bytes, so a record is written and read
-without turning each number into text.
+Each kind's record has the one version in ``_KIND_VERSIONS`` (tree 3,
+forest 4, MLP 2, the rest 1) and stores no count or shape its arrays give.
+Tree and forest records hold flat preorder arrays (:func:`_trees_from_arrays`):
+``node_counts`` is a JSON list of ints; ``feature``, ``threshold``, ``value``
+and ``n`` are base64 strings of little-endian ``<i8``/``<f8`` bytes.
 """
 
 from __future__ import annotations
@@ -47,10 +47,11 @@ from .exceptions import (EmptyDataset, EmptyTrainingSet, KTooLarge,
 from .ingest import READ_ENCODING, write_text
 
 MODEL_FORMAT = "rssiloc-model"
-MODEL_VERSION = 3  # of tree and forest records; other kinds are unchanged at 1
-_KIND_VERSIONS = {"tree": MODEL_VERSION, "forest": MODEL_VERSION}
+# The one version of each kind's record, which _wrap writes and model_from_dict reads.
+_KIND_VERSIONS = {"linear": 1, "polynomial": 1, "tree": 3, "forest": 4, "paired": 1,
+                  "knn": 1, "mlp": 2, "treeloc": 1}
 _NODE_ARRAYS = ("feature", "threshold", "left", "right", "value", "n")  # RegressionTree order
-# The little-endian item type of each base64 array of a version-3 tree record.
+# The little-endian item type of each base64 array of a tree or forest record.
 _ARRAY_DTYPES = {"feature": "<i8", "threshold": "<f8", "value": "<f8", "n": "<i8"}
 
 MLP_DEFAULT_SIZES = (13, 20, 17, 4)
@@ -438,8 +439,8 @@ class RegressionTree(_Averaged):
     must be the children that ``feature``'s preorder implies, as
     :func:`_trees_from_arrays` derives them; other children raise ValueError.
     ``root`` is a read-only :class:`TreeNode` view of node 0 and ``trees``
-    the tree itself, as a one-tree forest; to_dict writes the version-3
-    record of :func:`_trees_from_arrays`."""
+    the tree itself, as a one-tree forest; to_dict writes the record of
+    :func:`_trees_from_arrays`."""
 
     feature: np.ndarray
     threshold: np.ndarray
@@ -469,7 +470,7 @@ class RegressionTree(_Averaged):
         return _wrap("tree",
                      {"max_depth": self.max_depth, "min_leaf": self.min_leaf,
                       "split_mode": self.split_mode},
-                     _trees_to_arrays((self,)), MODEL_VERSION)
+                     _trees_to_arrays((self,)))
 
 
 def fit_tree(features, targets, max_depth: Optional[int] = None,
@@ -497,7 +498,7 @@ def fit_tree(features, targets, max_depth: Optional[int] = None,
 class Forest(_Averaged):
     """Average of independently grown trees (bagging when bootstrap=True),
     in tree order, exactly as averaging the member trees' predictions does.
-    The version-3 record concatenates the trees' arrays before encoding them."""
+    Its record concatenates the trees' arrays before encoding them."""
 
     trees: Tuple[RegressionTree, ...]
     bootstrap: bool = True
@@ -505,11 +506,9 @@ class Forest(_Averaged):
 
     def to_dict(self) -> dict:
         first = self.trees[0]
-        return _wrap("forest",
-                     {"n_trees": len(self.trees), "bootstrap": self.bootstrap,
-                      "max_depth": first.max_depth, "min_leaf": first.min_leaf,
-                      "split_mode": first.split_mode, "rng_seed": self.rng_seed},
-                     _trees_to_arrays(self.trees), MODEL_VERSION)
+        return _wrap("forest", {"bootstrap": self.bootstrap, "max_depth": first.max_depth,
+                                "min_leaf": first.min_leaf, "split_mode": first.split_mode,
+                                "rng_seed": self.rng_seed}, _trees_to_arrays(self.trees))
 
 
 def fit_forest(features, targets, n_trees: int = 100, bootstrap: bool = True,
@@ -675,7 +674,7 @@ class MlpModel:
         return mlp_forward(self, x).argmax(axis=1)
 
     def to_dict(self) -> dict:
-        return _wrap("mlp", {"sizes": list(self.sizes)},
+        return _wrap("mlp", {},
                      {"weights": [w.tolist() for w in self.weights],
                       "biases": [b.tolist() for b in self.biases]})
 
@@ -772,8 +771,8 @@ def mlp_train(model: MlpModel, features, labels_onehot, lr: float = 0.01,
 
 # --- portable model serialization ----------------------------------------------------
 
-def _wrap(kind: str, hyperparameters: dict, parameters: dict, version: int = 1) -> dict:
-    return {"format": MODEL_FORMAT, "version": version, "kind": kind,
+def _wrap(kind: str, hyperparameters: dict, parameters: dict) -> dict:
+    return {"format": MODEL_FORMAT, "version": _KIND_VERSIONS[kind], "kind": kind,
             "hyperparameters": hyperparameters, "parameters": parameters}
 
 
@@ -840,36 +839,28 @@ def _tree_from_dict(d: dict) -> RegressionTree:
     return tree
 
 
-def _forest_from_dict(d: dict) -> Forest:
-    """A forest whose n_trees is its number of trees, as to_dict writes it."""
-    h = d["hyperparameters"]
-    forest = Forest(_trees_from_dict(d), h["bootstrap"], h.get("rng_seed", 0))
-    if json.dumps(h["n_trees"]) != json.dumps(len(forest.trees)):  # 3.0 would save as 3
-        raise ValueError(f"forest record: n_trees {h['n_trees']!r} for {len(forest.trees)} trees")
-    return forest
-
-
 def _mlp_from_dict(d: dict) -> MlpModel:
-    """An MLP whose sizes are the shapes its weights and biases give, as to_dict writes them."""
-    p, sizes = d["parameters"], d["hyperparameters"]["sizes"]
+    """An MLP whose weights chain and whose biases are as wide as their layers."""
+    p = d["parameters"]
     model = MlpModel(tuple(map(np.asarray, p["weights"])), tuple(map(np.asarray, p["biases"])))
     n = model.sizes
-    if (json.dumps(sizes) != json.dumps(list(n)) or [a.shape for a in model.weights + model.biases]
-            != [*zip(n[1:], n[:-1]), *zip(n[1:])]):
-        raise ValueError(f"mlp record: sizes {sizes!r} are not its weight and bias shapes")
+    if [a.shape for a in model.weights + model.biases] != [*zip(n[1:], n[:-1]), *zip(n[1:])]:
+        raise ValueError(f"mlp record: weight and bias shapes do not chain through widths {n}")
     return model
 
 
 # The loader of each kind's record. ensemble imports this module, so it is
 # imported only when a treeloc record is loaded.
 _MODEL_KINDS: Dict[str, Callable[[dict], object]] = {
-    "linear": lambda d: LinearModel(np.asarray(d["parameters"]["theta"]),
-                                    d["parameters"]["squeeze"]),
+    # fit_linear's theta is a degree-1 polynomial's, so that rule checks it: finite, 2-D, 2+ rows.
+    "linear": lambda d: LinearModel(PolynomialModel(np.asarray(d["parameters"]["theta"]), 1)
+                                    .theta, d["parameters"]["squeeze"]),
     "polynomial": lambda d: PolynomialModel(
         np.asarray(d["parameters"]["theta"]), d["hyperparameters"]["degree"],
         d["hyperparameters"]["cross_terms"], d["parameters"]["squeeze"]),
     "tree": _tree_from_dict,
-    "forest": _forest_from_dict,
+    "forest": lambda d: Forest(_trees_from_dict(d), d["hyperparameters"]["bootstrap"],
+                               d["hyperparameters"]["rng_seed"]),
     "paired": lambda d: PairedRegressor(models=tuple(
         model_from_dict(c) for c in d["parameters"]["components"])),
     "knn": lambda d: KnnModel(np.asarray(d["parameters"]["features"], dtype=float),
@@ -888,7 +879,7 @@ def model_from_dict(data: dict):
     kind, version = data.get("kind"), data.get("version")
     if not isinstance(kind, str) or kind not in _MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
-    if type(version) is not int or version != _KIND_VERSIONS.get(kind, 1):
+    if type(version) is not int or version != _KIND_VERSIONS[kind]:
         raise ValueError(f"unsupported model version {version!r} of a {kind} record")
     try:
         return _MODEL_KINDS[kind](data)

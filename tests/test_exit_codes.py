@@ -212,20 +212,17 @@ def edited_record(index, path, edit):
     return record, layout
 
 
-SIZES = ("hyperparameters", "sizes")
-N_TREES = ("parameters", "components", 0, "hyperparameters", "n_trees")  # of a paired forest
-# Records that loaded, and saved back as other records, though their shape
-# fields disagree with their arrays.
+# MLP records that loaded, and saved back as other records, though their
+# weight and bias shapes do not chain.
 SHAPE_EDITS = {
-    "mlp sizes 5 outputs": (6, SIZES, lambda sizes: sizes[:-1] + [5]),
-    "mlp sizes a layer short": (6, SIZES, lambda sizes: sizes[1:]),
-    "mlp sizes floats": (6, SIZES, lambda sizes: [float(n) for n in sizes]),
     "mlp one-wide bias": (6, ("parameters", "biases"), lambda b: [b[0][:1], *b[1:]]),
     "mlp weights do not chain": (6, ("parameters", "weights"),
                                  lambda w: [w[0], [row[:-1] for row in w[1]]]),
-    "forest n_trees 3": (3, N_TREES, lambda n: n + 1),
-    "forest n_trees float": (3, N_TREES, float),
-    "treeloc forest n_trees": (4, ("parameters", "components", 0, *N_TREES), lambda n: n - 1),
+}
+# Records without their rng_seed, which loaded as seed 0 and saved back with it.
+NO_RNG_SEED = {
+    "forest": (3, ("parameters", "components", 0, "hyperparameters")),  # of a paired forest
+    "treeloc": (4, ("hyperparameters",)),
 }
 
 
@@ -665,15 +662,38 @@ class TestOwners:
     @pytest.mark.parametrize("case", SHAPE_EDITS.values(), ids=SHAPE_EDITS.keys())
     def test_shape_fields_that_disagree_fail_at_load(self, files, tmp_path, case):
         record, layout = edited_record(*case)
-        assert record["kind"] in ("mlp", "paired", "treeloc")
+        assert record["kind"] == "mlp"
         path = tmp_path / "model.json"
         path.write_text(json.dumps(record))
-        with pytest.raises(ValueError, match="(mlp|forest) record: "):
+        with pytest.raises(ValueError, match="mlp record: "):
             learners.load_model(path)
         code, err = check_contract(["predict", "--model-file", path, "-i",
                                     files[layout], "-o", tmp_path / "p.csv"])
         assert code == 3 and "bad model file" in err
         assert not (tmp_path / "p.csv").exists()
+
+    @pytest.mark.parametrize("case", NO_RNG_SEED.values(), ids=NO_RNG_SEED.keys())
+    def test_record_without_rng_seed_fails_at_load(self, files, tmp_path, case):
+        record, layout = edited_record(*case, lambda h: {k: v for k, v in h.items()
+                                                        if k != "rng_seed"})
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(record))
+        with pytest.raises(ValueError, match="KeyError: 'rng_seed'"):
+            learners.load_model(path)
+        code, err = check_contract(["predict", "--model-file", path, "-i",
+                                    files[layout], "-o", tmp_path / "p.csv"])
+        assert code == 3 and "bad model file" in err
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_linear_file_with_nan_theta_fails_at_load(self, files, tmp_path):
+        # it loaded, and predict exited 4 after writing nothing
+        path, out = tmp_path / "linear.json", tmp_path / "p.csv"
+        path.write_text(linear_with_theta(float("nan"))[0])  # json writes and reads NaN
+        with pytest.raises(ValueError, match="degree 1"):
+            learners.load_model(path)
+        code, err = check_contract(["predict", "--model-file", path, "-i",
+                                    files["regression"], "-o", out])
+        assert code == 3 and "bad model file" in err and not out.exists()
 
     def test_tree_model_on_a_narrower_file_exits_3(self, tmp_path):
         # RSSI4 tracks x, so the root splits on it; predicting a 3-column

@@ -462,21 +462,27 @@ class TestSerialization:
                              "kind": "nope"})
 
     def test_versions_are_checked_per_kind(self):
-        # Tree and forest records load only version 3, other kinds only 1;
-        # a bool version was accepted as 1 because True == 1.
-        x = np.array([[0.0], [1.0], [2.0], [3.0]])
+        # Each kind loads only the version it writes; a bool version was
+        # accepted as 1 because True == 1.
+        x = np.array([[0.0], [1.0], [2.0], [3.0], [4.0], [5.0]])
+        labels = np.array([0, 1, 2, 3, 0, 1])
         records = {
-            "linear": fit_linear(x, x[:, 0]).to_dict(),
-            "paired": fit_tree(x, np.hstack([x, x]), max_depth=1).to_dict(),
-            "tree": fit_tree(x, x[:, 0], max_depth=1).to_dict(),
-            "forest": fit_forest(x, x[:, 0], n_trees=2, max_depth=1).to_dict(),
+            "linear": (1, fit_linear(x, x[:, 0])),
+            "polynomial": (1, fit_polynomial(x, x[:, 0], degree=2)),
+            "tree": (3, fit_tree(x, x[:, 0], max_depth=1)),
+            "forest": (4, fit_forest(x, x[:, 0], n_trees=2, max_depth=1)),
+            "paired": (1, fit_tree(x, np.hstack([x, x]), max_depth=1)),
+            "knn": (1, fit_knn(x, labels, k=3)),
+            "mlp": (2, MlpModel.create(sizes=(1, 3, 4))),
+            "treeloc": (1, treeloc_fit(x, np.hstack([x, x]), tree_depth=1,
+                                       forest_trees=2, extra_trees=2)),
         }
-        for kind, record in records.items():
+        for kind, (accepted, model) in records.items():
+            record = model.to_dict()
             assert record["kind"] == kind
-            accepted = 3 if kind in ("tree", "forest") else 1
             assert record["version"] == accepted
             model_from_dict(record)
-            for version in (0, 1, 2, 3, 4, True, False, 1.0, 3.0, "1", "3", None):
+            for version in (0, 1, 2, 3, 4, 5, True, False, 1.0, 3.0, "1", "3", None):
                 if version == accepted and type(version) is int:
                     continue
                 with pytest.raises(ValueError, match="unsupported model version"):

@@ -1,13 +1,16 @@
 """Golden treeloc models: the saved format and the fitted trees stay fixed.
 
 ``data/treeloc_v3.json`` is a small treeloc model (3 trees per forest,
-depth 6) saved with version-3 tree and forest records: flat preorder
-arrays, with ``feature``, ``threshold``, ``value`` and ``n`` stored as
-base64 strings of little-endian ``<i8``/``<f8`` bytes and ``node_counts``
-kept a JSON list. ``data/treeloc_v3_predictions.json`` holds 20 query rows
-and that model's predictions on them. Running this file writes these two
-files and no others; regenerate them only together with a ``MODEL_VERSION``
-bump:
+depth 6), named for the version-3 tree layout that its version-3 tree and
+version-4 forest records share: flat preorder arrays, with ``feature``,
+``threshold``, ``value`` and ``n`` stored as base64 strings of
+little-endian ``<i8``/``<f8`` bytes and ``node_counts`` kept a JSON list.
+A forest record stores no ``n_trees``; its ``node_counts`` give it.
+``data/treeloc_v3_predictions.json`` holds 20 query rows and that model's
+predictions on them. Running this file writes these two files and no
+others; regenerate them only together with a version bump of a record
+kind in ``learners._KIND_VERSIONS``. A bump that keeps every prediction
+leaves the predictions file byte-identical:
 
     PYTHONPATH=src python tests/test_model_golden.py
 

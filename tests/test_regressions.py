@@ -403,9 +403,9 @@ class TestLocateNamesTheFailingRow:
 class TestNonFiniteFitAndPredict:
     """fit and predict had no float-error scope and no finite check: a
     saved linear record with a nan in theta predicted nan cells and exited
-    0, one whose theta overflowed raised a RuntimeWarning (a traceback
-    under -W error), and a singular polynomial fit's LinAlgError exited 2
-    as a config error."""
+    0 (such a record is now refused at load), one whose theta overflowed
+    raised a RuntimeWarning (a traceback under -W error), and a singular
+    polynomial fit's LinAlgError exited 2 as a config error."""
 
     RSSI, TARGETS, _, _ = regression_testbed(5, n=30)
 
@@ -414,7 +414,7 @@ class TestNonFiniteFitAndPredict:
         write_csv(RegressionDataset(self.RSSI, self.TARGETS), path)
         return path
 
-    @pytest.mark.parametrize("rows, value", [(1, float("nan")), (slice(None), 1e308)])
+    @pytest.mark.parametrize("rows, value", [(1, 1e308), (slice(None), 1e308)])
     def test_predict_exits_4_without_output(self, tmp_path, capsys, rows, value):
         record = learners.fit_linear(self.RSSI, self.TARGETS).to_dict()
         theta = np.array(record["parameters"]["theta"])

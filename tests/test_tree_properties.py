@@ -454,7 +454,7 @@ V3_ITEMS["n"] = V3_ITEMS["feature"]
 
 def test_v3_writer_encodes_the_v2_arrays():
     record = BASE_FOREST.to_dict()
-    assert record["version"] == 3 and record["parameters"] == v3_parameters(BASE_ARRAYS)
+    assert record["version"] == 4 and record["parameters"] == v3_parameters(BASE_ARRAYS)
     assert decoded(record["parameters"]) == BASE_ARRAYS
 
 

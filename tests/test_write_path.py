@@ -18,7 +18,7 @@ from rssiloc.ingest import (_WRITE_ROWS, load_regression_csv, load_series_csv,
                             one_hot_encode, write_csv, write_text)
 from rssiloc.ensemble import treeloc_fit
 from rssiloc.learners import (LinearModel, MlpModel, fit_forest, fit_knn, fit_linear,
-                              fit_polynomial, load_model, mlp_train, save_model)
+                              fit_polynomial, fit_tree, load_model, mlp_train, save_model)
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
@@ -213,11 +213,19 @@ def fit(kind, x, y, labels):
         return fit_polynomial(x, y, degree=2, cross_terms=True)
     if kind == "knn":
         return fit_knn(x, labels, k=min(3, len(x)), n_classes=4)
+    if kind in ("tree", "paired"):
+        return fit_tree(x, y[:, 0] if kind == "tree" else y, max_depth=4)
+    if kind == "forest":
+        return fit_forest(x, y[:, 0], n_trees=3, max_depth=4, rng_seed=len(x))
+    if kind == "treeloc":  # treeloc fits need 6 rows
+        return treeloc_fit(np.vstack([x, x]), np.vstack([y, y]), rng_seed=len(x),
+                           tree_depth=3, forest_trees=2, extra_trees=2)
     net = MlpModel.create(sizes=(x.shape[1], 5, 4), rng_seed=len(x))
     return mlp_train(net, x, one_hot_encode(labels, 4), epochs=2)
 
 
-@pytest.mark.parametrize("kind", ["linear", "poly", "knn", "mlp"])
+@pytest.mark.parametrize("kind", ["linear", "poly", "knn", "mlp", "tree", "forest",
+                                  "paired", "treeloc"])
 @PROPERTY
 @given(data=training_sets())
 def test_saved_model_round_trip(tmp_path_factory, kind, data):
