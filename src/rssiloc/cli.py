@@ -253,7 +253,8 @@ def _fit_model(args, ds, train_idx):
         return learners.fit_knn(x, ds.labels[train_idx], k=args.k, n_classes=len(ds.zone_names))
     if args.model == "mlp":
         net = learners.MlpModel.create(
-            sizes=(x.shape[1], 20, 17, len(ds.zone_names)), rng_seed=args.seed)
+            sizes=(x.shape[1], *learners.MLP_DEFAULT_SIZES[1:-1], len(ds.zone_names)),
+            rng_seed=args.seed)
         return learners.mlp_train(
             net, x, ds.one_hot[train_idx], lr=args.lr, batch_size=args.batch_size,
             epochs=args.epochs, rng_seed=args.seed)

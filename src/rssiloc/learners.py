@@ -55,6 +55,7 @@ _NODE_ARRAYS = ("feature", "threshold", "left", "right", "value", "n")  # Regres
 _ARRAY_DTYPES = {"feature": "<i8", "threshold": "<f8", "value": "<f8", "n": "<i8"}
 
 MLP_DEFAULT_SIZES = (13, 20, 17, 4)
+_SPLIT_MODES = ("exhaustive", "random")  # the split_mode values _grow accepts
 
 # Tree-rows per step of a batched tree walk: keeps its arrays in cache.
 WALK_NODES = 1 << 16
@@ -104,7 +105,8 @@ class LinearModel:
 
     @_one_row
     def predict(self, x) -> np.ndarray:
-        out = np.hstack([np.ones((len(x), 1)), x]) @ self.theta
+        # einsum, not @: a matmul runs one row as gemv and a batch as gemm, in other bits
+        out = np.einsum("nf,fk->nk", np.hstack([np.ones((len(x), 1)), x]), self.theta)
         return out[:, 0] if self.squeeze else out
 
     def to_dict(self) -> dict:
@@ -299,7 +301,7 @@ def _grow(x: np.ndarray, y: np.ndarray, samples, max_depth: Optional[int],
     `rows`, in tree order, then level order; a node is a leaf at the depth
     limit, below 2 * min_leaf rows, at zero target variance or without a
     valid split. _trees_from_arrays builds the trees from their depth-first arrays."""
-    if split_mode not in ("exhaustive", "random"):
+    if split_mode not in _SPLIT_MODES:
         raise ValueError(f"unknown split_mode {split_mode!r}")
     find = _exhaustive_splits if split_mode == "exhaustive" else _random_splits
     rows, sizes = np.concatenate(samples), np.array([len(s) for s in samples])
@@ -826,12 +828,15 @@ def _trees_from_arrays(p: dict, h: dict) -> Tuple[RegressionTree, ...]:
 
 def _trees_from_dict(d: dict) -> Tuple[RegressionTree, ...]:
     """The trees of a tree or forest record, its base64 arrays decoded into
-    native, owned int64/float64 arrays."""
-    p = d["parameters"]
+    native, owned int64/float64 arrays, if fit takes its hyperparameters."""
+    p, h = d["parameters"], d["hyperparameters"]
+    if not (h["split_mode"] in _SPLIT_MODES and type(h["min_leaf"]) is int
+            and (h["max_depth"] is None or type(h["max_depth"]) is int)):
+        raise ValueError("tree record: split_mode, max_depth or min_leaf is not one fit takes")
     p = {"node_counts": p["node_counts"], **{
         key: np.frombuffer(base64.b64decode(p[key], validate=True), dtype).astype(dtype[1:])
         for key, dtype in _ARRAY_DTYPES.items()}}
-    return _trees_from_arrays(p, d["hyperparameters"])
+    return _trees_from_arrays(p, h)
 
 
 def _tree_from_dict(d: dict) -> RegressionTree:
@@ -840,12 +845,14 @@ def _tree_from_dict(d: dict) -> RegressionTree:
 
 
 def _mlp_from_dict(d: dict) -> MlpModel:
-    """An MLP whose weights chain and whose biases are as wide as their layers."""
+    """An MLP whose finite weights and biases chain through its layer widths."""
     p = d["parameters"]
     model = MlpModel(tuple(map(np.asarray, p["weights"])), tuple(map(np.asarray, p["biases"])))
     n = model.sizes
     if [a.shape for a in model.weights + model.biases] != [*zip(n[1:], n[:-1]), *zip(n[1:])]:
         raise ValueError(f"mlp record: weight and bias shapes do not chain through widths {n}")
+    if not all(np.isfinite(a).all() for a in model.weights + model.biases):
+        raise ValueError("mlp record: weights or biases are not finite")
     return model
 
 

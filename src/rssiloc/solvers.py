@@ -284,19 +284,18 @@ def _noise_terms(m: int, sigmas_a, sigmas_p, eta: float) -> tuple:
 
 def _key(std, m: int) -> tuple:
     """A std argument as a _noise_terms cache key: a tuple of 1 or m floats."""
-    if np.size(std) not in (1, m):
-        raise ValueError(f"got {np.size(std)} stds for {m} anchors; give 1 or {m}")
-    return tuple(np.ravel(std).tolist())
+    key = tuple(np.ravel(std).tolist())
+    if len(key) not in (1, m):
+        raise ValueError(f"got {len(key)} stds for {m} anchors; give 1 or {m}")
+    return key
 
 
-def _rhs_variance(k: np.ndarray, d: np.ndarray, sigmas_a, sigmas_p,
-                  eta: float) -> np.ndarray:
+def _rhs_variance(k: np.ndarray, d: np.ndarray, noise: tuple) -> np.ndarray:
     """Var(k_i) + Var(d_i^2) per anchor (see build_weights), from
-    k_i = x_i^2 + y_i^2."""
+    k_i = x_i^2 + y_i^2 and the _noise_terms."""
     if (d <= 0).any():
         raise NonPositiveDistance("distances must be > 0")
-    m = len(k)
-    var_a, four_var_a, spread = _noise_terms(m, _key(sigmas_a, m), _key(sigmas_p, m), eta)[:3]
+    var_a, four_var_a, spread = noise[:3]
     return four_var_a * (var_a + k) + np.exp(4.0 * np.log(d)) * spread
 
 
@@ -317,7 +316,9 @@ def build_weights(anchors, distances, sigmas_a, sigmas_p, eta: float) -> Diagona
     non-finite one is left unweighted.
     """
     pts, d = _ranging_inputs(anchors, distances)
-    return _weights(_rhs_variance(np.add.reduce(pts ** 2, axis=1), d, sigmas_a, sigmas_p, eta))
+    m = len(pts)
+    noise = _noise_terms(m, _key(sigmas_a, m), _key(sigmas_p, m), eta)
+    return _weights(_rhs_variance(np.add.reduce(pts ** 2, axis=1), d, noise))
 
 
 def _positive_definite(normal: np.ndarray) -> np.ndarray:
@@ -399,11 +400,9 @@ def _bias_compensated(sys: LinearSystem, weights, bias: BiasTerms, include_cross
     if include_cross_term:
         rhs = rhs - bias.g
     ok = _positive_definite(normal)
-    if ok.all():  # the usual case, without masked copies
-        return 0.5 * np.linalg.solve(normal, rhs[..., None])[..., 0], ok
-    est = np.full(rhs.shape, np.nan)
-    est[ok] = 0.5 * np.linalg.solve(normal[ok], rhs[ok][..., None])[..., 0]
-    return est, ok
+    normal[~ok] = _EYE2  # the others solve the identity, then read NaN
+    est = np.linalg.solve(normal, rhs[..., None])[..., 0]
+    return np.where(ok[..., None], 0.5 * est, np.nan), ok
 
 
 def hyperbolic_solve(anchors, distances) -> np.ndarray:
@@ -455,13 +454,13 @@ def estimate_position(solver: str, anchors, distances, *, sigmas_a=0.0,
     system, k, d2 = _linearize(anchors, distances)
     if solver == "lls":
         return lls_solve(system)
-    weights = _weights(_rhs_variance(k, distances, sigmas_a, sigmas_p, eta))
+    noise = _noise_terms(m, _key(sigmas_a, m), _key(sigmas_p, m), eta)
+    weights = _weights(_rhs_variance(k, distances, noise))
     if solver == "hyperbolic-w" and sigmas_p == 0.0:  # d > 0 and eta > 0 checked
         return hyperbolic_solve(anchors, distances)
     if solver != "wls-bc":
         return wls_solve(system, weights)
-    bias = _bias_terms(anchors, d2, _noise_terms(m, _key(sigmas_a, m), _key(sigmas_p, m), eta),
-                       weights, include_cross_term)
+    bias = _bias_terms(anchors, d2, noise, weights, include_cross_term)
     est, ok = _bias_compensated(system, weights, bias, include_cross_term)
     if not ok.all():  # those rows' weights are uniform where unweighted: no second warning
         fallback = _unchecked(LinearSystem, {"design": system.design, "rhs": system.rhs[~ok]})

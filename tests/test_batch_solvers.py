@@ -112,7 +112,8 @@ class TestBatchEqualsRows:
 class TestAnchorWorkOnce:
     """estimate_position tests an anchor set's design for rank and for
     centering once, however many fixes and fallback rows use it, and builds
-    its systems without validating them again; no solve tests a design."""
+    its systems without validating them again; no solve tests a design. A
+    call looks up its stds' noise terms once."""
 
     def count(self, monkeypatch):
         seen = {"rank": 0, "centered": 0, "validated": 0}
@@ -158,6 +159,19 @@ class TestAnchorWorkOnce:
         seen = self.count(monkeypatch)
         estimate_position("wls-bc", anchors, d, sigmas_a=150.0, sigmas_p=2.0)
         assert seen == {"rank": 1, "centered": 1, "validated": 0}
+
+    @pytest.mark.parametrize("rows", [None, 7])
+    def test_noise_terms_looked_up_once(self, rows, monkeypatch):
+        anchors, d = noisy_batch(np.random.default_rng(29), 5, rows or 1)
+        calls = {"_noise_terms": 0, "_key": 0}
+        for name in calls:
+            def spy(*args, _name=name, _real=getattr(solvers, name)):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(solvers, name, spy)
+        estimate_position("wls-bc", anchors, d[0] if rows is None else d,
+                          sigmas_a=1.0, sigmas_p=2.0)
+        assert calls == {"_noise_terms": 1, "_key": 2}
 
     def test_solves_do_not_test_a_built_design(self, monkeypatch):
         anchors, d = noisy_batch(np.random.default_rng(23), 5, 6)

@@ -219,9 +219,22 @@ SHAPE_EDITS = {
     "mlp weights do not chain": (6, ("parameters", "weights"),
                                  lambda w: [w[0], [row[:-1] for row in w[1]]]),
 }
+# Tree and forest records with a split_mode, max_depth or min_leaf that fit
+# never writes, and MLP records with weights or biases that are not finite:
+# all of them loaded.
+TREE = ("parameters", "components", 0, "hyperparameters")  # of a paired tree or forest
+FIT_EDITS = {
+    "tree split_mode bogus": (2, TREE + ("split_mode",), lambda v: "bogus"),
+    "tree max_depth string": (2, TREE + ("max_depth",), lambda v: "x"),
+    "forest max_depth float": (3, TREE + ("max_depth",), float),
+    "forest min_leaf float": (3, TREE + ("min_leaf",), float),
+    "mlp weight nan": (6, ("parameters", "weights"),
+                       lambda w: [[[math.nan] + row[1:] for row in w[0]], *w[1:]]),
+    "mlp bias inf": (6, ("parameters", "biases"), lambda b: [*b[:-1], [math.inf] + b[-1][1:]]),
+}
 # Records without their rng_seed, which loaded as seed 0 and saved back with it.
 NO_RNG_SEED = {
-    "forest": (3, ("parameters", "components", 0, "hyperparameters")),  # of a paired forest
+    "forest": (3, TREE),
     "treeloc": (4, ("hyperparameters",)),
 }
 
@@ -671,6 +684,17 @@ class TestOwners:
                                     files[layout], "-o", tmp_path / "p.csv"])
         assert code == 3 and "bad model file" in err
         assert not (tmp_path / "p.csv").exists()
+
+    @pytest.mark.parametrize("case", FIT_EDITS.values(), ids=FIT_EDITS.keys())
+    def test_record_fit_could_not_write_fails_at_load(self, files, tmp_path, case):
+        record, layout = edited_record(*case)
+        path, out = tmp_path / "model.json", tmp_path / "p.csv"
+        path.write_text(json.dumps(record))  # json writes and reads NaN
+        with pytest.raises(ValueError, match="^(tree|mlp) record: "):
+            learners.load_model(path)
+        code, err = check_contract(["predict", "--model-file", path, "-i",
+                                    files[layout], "-o", out])
+        assert code == 3 and "bad model file" in err and not out.exists()
 
     @pytest.mark.parametrize("case", NO_RNG_SEED.values(), ids=NO_RNG_SEED.keys())
     def test_record_without_rng_seed_fails_at_load(self, files, tmp_path, case):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from _synth import beacon_dataset, regression_testbed
 from rssiloc.ensemble import treeloc_fit
@@ -418,9 +419,8 @@ class TestSerialization:
         # every model answers one row with its row of the batch: a Python
         # float from a scalar regressor, an int label, else an ndarray. numpy
         # hands a one-row matrix product to BLAS gemv and a batch to gemm,
-        # which order the sums differently, so the linear, polynomial and
-        # network outputs may differ in the last bits; all others match bit
-        # for bit
+        # which order the sums differently, so the network's outputs may
+        # differ in the last bits; all others match bit for bit
         rssi, _, _, _ = regression_testbed(4, n=20)
         features, _, _ = beacon_dataset(4, n=10)
         (linear, poly, tree, paired, forest, extra, knn, mlp, linear_1,
@@ -431,8 +431,8 @@ class TestSerialization:
                  (treeloc.predict, rssi, np.ndarray, True), (knn.predict, features, int, True),
                  (knn.predict_proba, features, np.ndarray, True),
                  (mlp.predict, features, int, True),
-                 (linear.predict, rssi, np.ndarray, False),
-                 (linear_1.predict, rssi, float, False), (poly.predict, rssi, float, False),
+                 (linear.predict, rssi, np.ndarray, True),
+                 (linear_1.predict, rssi, float, True), (poly.predict, rssi, float, True),
                  (lambda x: mlp_forward(mlp, x), features, np.ndarray, False)]
         for predict, x, kind, exact in cases:
             batch = predict(x)
@@ -444,6 +444,27 @@ class TestSerialization:
                     assert np.asarray(got).tobytes() == want.tobytes()
                 else:
                     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 40), f=st.integers(1, 12),
+           k=st.integers(1, 3), degree=st.integers(1, 3), cross=st.booleans(),
+           data=st.data())
+    def test_linear_rows_alone_get_their_batch_bits(self, seed, n, f, k, degree, cross,
+                                                     data):
+        # any contiguous slice of rows, a lone row included, predicts the
+        # whole batch's bits on those rows
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n + 5, f)) * 10.0 ** rng.uniform(-3, 3, f)
+        y = rng.normal(size=(n + 5, k))
+        models = [fit_linear(x, y), fit_linear(x, y[:, 0]),
+                  fit_polynomial(x, y, degree=degree, cross_terms=cross)]
+        start = data.draw(st.integers(0, n - 1))
+        stop = data.draw(st.integers(start + 1, n))
+        for model in models:
+            batch = np.asarray(model.predict(x[:n]))
+            assert np.asarray(model.predict(x[start:stop])).tobytes() \
+                == batch[start:stop].tobytes()
+            assert np.asarray(model.predict(x[start])).tobytes() == batch[start].tobytes()
 
     def test_record_structure(self):
         model = fit_linear(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]))
